@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import EmpiricalDistribution, kantorovich
+from .distributions import kantorovich
 from .errors import (
     GeneratorCheckFailed,
     Infeasible,
@@ -22,7 +22,9 @@ from .errors import (
     TowerInfeasible,
     ValidationError,
 )
+from .groups import trivial
 from .improvement import ImprovementReport, check_regular, improve
+from .names import Walk, primitive_period
 from .systems import (
     ErgodicityWitness,
     ExtensionSystem,
@@ -514,17 +516,13 @@ def _majority_defect_schedule(
 
 
 def _separation_failure(speedup: PartialSpeedup, labels: Sequence[int]) -> Fraction:
+    """Share of base points whose full-length label name another point shares."""
     size = speedup.parent.size
-    names: dict[tuple[int, ...], int] = {}
-    for x in range(size):
-        z = x
-        nm = []
-        for _ in range(size):
-            nm.append(labels[z])
-            z = speedup.base_image(z)
-        key = tuple(nm)
-        names[key] = names.get(key, 0) + 1
-    clashes = sum(c for c in names.values() if c > 1)
+    walk = Walk(labels, [speedup.base_image(x) for x in range(size)], (0,) * size, trivial())
+    sizes: dict[int, int] = {}
+    for c in walk.classes(size):
+        sizes[c] = sizes.get(c, 0) + 1
+    clashes = sum(c for c in sizes.values() if c > 1)
     return Fraction(clashes, size)
 
 
@@ -545,11 +543,12 @@ def run_isomorphism(
     window sizes, defects, and copy distances, plus the final fraction
     of base points not separated by full-length names.
     """
-    tn = target.size
-    tnames = {tuple(target.labels[(x + i) % tn] for i in range(tn)) for x in range(tn)}
-    if len(tnames) != tn:
+    # full-length rotation names separate points exactly when the label
+    # word has no rotation period below its length
+    period = primitive_period(target.labels)
+    if period != target.size:
         raise GeneratorCheckFailed(
-            "target labels leave %d points unseparated" % (tn - len(tnames))
+            "target labels leave %d points unseparated" % (target.size - period)
         )
     n0, d0, _, _ = schedule.step_for(0)
     current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
@@ -625,6 +624,8 @@ def seed_from_orbit(
     copied tower reads exactly like the orbit segment.
     """
     zeta = Fraction(zeta)
+    if n < 1:
+        raise ValidationError("block length must be positive")
     if n_len < n or n_len > source.size:
         raise ValidationError("segment length must satisfy n <= n_len <= source size")
     group = target.group
@@ -632,21 +633,15 @@ def seed_from_orbit(
         raise ValidationError("seeding needs matching groups")
     reference = name_distribution(target, n)
     space = target.name_space(n)
+    walk = target.walk()
+    ids = walk.classes(n)
+    windows = n_len - n + 1
     found = None
     for x in range(target.size):
-        word = skew_orbit(target, (x, group.identity), n_len)
-        counts: dict = {}
-        for t in range(n_len - n + 1):
-            base_name = word[t : t + n]
-            for h in group.elements():
-                nm = tuple((a, group.mul[g][h]) for a, g in base_name)
-                counts[nm] = counts.get(nm, 0) + 1
-        emp = EmpiricalDistribution.from_weights(
-            space,
-            {k: Fraction(v, (n_len - n + 1) * group.order) for k, v in counts.items()},
-        )
+        # segment windows are target windows at x + t, right-translated
+        emp = walk.distribution(space, n, [(x + t) % target.size for t in range(windows)], ids)
         if kantorovich(emp, reference) < zeta:
-            found = (x, word)
+            found = (x, skew_orbit(target, (x, group.identity), n_len))
             break
     if found is None:
         raise NoGoodOrbit("no segment of length %d sits within %s" % (n_len, zeta))

@@ -236,36 +236,31 @@ def check_regular(
     space = ext.name_space(n)
     mul = group.mul
     worst = Fraction(0)
+    # the fibre of e stands for all: names from (x, h) are those from
+    # (x, e) right-translated by h and the metric is bi-invariant
     for b in bases:
         # rung starts carry the offset accumulated along the column, so
-        # the blocks from fiber h read the actual orbit of (b, h)
-        rung_starts = []
+        # the blocks read the actual orbit of (b, e)
+        counts: dict = {}
         z = b
         w = group.identity
         for i in range(height):
             if i % n == 0:
-                rung_starts.append((z, w))
+                nm = speedup_name(speedup, pbar, z, w, n)
+                counts[nm] = counts.get(nm, 0) + 1
             if i < height - 1:
                 w = mul[cocycle_product(ext, z, speedup.exponent[z])][w]
                 z = speedup.base_image(z)
-        per_h = []
-        for h in group.elements():
-            counts: dict = {}
-            for s, w0 in rung_starts:
-                nm = speedup_name(speedup, pbar, s, mul[w0][h], n)
-                counts[nm] = counts.get(nm, 0) + 1
-            dist = EmpiricalDistribution.from_weights(
-                space, {k: Fraction(v, len(rung_starts)) for k, v in counts.items()}
-            )
-            per_h.append(kantorovich(dist, full))
-        if len(set(per_h)) != 1:
-            raise ValidationError("ladder distance varies across fibers")
-        worst = max(worst, per_h[0])
-        if not per_h[0] < delta:
+        dist = EmpiricalDistribution.from_weights(
+            space, {k: Fraction(v, height // n) for k, v in counts.items()}
+        )
+        gap = kantorovich(dist, full)
+        worst = max(worst, gap)
+        if not gap < delta:
             return RegularityRefusal(
                 "condition 4",
-                "ladder distribution at base %d is %s away" % (b, per_h[0]),
-                per_h[0],
+                "ladder distribution at base %d is %s away" % (b, gap),
+                gap,
             )
     mass = speedup.domain_mass()
     if not mass > 1 - delta:
@@ -330,65 +325,43 @@ def _extension_word(ext: ExtensionSystem, start: int, length: int) -> tuple[tupl
     return tuple(labels), tuple(groups)
 
 
-def _averaged_class_counts(codes: bytes, starts, n1: int, tables) -> dict[bytes, int]:
-    counts: dict[bytes, int] = {}
-    for t in starts:
-        key = codes[t : t + n1]
-        counts[key] = counts.get(key, 0) + 1
-    out: dict[bytes, int] = {}
-    for key, c in counts.items():
-        for table in tables:
-            tk = key.translate(table)
-            out[tk] = out.get(tk, 0) + c
-    return out
-
-
-def _half_l1_counts(a: dict, a_total: int, b: dict, b_total: int) -> Fraction:
-    gap = Fraction(0)
-    for key in set(a) | set(b):
-        gap += abs(Fraction(a.get(key, 0), a_total) - Fraction(b.get(key, 0), b_total))
-    return gap / 2
-
-
-def _choose_start(target: ExtensionSystem, length: int, n1: int) -> int:
+def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: int) -> int:
     """First position whose template balances rung names against windows.
 
     The comparison mirrors regularity condition 4 on the output tower:
     aligned n1-rung names from the candidate template against all its
     n1-windows averaged over right group translates.  Balancing here is
     what spreads the accumulated fiber offsets evenly over the rungs.
+
+    ids are the target's n1-window classes.  A rung name is its class
+    and the group coordinate of its first point; the averaged windows
+    give each of the m translates of a class C its window count, so with
+    R rungs and W windows, 2*R*W*m times the half-L1 distance is
+    m*R*W + sum over rung names of |r*W*m - C*R| - C*R, r being the
+    name's rung count.  The window counts slide with the start.
     """
-    big = target.size + length + n1
-    order = target.group.order
-    alphabet = {a: i for i, a in enumerate(target.alphabet())}
-    if len(alphabet) * order > 256:
-        raise ScheduleInfeasible("alphabet times group order exceeds the byte encoder")
-    codes = bytearray(big)
-    g = target.group.identity
-    for t in range(big):
-        x = t % target.size
-        codes[t] = alphabet[target.labels[x]] * order + g
-        g = target.group.mul[target.skew[x]][g]
-    codes = bytes(codes)
-    tables = []
-    for h in range(order):
-        table = bytearray(256)
-        for idx in range(len(alphabet)):
-            for gi in range(order):
-                table[idx * order + gi] = idx * order + target.group.mul[gi][h]
-        tables.append(bytes(table))
-    best: tuple[Fraction, int] | None = None
-    rung_offsets = range(0, length, n1)
-    window_count = length - n1 + 1
-    for x0 in range(target.size):
-        rungs: dict[bytes, int] = {}
-        for t in rung_offsets:
-            key = codes[x0 + t : x0 + t + n1]
-            rungs[key] = rungs.get(key, 0) + 1
-        avg = _averaged_class_counts(codes, range(x0, x0 + window_count), n1, tables)
-        d = _half_l1_counts(rungs, len(rung_offsets), avg, window_count * order)
-        if best is None or d < best[0]:
-            best = (d, x0)
+    size = target.size
+    m = target.group.order
+    rungs = len(range(0, length, n1))
+    windows = length - n1 + 1
+    _, track = _extension_word(target, 0, size + length)
+    in_windows = [0] * (max(ids) + 1)
+    for t in range(windows):
+        in_windows[ids[t % size]] += 1
+    best: tuple[int, int] | None = None
+    for x0 in range(size):
+        seen: dict[int, int] = {}
+        for y in range(x0, x0 + length, n1):
+            key = ids[y % size] * m + track[y]
+            seen[key] = seen.get(key, 0) + 1
+        score = m * rungs * windows
+        for key, r in seen.items():
+            cr = in_windows[key // m] * rungs
+            score += abs(r * windows * m - cr) - cr
+        if best is None or score < best[0]:
+            best = (score, x0)
+        in_windows[ids[x0]] -= 1
+        in_windows[ids[(x0 + windows) % size]] += 1
     assert best is not None
     return best[1]
 
@@ -421,23 +394,16 @@ def build_model_name(
         raise ValidationError("length must be a positive multiple of n1")
     if not check_extension_ergodic(target).ergodic:
         raise ValidationError("target extension is not ergodic")
-    x0 = _choose_start(target, length, n1)
+    walk = target.walk()
+    ids = walk.classes(n1)
+    x0 = _choose_start(target, ids, length, n1)
     labels, groups = _extension_word(target, x0, length)
     space = target.name_space(n1)
-    mul = target.group.mul
     reference = name_distribution(target, n1)
 
     def averaged(starts) -> EmpiricalDistribution:
-        counts: dict = {}
-        for t in starts:
-            base_name = tuple((labels[t + i], groups[t + i]) for i in range(n1))
-            for h in target.group.elements():
-                nm = tuple((a, mul[g][h]) for a, g in base_name)
-                counts[nm] = counts.get(nm, 0) + 1
-        total = len(starts) * target.group.order
-        return EmpiricalDistribution.from_weights(
-            space, {k: Fraction(v, total) for k, v in counts.items()}
-        )
+        # template windows are target windows at x0 + t, right-translated
+        return walk.distribution(space, n1, [(x0 + t) % target.size for t in starts], ids)
 
     window_distance = kantorovich(averaged(range(length - n1 + 1)), reference)
     block_distance = kantorovich(averaged(range(0, length, n1)), reference)
@@ -452,13 +418,9 @@ def build_model_name(
                 "block distance %s misses the strict budget %s" % (block_distance, budget)
             )
     per = n1 // n
-    kinds: dict[tuple, int] = {}
-    for t in range(0, length, n1):
-        key = tuple((labels[t + i], groups[t + i]) for i in range(n1))
-        if key not in kinds:
-            kinds[key] = len(kinds)
-    real = tuple(tuple(range(per)) for _ in range(len(kinds)))
-    pseudo = tuple(() for _ in range(len(kinds)))
+    kinds = len({(ids[(x0 + t) % target.size], groups[t]) for t in range(0, length, n1)})
+    real = tuple(tuple(range(per)) for _ in range(kinds))
+    pseudo = tuple(() for _ in range(kinds))
     if q_atoms is None:
         q_atoms = lambda name: 0
     atom_counts: dict = {}
@@ -559,6 +521,35 @@ def _chain_for_rotation(blocks, seam_gap, rotation: int, used: int):
         points.extend(blk[0])
         gaps.extend(blk[1])
     return points, gaps
+
+
+def _good_rungs(
+    speedup: PartialSpeedup,
+    starts: Sequence[int],
+    n1: int,
+    a1: frozenset,
+    a2: frozenset,
+    bound: Fraction,
+) -> int:
+    """Count (rung, h) whose n1-orbit from (rung, h) sits in a1 x a2 above bound.
+
+    One walk from (s, e) serves every fibre: the orbit from (s, h) is at
+    (z, w*h) wherever the walk is at (z, w).
+    """
+    group = speedup.parent.group
+    good = 0
+    for s in starts:
+        hits = [0] * group.order
+        z, w = s, group.identity
+        for i in range(n1):
+            if z in a1:
+                for h in group.elements():
+                    if group.mul[w][h] in a2:
+                        hits[h] += 1
+            if i < n1 - 1:
+                z, w = apply_speedup(speedup, (z, w))
+        good += sum(1 for c in hits if Fraction(c, n1) > bound)
+    return good
 
 
 def improve(
@@ -731,21 +722,8 @@ def improve(
         raise ValidationError("the group window must be nonempty")
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
     lad1 = ladder(speedup1t, (chain[0],), length, n1)
-    good = 0
-    total = 0
-    for s in lad1.starts:
-        for h in group.elements():
-            hits = 0
-            z, g = s, h
-            for i in range(n1):
-                if z in a1set and g in a2set:
-                    hits += 1
-                if i < n1 - 1:
-                    z, g = apply_speedup(speedup1t, (z, g))
-            total += 1
-            if Fraction(hits, n1) > density - epsilon:
-                good += 1
-    good_fraction = Fraction(good, total)
+    good = _good_rungs(speedup1t, lad1.starts, n1, a1set, a2set, density - epsilon)
+    good_fraction = Fraction(good, len(lad1.starts) * group.order)
 
     report = ImprovementReport(
         n=n,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .distributions import (
@@ -21,6 +22,7 @@ from .distributions import (
 )
 from .errors import OutOfDomain, ValidationError
 from .groups import FiniteGroup
+from .names import Walk, prefix_products
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,21 @@ class ExtensionSystem:
     def name_space(self, n: int) -> BlockSpace:
         return BlockSpace(LabelGroupSpace(self.group), n)
 
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """Cocycle prefix table P: P[0] = e, P[t+1] = skew(t mod N) * P[t]."""
+        return prefix_products(self.group, self.skew)
+
+    def walk(self, labels: Sequence[int] | None = None) -> Walk:
+        """The unit-step walk x -> x+1 reading the given labels (default: own)."""
+        n = self.size
+        return Walk(
+            self.labels if labels is None else labels,
+            tuple((x + 1) % n for x in range(n)),
+            self.skew,
+            self.group,
+        )
+
 
 def skew_orbit(
     ext: ExtensionSystem, start: tuple[int, int], length: int
@@ -83,15 +100,23 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
 
     Newest factor multiplies on the left, so the composition identity
     holds: the product over a+b steps equals (product over b steps from
-    the a-th image) times (product over a steps).
+    the a-th image) times (product over a steps).  Read off the prefix
+    table as P[x+k] * P[x]^-1 for k <= N; longer products add whole laps.
     """
     if k < 1:
         raise ValidationError("k must be positive")
     mul = ext.group.mul
-    acc = ext.group.identity
+    inv = ext.group.inv
     n = ext.size
-    for i in range(k):
-        acc = mul[ext.skew[(x + i) % n]][acc]
+    p = ext.prefix
+    x %= n
+    if k <= n:
+        return mul[p[x + k]][inv[p[x]]]
+    laps, rest = divmod(k, n)
+    lap = mul[p[x + n]][inv[p[x]]]
+    acc = mul[p[x + rest]][inv[p[x]]]
+    for _ in range(laps):
+        acc = mul[acc][lap]
     return acc
 
 
@@ -232,6 +257,18 @@ class PartialSpeedup:
     def max_exponent(self) -> int:
         return max((k for k in self.exponent if k > 0), default=0)
 
+    def walk(self, labels: Sequence[int]) -> Walk:
+        """The speedup walk reading the given labels; points off the domain stay put."""
+        ext = self.parent
+        n = ext.size
+        e = ext.group.identity
+        return Walk(
+            labels,
+            tuple((x + k) % n for x, k in enumerate(self.exponent)),
+            tuple(cocycle_product(ext, x, k) if k else e for x, k in enumerate(self.exponent)),
+            ext.group,
+        )
+
     @staticmethod
     def from_map(parent: ExtensionSystem, exponent: dict[int, int]) -> "PartialSpeedup":
         table = [0] * parent.size
@@ -299,18 +336,7 @@ def name_distribution(
     labels: Sequence[int] | None = None,
 ) -> EmpiricalDistribution:
     """Distribution of n-names over the whole extension [N] x G."""
-    if labels is None:
-        labels = ext.labels
-    trivial = PartialSpeedup(ext, (1,) * ext.size, 1)
-    space = ext.name_space(n)
-    counts: dict = {}
-    for x in range(ext.size):
-        for g in ext.group.elements():
-            nm = speedup_name(trivial, labels, x, g, n)
-            counts[nm] = counts.get(nm, 0) + 1
-    return EmpiricalDistribution.from_weights(
-        space, {k: Fraction(v, ext.size * ext.group.order) for k, v in counts.items()}
-    )
+    return ext.walk(labels).distribution(ext.name_space(n), n, range(ext.size))
 
 
 def speedup_name_distribution(
@@ -320,22 +346,18 @@ def speedup_name_distribution(
     starts: Iterable[int] | None = None,
 ) -> EmpiricalDistribution:
     """Distribution of n-names over Dom(S^n) x G (or the given base starts)."""
-    ext = speedup.parent
     if starts is None:
         starts = power_domain(speedup, n)
-    starts = tuple(starts)
+    else:
+        # an explicit start must carry a whole name; base_image raises
+        # OutOfDomain where its walk leaves the domain
+        starts = tuple(starts)
+        for x in starts:
+            for _ in range(n - 1):
+                x = speedup.base_image(x)
     if not starts:
         raise ValidationError("no start points for the name distribution")
-    space = ext.name_space(n)
-    counts: dict = {}
-    for x in starts:
-        for g in ext.group.elements():
-            nm = speedup_name(speedup, labels, x, g, n)
-            counts[nm] = counts.get(nm, 0) + 1
-    total = len(starts) * ext.group.order
-    return EmpiricalDistribution.from_weights(
-        space, {k: Fraction(v, total) for k, v in counts.items()}
-    )
+    return speedup.walk(labels).distribution(speedup.parent.name_space(n), n, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,9 @@ def test_seed_validation():
         seed_from_orbit(m, m, 2, Fraction(1, 10), n=4)
     with pytest.raises(ValidationError):
         seed_from_orbit(m, m, 17, Fraction(1, 10), n=4)
+    for n in (0, -3):
+        with pytest.raises(ValidationError):
+            seed_from_orbit(m, m, 8, Fraction(1, 10), n=n)
     z2 = marker_system(16, 15, group=cyclic(2))
     with pytest.raises(ValidationError):
         seed_from_orbit(z2, m, 16, Fraction(1, 10), n=4)

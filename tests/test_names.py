@@ -1,0 +1,248 @@
+"""The integer name kernel against the direct paths it replaced.
+
+Every property compares the library with the reference implementation
+in oracles.py on small systems over Z/1 to Z/5 and the non-abelian S3,
+and asserts exact equality.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from skewlab import (
+    ExtensionSystem,
+    NoGoodOrbit,
+    PartialSpeedup,
+    RegularityCertificate,
+    ValidationError,
+    build_model_name,
+    check_regular,
+    cocycle_product,
+    cyclic,
+    from_tables,
+    name_distribution,
+    power_domain,
+    seed_from_orbit,
+    speedup_name_distribution,
+)
+from skewlab.driver import _separation_failure
+from skewlab.improvement import _choose_start, _good_rungs
+from skewlab.names import primitive_period
+
+import oracles
+
+
+def s3():
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
+    return from_tables(mul, name="S3")
+
+
+GROUPS = [cyclic(m) for m in range(1, 6)] + [s3()]
+
+
+@st.composite
+def systems(draw, min_size=1, max_size=10, groups=GROUPS):
+    group = draw(st.sampled_from(groups))
+    size = draw(st.integers(min_size, max_size))
+    alphabet = draw(st.integers(1, 3))
+    labels = tuple(draw(st.lists(st.integers(0, alphabet - 1), min_size=size, max_size=size)))
+    skew = tuple(
+        draw(st.lists(st.integers(0, group.order - 1), min_size=size, max_size=size))
+    )
+    return ExtensionSystem(size, labels, group, skew)
+
+
+@st.composite
+def speedups(draw, total=False):
+    """A partial speedup: a random injective base map on a random domain."""
+    ext = draw(systems())
+    n = ext.size
+    image = draw(st.permutations(range(n)))
+    if total:
+        domain = range(n)
+    else:
+        domain = draw(st.sets(st.integers(0, n - 1)))
+    exponent = [0] * n
+    for x in domain:
+        exponent[x] = (image[x] - x) % n or n
+    return PartialSpeedup(ext, tuple(exponent), max(exponent + [1]))
+
+
+def column_speedup(ext, columns, height):
+    """columns interleaved columns of the given height; the top level is open."""
+    exponent = [0] * ext.size
+    for x in range(columns * (height - 1)):
+        exponent[x] = columns
+    return PartialSpeedup(ext, tuple(exponent), columns)
+
+
+# ---------------------------------------------------------------------------
+# cocycle products
+
+
+@given(systems(), st.data())
+def test_cocycle_product_matches_loop(ext, data):
+    n = ext.size
+    x = data.draw(st.integers(0, 3 * n))
+    for k in sorted({1, n, n + 1, 3 * n + 2, data.draw(st.integers(1, 4 * n))}):
+        assert cocycle_product(ext, x, k) == oracles.cocycle_loop(ext, x, k)
+
+
+def test_cocycle_product_rejects_nonpositive_steps():
+    ext = ExtensionSystem(3, (0, 0, 1), cyclic(2), (1, 0, 0))
+    for k in (0, -1):
+        with pytest.raises(ValidationError):
+            cocycle_product(ext, 1, k)
+
+
+# ---------------------------------------------------------------------------
+# name distributions
+
+
+@given(systems(), st.integers(1, 6), st.data())
+def test_name_distribution_matches_per_fibre(ext, n, data):
+    assert name_distribution(ext, n).weights == oracles.name_distribution_per_fibre(ext, n).weights
+    other = tuple(data.draw(st.lists(st.integers(0, 3), min_size=ext.size, max_size=ext.size)))
+    assert (
+        name_distribution(ext, n, other).weights
+        == oracles.name_distribution_per_fibre(ext, n, other).weights
+    )
+
+
+@given(speedups(), st.integers(1, 5), st.data())
+def test_speedup_name_distribution_matches_per_fibre(sp, n, data):
+    labels = sp.parent.labels
+    starts = power_domain(sp, n)
+    if not starts:
+        with pytest.raises(ValidationError):
+            speedup_name_distribution(sp, labels, n)
+        return
+    assert (
+        speedup_name_distribution(sp, labels, n).weights
+        == oracles.speedup_name_distribution_per_fibre(sp, labels, n, starts).weights
+    )
+    some = sorted(data.draw(st.sets(st.sampled_from(starts), min_size=1)))
+    assert (
+        speedup_name_distribution(sp, labels, n, starts=some).weights
+        == oracles.speedup_name_distribution_per_fibre(sp, labels, n, some).weights
+    )
+
+
+# ---------------------------------------------------------------------------
+# model names
+
+
+@given(systems(), st.integers(1, 4), st.integers(1, 4))
+def test_choose_start_matches_byte_codec(target, n1, rungs):
+    length = n1 * rungs
+    ids = target.walk().classes(n1)
+    assert _choose_start(target, ids, length, n1) == oracles.choose_start_bytes(target, length, n1)
+
+
+@st.composite
+def ergodic_cyclic_systems(draw):
+    """Cyclic-group systems whose skew sums to the generator 1."""
+    ext = draw(systems(min_size=2, groups=GROUPS[:5]))
+    m = ext.group.order
+    skew = list(ext.skew)
+    skew[0] = (1 - sum(skew[1:])) % m
+    return ExtensionSystem(ext.size, ext.labels, ext.group, tuple(skew))
+
+
+@given(ergodic_cyclic_systems(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 3))
+def test_model_name_matches_per_fibre(target, n, per, rungs):
+    n1 = n * per
+    length = n1 * rungs
+    model = build_model_name(target, n, n1, Fraction(1, 2), Fraction(1, 2), length=length)
+    assert model.start == oracles.choose_start_bytes(target, length, n1)
+    assert (model.window_distance, model.block_distance) == oracles.model_distances_per_fibre(
+        target, model
+    )
+
+
+def test_model_name_past_the_byte_codec():
+    # 129 labels times |Z/2| = 258 coordinates, more than a byte holds
+    size = 129
+    target = ExtensionSystem(
+        size, tuple(range(size)), cyclic(2), tuple(1 if x == 0 else 0 for x in range(size))
+    )
+    model = build_model_name(target, 1, 2, Fraction(1, 2), Fraction(1, 2), length=8)
+    assert len(model) == 8
+    assert model.labels == tuple((model.start + t) % size for t in range(8))
+
+
+# ---------------------------------------------------------------------------
+# regularity condition 4
+
+
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(2, 3), st.data())
+def test_ladder_distance_is_the_same_on_every_fibre(columns, n, rungs, data):
+    # two rungs at least, so that some n-name fits below the open top level
+    height = n * rungs
+    ext = data.draw(systems(min_size=columns * height, max_size=columns * height + 2))
+    sp = column_speedup(ext, columns, height)
+    per_base = oracles.ladder_distances_per_fibre(sp, ext.labels, n)
+    assert per_base is not None
+    for per_h in per_base:
+        assert len(set(per_h)) == 1
+    delta = data.draw(st.fractions(Fraction(1, 20), Fraction(19, 20)))
+    res = check_regular(sp, ext.labels, n, delta)
+    if isinstance(res, RegularityCertificate):
+        assert res.ladder_distance == max(per_h[0] for per_h in per_base)
+    elif res.condition == "condition 4":
+        assert res.measured == next(per_h[0] for per_h in per_base if not per_h[0] < delta)
+
+
+# ---------------------------------------------------------------------------
+# separation and the good set
+
+
+@given(speedups(total=True), st.data())
+def test_separation_failure_matches_pairwise(sp, data):
+    n = sp.size
+    labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    assert _separation_failure(sp, labels) == oracles.separation_failure_pairwise(sp, labels)
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=16))
+def test_primitive_period_counts_rotation_names(labels):
+    assert len(labels) - primitive_period(labels) == oracles.unseparated_points(labels)
+
+
+@given(speedups(total=True), st.integers(1, 5), st.data())
+def test_good_rungs_matches_per_fibre(sp, n1, data):
+    n, m = sp.size, sp.parent.group.order
+    starts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    a1 = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+    a2 = frozenset(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    bound = data.draw(st.fractions(Fraction(-1, 2), Fraction(1)))
+    assert _good_rungs(sp, starts, n1, a1, a2, bound) == oracles.good_rungs_per_fibre(
+        sp, starts, n1, a1, a2, bound
+    )
+
+
+# ---------------------------------------------------------------------------
+# orbit seeding
+
+
+@given(systems(min_size=2, max_size=6), st.data())
+def test_seed_from_orbit_matches_per_fibre(target, data):
+    n = data.draw(st.integers(1, min(3, target.size)))
+    n_len = data.draw(st.integers(n, target.size))
+    zeta = data.draw(st.fractions(Fraction(1, 20), Fraction(19, 20)))
+    skew = tuple(
+        data.draw(st.lists(st.integers(0, target.group.order - 1), min_size=target.size, max_size=target.size))
+    )
+    source = ExtensionSystem(target.size, target.labels, target.group, skew)
+    expected = oracles.seed_per_fibre(target, source, n_len, zeta, n)
+    if expected is None:
+        with pytest.raises(NoGoodOrbit):
+            seed_from_orbit(target, source, n_len, zeta, n=n)
+        return
+    labels, alpha = seed_from_orbit(target, source, n_len, zeta, n=n)
+    assert (labels, alpha.values) == expected
