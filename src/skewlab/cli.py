@@ -198,24 +198,40 @@ def _cmd_metrics(args: argparse.Namespace) -> dict:
     }
 
 
+def _list_arg(text: str, flag: str, read) -> tuple:
+    """Comma list of values; a malformed entry is a ParseError naming the flag."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(read(entry))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("%s: cannot read %r" % (flag, entry)) from exc
+    return tuple(values)
+
+
+def _index_list(text: str | None, flag: str, size: int) -> tuple[int, ...]:
+    """Comma list of indices in range(size); all of them when text is empty."""
+    if not text:
+        return tuple(range(size))
+    values = _list_arg(text, flag, int)
+    if not all(0 <= v < size for v in values):
+        raise ParseError("%s: entries must sit in [0, %d)" % (flag, size))
+    return values
+
+
 def _rect_for(args: argparse.Namespace, source: ExtensionSystem):
-    if args.rect_base:
-        base = tuple(int(v) for v in args.rect_base.split(","))
-    else:
-        base = tuple(range(source.size))
-    if args.rect_group:
-        grp = tuple(int(v) for v in args.rect_group.split(","))
-    else:
-        grp = tuple(range(source.group.order))
-    return base, grp
+    return (
+        _index_list(args.rect_base, "--rect-base", source.size),
+        _index_list(args.rect_group, "--rect-group", source.group.order),
+    )
 
 
 def _cmd_improve(args: argparse.Namespace) -> dict:
     target = load_system(args.target)
     source = load_system(args.source)
     pbar = source.labels
-    current, cert = bootstrap_regular(source, pbar, args.n, args.delta, args.epsilon)
     a1, a2 = _rect_for(args, source)
+    current, cert = bootstrap_regular(source, pbar, args.n, args.delta, args.epsilon)
     res = improve(
         target, current, pbar, args.n, args.delta, args.n1, args.delta1,
         a1, a2, args.epsilon, strict=args.strict_schedule,
@@ -236,7 +252,7 @@ def _cmd_improve(args: argparse.Namespace) -> dict:
 def _schedule_from(args: argparse.Namespace, source: ExtensionSystem) -> IterationSchedule:
     epsilon = args.epsilon
     if args.epsilons:
-        eps = tuple(Fraction(v) for v in args.epsilons.split(","))
+        eps = _list_arg(args.epsilons, "--epsilons", Fraction)
     else:
         eps = tuple(epsilon / Fraction(4 * 2 ** k) for k in range(max(args.budget, 1)))
     steps = ((args.n, args.delta, args.n1, args.delta1),)

@@ -7,12 +7,14 @@ distributions over them, and an exact transport solver.  The solver
 cancels common mass first (for metric ground costs the value depends only
 on the difference measure), takes a closed-form path under the discrete
 metric, and otherwise runs successive shortest paths on the bipartite
-transportation graph with Fraction arithmetic throughout.
+transportation graph.  Values are exact rationals; transport runs on
+common-denominator integers.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -208,9 +210,15 @@ def _solve_transport(
 ) -> Fraction:
     """Exact min-cost transport by successive shortest augmenting paths.
 
+    Masses are scaled by the LCM D of their denominators and costs by the
+    LCM L of theirs, so Dijkstra, the potentials, the bottlenecks and the
+    flow all run on ints; the optimum is total / (D * L).  Scaling by
+    positive constants keeps every comparison, so each augmenting path is
+    the one the same algorithm would pick on the Fractions.
+
     Nodes: 0 = source, 1..ns = suppliers, ns+1..ns+nd = consumers,
-    ns+nd+1 = sink.  Costs are Fractions; Johnson potentials keep reduced
-    costs nonnegative so Dijkstra stays valid.  Ties break on node index.
+    ns+nd+1 = sink.  Johnson potentials keep reduced costs nonnegative so
+    Dijkstra stays valid.  Ties break on node index.
     """
     ns = len(supply)
     nd = len(demand)
@@ -218,55 +226,62 @@ def _solve_transport(
     src = 0
     snk = ns + nd + 1
 
-    cost_sd = [[dist(supply[i][0], demand[j][0]) for j in range(nd)] for i in range(ns)]
+    mass_scale = math.lcm(*(w.denominator for _, w in supply), *(w.denominator for _, w in demand))
+    cost_sd = [[dist(a, b) for b, _ in demand] for a, _ in supply]
+    cost_scale = math.lcm(*(c.denominator for row in cost_sd for c in row))
+    for row in cost_sd:
+        row[:] = [c.numerator * (cost_scale // c.denominator) for c in row]
 
-    remaining_supply = [w for _, w in supply]
-    remaining_demand = [w for _, w in demand]
+    remaining_supply = [w.numerator * (mass_scale // w.denominator) for _, w in supply]
+    remaining_demand = [w.numerator * (mass_scale // w.denominator) for _, w in demand]
     # flow on supplier->consumer arcs (reverse residuals derived from it)
-    flow = [[Fraction(0)] * nd for _ in range(ns)]
-    potential = [Fraction(0)] * n_nodes
-    total_cost = Fraction(0)
-    left = sum(remaining_supply, Fraction(0))
+    flow = [[0] * nd for _ in range(ns)]
+    potential = [0] * n_nodes
+    total_cost = 0
+    left = sum(remaining_supply)
 
     while left > 0:
         dist_to = [None] * n_nodes
         prev = [None] * n_nodes
-        dist_to[src] = Fraction(0)
-        heap = [(Fraction(0), src)]
+        dist_to[src] = 0
+        heap = [(0, src)]
         while heap:
             d_u, u = heapq.heappop(heap)
-            if dist_to[u] is None or d_u > dist_to[u]:
+            if d_u > dist_to[u]:
                 continue
             if u == src:
                 for i in range(ns):
                     if remaining_supply[i] > 0:
-                        nd_i = d_u + potential[src] - potential[1 + i]
                         v = 1 + i
-                        if dist_to[v] is None or nd_i < dist_to[v]:
-                            dist_to[v] = nd_i
+                        w = d_u + potential[src] - potential[v]
+                        if dist_to[v] is None or w < dist_to[v]:
+                            dist_to[v] = w
                             prev[v] = (src, None)
-                            heapq.heappush(heap, (nd_i, v))
-            elif 1 <= u <= ns:
+                            heapq.heappush(heap, (w, v))
+            elif u <= ns:
                 i = u - 1
+                base = d_u + potential[u]
+                row = cost_sd[i]
                 for j in range(nd):
-                    w = d_u + cost_sd[i][j] + potential[u] - potential[1 + ns + j]
                     v = 1 + ns + j
+                    w = base + row[j] - potential[v]
                     if dist_to[v] is None or w < dist_to[v]:
                         dist_to[v] = w
                         prev[v] = (u, ("f", i, j))
                         heapq.heappush(heap, (w, v))
             elif u != snk:
                 j = u - 1 - ns
+                base = d_u + potential[u]
                 if remaining_demand[j] > 0:
-                    w = d_u + potential[u] - potential[snk]
+                    w = base - potential[snk]
                     if dist_to[snk] is None or w < dist_to[snk]:
                         dist_to[snk] = w
                         prev[snk] = (u, None)
                         heapq.heappush(heap, (w, snk))
                 for i in range(ns):
                     if flow[i][j] > 0:
-                        w = d_u - cost_sd[i][j] + potential[u] - potential[1 + i]
                         v = 1 + i
+                        w = base - cost_sd[i][j] - potential[v]
                         if dist_to[v] is None or w < dist_to[v]:
                             dist_to[v] = w
                             prev[v] = (u, ("b", i, j))
@@ -290,7 +305,7 @@ def _solve_transport(
                 bottleneck = min(bottleneck, remaining_supply[v - 1])
             elif v == snk:
                 bottleneck = min(bottleneck, remaining_demand[u - 1 - ns])
-            elif arc is not None and arc[0] == "b":
+            elif arc[0] == "b":
                 bottleneck = min(bottleneck, flow[arc[1]][arc[2]])
         for u, v, arc in path:
             if u == src:
@@ -304,7 +319,7 @@ def _solve_transport(
                 flow[arc[1]][arc[2]] -= bottleneck
                 total_cost -= bottleneck * cost_sd[arc[1]][arc[2]]
         left -= bottleneck
-    return total_cost
+    return Fraction(total_cost, mass_scale * cost_scale)
 
 
 def kantorovich(

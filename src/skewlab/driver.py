@@ -154,6 +154,8 @@ def bootstrap_regular(
     trims the top partial block; the change against the full rotation
     is the trimmed mass plus the single open top point.
     """
+    if n < 1:
+        raise ValidationError("block length must be positive")
     size = source.size
     height = n * (size // n)
     if height < n:

@@ -11,9 +11,18 @@ several downstream routines take a cheaper path in that case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
+
+
+def _gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """table -> tuple(table[i] for i in index), at C speed."""
+    if len(index) == 1:
+        return lambda table: (table[index[0]],)
+    return itemgetter(*index)
 
 
 @dataclass(frozen=True)
@@ -37,46 +46,63 @@ class FiniteGroup:
             raise ValidationError("inverse and metric tables must have one row per element")
         if not (0 <= self.identity < m):
             raise ValidationError("identity index out of range")
+        if not all(0 <= v < m for row in self.mul for v in row) or not all(
+            0 <= v < m for v in self.inv
+        ):
+            raise ValidationError("group tables must hold element indices")
+        mul = tuple(map(tuple, self.mul))
+        metric = tuple(map(tuple, self.metric))
+        inv, e = self.inv, self.identity
         for a in range(m):
-            if self.mul[self.identity][a] != a or self.mul[a][self.identity] != a:
+            if mul[e][a] != a or mul[a][e] != a:
                 raise ValidationError("identity fails on element %d" % a)
-            if self.mul[self.inv[a]][a] != self.identity or self.mul[a][self.inv[a]] != self.identity:
+            if mul[inv[a]][a] != e or mul[a][inv[a]] != e:
                 raise ValidationError("inverse fails on element %d" % a)
-        # associativity: order <= 64 in practice, cubic check is fine
+        # associativity: row (ab) must equal row a read through row b
+        through = [_gather(row) for row in mul]
         for a in range(m):
             for b in range(m):
-                ab = self.mul[a][b]
-                for c in range(m):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        raise ValidationError("associativity fails at (%d, %d, %d)" % (a, b, c))
+                row_ab = mul[mul[a][b]]
+                row = through[b](mul[a])
+                if row != row_ab:
+                    c = next(c for c in range(m) if row[c] != row_ab[c])
+                    raise ValidationError("associativity fails at (%d, %d, %d)" % (a, b, c))
+        # With f = d(e, .), two-sided invariance and the triangle inequality
+        # reduce to O(m^2) statements about f (see README, "Group metrics").
         for a in range(m):
-            if len(self.metric[a]) != m:
+            if len(metric[a]) != m:
                 raise ValidationError("metric row %d has wrong length" % a)
-            if self.metric[a][a] != 0:
-                raise ValidationError("metric not zero on diagonal")
-            for b in range(m):
-                d = self.metric[a][b]
-                if a != b and d <= 0:
-                    raise ValidationError("metric not positive off diagonal")
-                if d > 1:
-                    raise ValidationError("metric exceeds 1")
-                if d != self.metric[b][a]:
-                    raise ValidationError("metric not symmetric")
+        f = metric[e]
+        if f[e] != 0:
+            raise ValidationError("metric not zero on diagonal")
+        for g in range(m):
+            if g != e and f[g] <= 0:
+                raise ValidationError("metric not positive off diagonal")
+            if f[g] > 1:
+                raise ValidationError("metric exceeds 1")
+            if f[g] != f[inv[g]]:
+                raise ValidationError("metric not symmetric")
+        # left invariance: d(a, b) = f(a^-1 b)
         for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    if self.metric[a][b] > self.metric[a][c] + self.metric[c][b]:
-                        raise ValidationError("triangle inequality fails")
-                    # two-sided invariance
-                    if self.metric[self.mul[c][a]][self.mul[c][b]] != self.metric[a][b]:
-                        raise ValidationError("metric not left invariant")
-                    if self.metric[self.mul[a][c]][self.mul[b][c]] != self.metric[a][b]:
-                        raise ValidationError("metric not right invariant")
+            if metric[a] != _gather(mul[inv[a]])(f):
+                raise ValidationError("metric not left invariant")
+        # right invariance: f is a class function, f(c^-1 g c) = f(g)
+        column = list(zip(*mul))
+        for c in range(m):
+            if _gather(_gather(mul[inv[c]])(column[c]))(f) != f:
+                raise ValidationError("metric not right invariant")
+        # triangle inequality: f(gh) <= f(g) + f(h), on common-denominator ints
+        scale = math.lcm(*(v.denominator for v in f))
+        scaled = tuple(v.numerator * (scale // v.denominator) for v in f)
+        for g in range(m):
+            fg = scaled[g]
+            if any(fgh > fg + fh for fgh, fh in zip(_gather(mul[g])(scaled), scaled)):
+                raise ValidationError("triangle inequality fails")
 
     @property
     def discrete(self) -> bool:
         """True when the metric only takes the values 0 and 1."""
-        return all(d in (0, 1) for row in self.metric for d in row)
+        return all(d in (0, 1) for d in self.metric[self.identity])
 
     def elements(self) -> range:
         return range(self.order)
@@ -107,13 +133,13 @@ def cyclic(m: int) -> FiniteGroup:
 
     if m < 1:
         raise ValidationError("cyclic group order must be positive")
-    mul = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
+    elements = tuple(range(m))
+    mul = tuple(elements[a:] + elements[:a] for a in range(m))
     inv = tuple((-a) % m for a in range(m))
     half = max(m // 2, 1)
-    metric = tuple(
-        tuple(Fraction(min((a - b) % m, (b - a) % m), half) for b in range(m))
-        for a in range(m)
-    )
+    f = tuple(Fraction(min(k, m - k), half) for k in range(m))
+    # d(a, b) = f((b - a) mod m): row a is f rotated right by a
+    metric = tuple(f[m - a :] + f[: m - a] for a in range(m))
     return FiniteGroup(m, mul, inv, 0, metric, name="Z/%d" % m)
 
 

@@ -576,6 +576,8 @@ def improve(
     group coordinates replicate the template exactly, and leftover
     points receive a junk label outside the target alphabet.
     """
+    if n < 1 or n1 < 1:
+        raise ValidationError("block lengths must be positive")
     delta = Fraction(delta)
     delta1 = Fraction(delta1)
     epsilon = Fraction(epsilon)

@@ -336,6 +336,8 @@ def name_distribution(
     labels: Sequence[int] | None = None,
 ) -> EmpiricalDistribution:
     """Distribution of n-names over the whole extension [N] x G."""
+    if n < 1:
+        raise ValidationError("name length must be positive")
     return ext.walk(labels).distribution(ext.name_space(n), n, range(ext.size))
 
 

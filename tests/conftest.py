@@ -60,6 +60,32 @@ def brute_transport(d1, d2, space) -> Fraction:
     return Fraction(best, denom)
 
 
+S3_PERMS = list(permutations(range(3)))
+
+
+def s3_table():
+    """Multiplication table of S3; element i is S3_PERMS[i], 0 the identity."""
+    index = {p: i for i, p in enumerate(S3_PERMS)}
+    return [[index[tuple(a[b[i]] for i in range(3))] for b in S3_PERMS] for a in S3_PERMS]
+
+
+def s3_class_metric():
+    """f on S3: 0 at the identity, 1/2 on transpositions, 1 on 3-cycles."""
+    level = {3: Fraction(0), 1: Fraction(1, 2), 0: Fraction(1)}
+    return [level[sum(p[i] == i for i in range(3))] for p in S3_PERMS]
+
+
+def table_inverses(mul):
+    """Right inverses in a table with identity 0."""
+    return [row.index(0) for row in mul]
+
+
+def left_invariant_metric(mul, f):
+    """The table d(a, b) = f(a^-1 b) for a group table with identity 0."""
+    inv = table_inverses(mul)
+    return [[f[mul[inv[a]][b]] for b in range(len(mul))] for a in range(len(mul))]
+
+
 def rotation_names(labels, n):
     """All n-names of the label rotation, one per start point."""
     size = len(labels)

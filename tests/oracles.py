@@ -1,13 +1,19 @@
-"""Reference implementations of the name statistics, kept as test oracles.
+"""Reference implementations kept as test oracles.
 
-These are the direct paths the integer name kernel (skewlab.names)
+Most are the direct paths the integer name kernel (skewlab.names)
 replaced: every name is built as a tuple from every (x, g), cocycles are
 multiplied out step by step, the model-name start is scored with a byte
 codec and Fraction half-L1 distances, condition 4 is measured on every
 fibre, and separation compares full-length names pairwise.  They walk
 the systems themselves and share no counting code with the library.
+
+The last two replaced the integer kernels for non-discrete groups: the
+Fraction successive-shortest-path transport solver and the cubic
+group-table validator that checks invariance and the triangle inequality
+on every triple.
 """
 
+import heapq
 from fractions import Fraction
 
 from skewlab import EmpiricalDistribution, kantorovich, power_domain
@@ -243,3 +249,167 @@ def seed_per_fibre(target, source, n_len, zeta, n):
         alpha[i] = group.mul[word[i][1]][group.inv[acc]]
         acc = group.mul[source.skew[i]][acc]
     return tuple(labels), tuple(alpha)
+
+
+def cubic_group_check(order, mul, inv, identity, metric):
+    """First violated group or metric axiom, checked on every triple; None if valid."""
+    m = order
+    if m < 1:
+        return "group order must be positive"
+    if len(mul) != m or any(len(row) != m for row in mul):
+        return "multiplication table must be order x order"
+    if len(inv) != m or len(metric) != m:
+        return "inverse and metric tables must have one row per element"
+    if not (0 <= identity < m):
+        return "identity index out of range"
+    for a in range(m):
+        if mul[identity][a] != a or mul[a][identity] != a:
+            return "identity fails on element %d" % a
+        if mul[inv[a]][a] != identity or mul[a][inv[a]] != identity:
+            return "inverse fails on element %d" % a
+    for a in range(m):
+        for b in range(m):
+            ab = mul[a][b]
+            for c in range(m):
+                if mul[ab][c] != mul[a][mul[b][c]]:
+                    return "associativity fails at (%d, %d, %d)" % (a, b, c)
+    for a in range(m):
+        if len(metric[a]) != m:
+            return "metric row %d has wrong length" % a
+        if metric[a][a] != 0:
+            return "metric not zero on diagonal"
+        for b in range(m):
+            d = metric[a][b]
+            if a != b and d <= 0:
+                return "metric not positive off diagonal"
+            if d > 1:
+                return "metric exceeds 1"
+            if d != metric[b][a]:
+                return "metric not symmetric"
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if metric[a][b] > metric[a][c] + metric[c][b]:
+                    return "triangle inequality fails"
+                if metric[mul[c][a]][mul[c][b]] != metric[a][b]:
+                    return "metric not left invariant"
+                if metric[mul[a][c]][mul[b][c]] != metric[a][b]:
+                    return "metric not right invariant"
+    return None
+
+
+def fraction_transport(supply, demand, dist):
+    """Min-cost transport by successive shortest paths on Fractions.
+
+    Nodes: 0 = source, 1..ns = suppliers, ns+1..ns+nd = consumers,
+    ns+nd+1 = sink.  Johnson potentials keep reduced costs nonnegative so
+    Dijkstra stays valid.  Ties break on node index.
+    """
+    ns = len(supply)
+    nd = len(demand)
+    n_nodes = ns + nd + 2
+    src = 0
+    snk = ns + nd + 1
+
+    cost_sd = [[dist(supply[i][0], demand[j][0]) for j in range(nd)] for i in range(ns)]
+
+    remaining_supply = [w for _, w in supply]
+    remaining_demand = [w for _, w in demand]
+    flow = [[Fraction(0)] * nd for _ in range(ns)]
+    potential = [Fraction(0)] * n_nodes
+    total_cost = Fraction(0)
+    left = sum(remaining_supply, Fraction(0))
+
+    while left > 0:
+        dist_to = [None] * n_nodes
+        prev = [None] * n_nodes
+        dist_to[src] = Fraction(0)
+        heap = [(Fraction(0), src)]
+        while heap:
+            d_u, u = heapq.heappop(heap)
+            if dist_to[u] is None or d_u > dist_to[u]:
+                continue
+            if u == src:
+                for i in range(ns):
+                    if remaining_supply[i] > 0:
+                        nd_i = d_u + potential[src] - potential[1 + i]
+                        v = 1 + i
+                        if dist_to[v] is None or nd_i < dist_to[v]:
+                            dist_to[v] = nd_i
+                            prev[v] = (src, None)
+                            heapq.heappush(heap, (nd_i, v))
+            elif 1 <= u <= ns:
+                i = u - 1
+                for j in range(nd):
+                    w = d_u + cost_sd[i][j] + potential[u] - potential[1 + ns + j]
+                    v = 1 + ns + j
+                    if dist_to[v] is None or w < dist_to[v]:
+                        dist_to[v] = w
+                        prev[v] = (u, ("f", i, j))
+                        heapq.heappush(heap, (w, v))
+            elif u != snk:
+                j = u - 1 - ns
+                if remaining_demand[j] > 0:
+                    w = d_u + potential[u] - potential[snk]
+                    if dist_to[snk] is None or w < dist_to[snk]:
+                        dist_to[snk] = w
+                        prev[snk] = (u, None)
+                        heapq.heappush(heap, (w, snk))
+                for i in range(ns):
+                    if flow[i][j] > 0:
+                        w = d_u - cost_sd[i][j] + potential[u] - potential[1 + i]
+                        v = 1 + i
+                        if dist_to[v] is None or w < dist_to[v]:
+                            dist_to[v] = w
+                            prev[v] = (u, ("b", i, j))
+                            heapq.heappush(heap, (w, v))
+        assert dist_to[snk] is not None, "transport network disconnected"
+        for v in range(n_nodes):
+            if dist_to[v] is not None:
+                potential[v] += dist_to[v]
+        path = []
+        v = snk
+        while v != src:
+            u, arc = prev[v]
+            path.append((u, v, arc))
+            v = u
+        path.reverse()
+        bottleneck = left
+        for u, v, arc in path:
+            if u == src:
+                bottleneck = min(bottleneck, remaining_supply[v - 1])
+            elif v == snk:
+                bottleneck = min(bottleneck, remaining_demand[u - 1 - ns])
+            elif arc is not None and arc[0] == "b":
+                bottleneck = min(bottleneck, flow[arc[1]][arc[2]])
+        for u, v, arc in path:
+            if u == src:
+                remaining_supply[v - 1] -= bottleneck
+            elif v == snk:
+                remaining_demand[u - 1 - ns] -= bottleneck
+            elif arc[0] == "f":
+                flow[arc[1]][arc[2]] += bottleneck
+                total_cost += bottleneck * cost_sd[arc[1]][arc[2]]
+            else:
+                flow[arc[1]][arc[2]] -= bottleneck
+                total_cost -= bottleneck * cost_sd[arc[1]][arc[2]]
+        left -= bottleneck
+    return total_cost
+
+
+def fraction_kantorovich(d1, d2):
+    """Kantorovich distance through the Fraction solver, common mass cancelled."""
+    a = d1.as_dict()
+    b = d2.as_dict()
+    supply = []
+    demand = []
+    for k in sorted(set(a) | set(b)):
+        wa = a.get(k, Fraction(0))
+        wb = b.get(k, Fraction(0))
+        if wa > wb:
+            supply.append((k, wa - wb))
+        elif wb > wa:
+            demand.append((k, wb - wa))
+    if not supply:
+        return Fraction(0)
+    return fraction_transport(supply, demand, d1.space.dist)

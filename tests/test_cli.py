@@ -321,3 +321,81 @@ def test_rect_arguments_parse(marker_pair, tmp_path):
          "--rect-group", "0", "--out", str(out)]
     )
     assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed arguments: exit 1 with a JSON body, never a traceback
+
+STEP = ["--n", "4", "--delta", "3/10", "--n1", "8", "--delta1", "3/10", "--epsilon", "2/5"]
+
+
+def _rejected(argv, tmp_path):
+    out = tmp_path / "err.json"
+    rc = run_command(argv + ["--out", str(out)])
+    assert rc == 1
+    return json.loads(out.read_text())
+
+
+@pytest.fixture
+def z4_pair(tmp_path):
+    labels = [1 if x == 127 else 0 for x in range(128)]
+    group = {"type": "cyclic", "order": 4}
+    t = write_system(tmp_path / "t4.json", 128, labels, group, [1 if x == 0 else 0 for x in range(128)])
+    s = write_system(tmp_path / "s4.json", 128, labels, group, [1 if x == 64 else 0 for x in range(128)])
+    return t, s
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_metrics_rejects_nonpositive_name_length(marker_pair, tmp_path, n):
+    t, s = marker_pair
+    payload = _rejected(["metrics", "--target", t, "--source", s, "--n", n], tmp_path)
+    assert payload["error"] == "ValidationError"
+    assert "name length" in payload["detail"]
+
+
+@pytest.mark.parametrize("flag", ["--n", "--n1"])
+def test_improve_rejects_zero_block_length(marker_pair, tmp_path, flag):
+    t, s = marker_pair
+    step = list(STEP)
+    step[step.index(flag) + 1] = "0"
+    payload = _rejected(["improve", "--target", t, "--source", s, *step], tmp_path)
+    assert payload["error"] == "ValidationError"
+    assert "block length" in payload["detail"]
+
+
+def test_rect_base_not_an_integer(marker_pair, tmp_path):
+    t, s = marker_pair
+    payload = _rejected(
+        ["improve", "--target", t, "--source", s, *STEP, "--rect-base", "x"], tmp_path
+    )
+    assert payload["error"] == "ParseError"
+    assert "--rect-base" in payload["detail"]
+
+
+def test_epsilons_not_fractions(marker_pair, tmp_path):
+    t, s = marker_pair
+    payload = _rejected(
+        ["iso", "--target", t, "--source", s, *STEP, "--budget", "2",
+         "--epsilons", "1/10,abc"],
+        tmp_path,
+    )
+    assert payload["error"] == "ParseError"
+    assert "--epsilons" in payload["detail"]
+
+
+def test_rect_base_outside_the_base(z4_pair, tmp_path):
+    t, s = z4_pair
+    payload = _rejected(
+        ["improve", "--target", t, "--source", s, *STEP, "--rect-base", "999"], tmp_path
+    )
+    assert payload["error"] == "ParseError"
+    assert "[0, 128)" in payload["detail"]
+
+
+def test_rect_group_outside_the_group(z4_pair, tmp_path):
+    t, s = z4_pair
+    payload = _rejected(
+        ["improve", "--target", t, "--source", s, *STEP, "--rect-group", "9"], tmp_path
+    )
+    assert payload["error"] == "ParseError"
+    assert "[0, 4)" in payload["detail"]

@@ -12,6 +12,7 @@ from skewlab import (
     DiscreteSpace,
     EmpiricalDistribution,
     GroupSpace,
+    LabelGroupSpace,
     SpaceMismatch,
     TableMetricSpace,
     ValidationError,
@@ -19,12 +20,14 @@ from skewlab import (
     continuity_partition,
     cyclic,
     density_lower_bound,
+    from_tables,
     kantorovich,
     translate_name,
     uniformity_modulus,
 )
 
-from conftest import brute_transport, half_l1
+import oracles
+from conftest import brute_transport, half_l1, left_invariant_metric, s3_class_metric, s3_table
 
 
 def random_weights(rng, atoms, denom=60):
@@ -74,6 +77,39 @@ def test_flow_solver_against_assignment_oracle():
         d1 = EmpiricalDistribution.from_samples(space, units1)
         d2 = EmpiricalDistribution.from_samples(space, units2)
         assert kantorovich(d1, d2) == brute_transport(d1, d2, space)
+
+
+@st.composite
+def non_discrete_pair(draw):
+    """Two distributions on a non-discrete name space, random integer weights."""
+    kind = draw(st.sampled_from(["group", "label", "block", "s3"]))
+    if kind == "s3":
+        group = from_tables(s3_table(), left_invariant_metric(s3_table(), s3_class_metric()))
+    else:
+        group = cyclic(draw(st.integers(min_value=3, max_value=8)))
+    elements = st.integers(min_value=0, max_value=group.order - 1)
+    if kind in ("group", "s3"):
+        space, points = GroupSpace(group), elements
+    else:
+        space = LabelGroupSpace(group)
+        points = st.tuples(st.integers(min_value=0, max_value=2), elements)
+        if kind == "block":
+            length = draw(st.integers(min_value=2, max_value=3))
+            space = BlockSpace(space, length)
+            points = st.tuples(*[points] * length)
+    weights = st.dictionaries(points, st.integers(min_value=1, max_value=9), min_size=1, max_size=9)
+    return (
+        EmpiricalDistribution.from_weights(space, draw(weights)),
+        EmpiricalDistribution.from_weights(space, draw(weights)),
+    )
+
+
+@given(non_discrete_pair())
+def test_integer_solver_matches_fraction_oracle(pair):
+    d1, d2 = pair
+    expected = oracles.fraction_kantorovich(d1, d2)
+    assert kantorovich(d1, d2) == expected
+    assert kantorovich(d1, d2, method="flow") == expected
 
 
 def test_kantorovich_frozen_values():

@@ -6,7 +6,6 @@ and asserts exact equality.
 """
 
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -33,13 +32,11 @@ from skewlab.improvement import _choose_start, _good_rungs
 from skewlab.names import primitive_period
 
 import oracles
+from conftest import s3_table
 
 
 def s3():
-    perms = list(permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[tuple(a[b[i]] for i in range(3))] for b in perms] for a in perms]
-    return from_tables(mul, name="S3")
+    return from_tables(s3_table(), name="S3")
 
 
 GROUPS = [cyclic(m) for m in range(1, 6)] + [s3()]
