@@ -52,8 +52,6 @@ from .errors import (
     ScheduleInfeasible,
     SkewlabError,
     SpaceMismatch,
-    TooFar,
-    TooShort,
     TowerInfeasible,
     ValidationError,
 )
@@ -72,8 +70,6 @@ from .improvement import (
 from .matching import (
     SampleFamily,
     exhaust_samples,
-    match_bijection,
-    match_surjection,
     sample_onto,
 )
 from .systems import (
@@ -95,14 +91,9 @@ from .systems import (
     twist_size,
 )
 from .towers import (
-    Column,
     Ladder,
-    RokhlinTower,
     broken_fraction,
-    build_tower,
     ladder,
-    pure_columns,
-    rotation_tower,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,15 +3,16 @@
 The factor loop bootstraps a regular speedup, improves it under a
 tolerance schedule while twisting the carrying extension between
 steps, and finally extends the last partial map to a total one.  The
-isomorphism loop interleaves partition copying and generator tracking.
-Everything returns logs whose quantities are recomputed from outputs.
+isomorphism loop is the same loop with a per-iteration hook that tracks
+generators and copies a partition.  Everything returns logs whose
+quantities are recomputed from outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .distributions import kantorovich
 from .errors import (
@@ -21,9 +22,10 @@ from .errors import (
     NotReachable,
     TowerInfeasible,
     ValidationError,
+    open_unit,
 )
 from .groups import trivial
-from .improvement import ImprovementReport, check_regular, improve
+from .improvement import ImprovementReport, ImproveResult, check_regular, improve
 from .names import Walk, primitive_period
 from .systems import (
     ErgodicityWitness,
@@ -66,24 +68,20 @@ class IterationSchedule:
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValidationError("budget must be nonnegative")
-        if not (0 < Fraction(self.epsilon) < 1):
-            raise ValidationError("epsilon must sit in (0,1)")
+        open_unit("epsilon", self.epsilon)
         if not self.epsilons or not self.steps or not self.rectangles:
             raise ValidationError("schedule needs tolerances, steps, and rectangles")
         last = None
         for e in self.epsilons:
-            e = Fraction(e)
-            if not (0 < e < 1):
-                raise ValidationError("iteration tolerances must sit in (0,1)")
+            e = open_unit("iteration tolerances", e)
             if last is not None and not e < last:
                 raise ValidationError("iteration tolerances must decrease")
             last = e
         for n, d, n1, d1 in self.steps:
             if n < 1 or n1 < n:
                 raise ValidationError("block lengths must satisfy 1 <= n <= n1")
-            for t in (Fraction(d), Fraction(d1)):
-                if not (0 < t < 1):
-                    raise ValidationError("step tolerances must sit in (0,1)")
+            open_unit("step tolerances", d)
+            open_unit("step tolerances", d1)
         if self.strict:
             used = [Fraction(e) for e in self.epsilons[: self.budget]]
             if sum(used, Fraction(0)) >= Fraction(self.epsilon) / 2:
@@ -156,6 +154,8 @@ def bootstrap_regular(
     """
     if n < 1:
         raise ValidationError("block length must be positive")
+    delta = open_unit("delta", delta)
+    epsilon = open_unit("epsilon", epsilon)
     size = source.size
     height = n * (size // n)
     if height < n:
@@ -163,9 +163,9 @@ def bootstrap_regular(
     exponent = tuple(1 if x < height - 1 else 0 for x in range(size))
     speedup = PartialSpeedup(source, exponent, 1)
     change = Fraction(size - height + 1, size)
-    if not change < Fraction(epsilon) / 2:
+    if not change < epsilon / 2:
         raise Infeasible(
-            "trim changes mass %s, not below epsilon/2 = %s" % (change, Fraction(epsilon) / 2)
+            "trim changes mass %s, not below epsilon/2 = %s" % (change, epsilon / 2)
         )
     cert = check_regular(speedup, pbar, n, delta)
     if isinstance(cert, RegularityRefusal):
@@ -253,27 +253,25 @@ def _cycle_points(speedup: PartialSpeedup) -> set[int]:
 # the factor loop
 
 
-def run_factor(
+def _construct(
     target: ExtensionSystem,
     source: ExtensionSystem,
     pbar0: Sequence[int],
     schedule: IterationSchedule,
+    hook: Callable[[int, PartialSpeedup, ImproveResult], None] | None = None,
 ) -> FactorResult:
-    """Iterate improvement steps, twisting the extension between them.
+    """The construction loop behind both public loops.
 
-    Each iteration verifies its own hypothesis against the freshly
-    twisted extension; the accumulated twist composes newest-first.
-    The returned speedup is the last partial map extended to a total
-    one, and the log's change quantities are recomputed directly.
+    hook(k, current, res) runs after iteration k has twisted the
+    extension; current is the improved speedup on the twisted parent.
     """
     n0, d0, _, _ = schedule.step_for(0)
     current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
-    boot_exponent = current.exponent
     pbar = tuple(pbar0)
     beta = Twist.identity(source.size, source.group)
     parent = source
     reports: list[ImprovementReport] = []
-    fold = Fraction(sum(1 for k in boot_exponent if k != 1), source.size)
+    fold = Fraction(sum(1 for k in current.exponent if k != 1), source.size)
     chain: tuple[int, ...] = ()
     model_start = 0
     for k in range(schedule.budget):
@@ -294,19 +292,36 @@ def run_factor(
         reports.append(res.report)
         chain = res.chain
         model_start = res.model.start
+        if hook is not None:
+            hook(k, current, res)
     completed = complete_speedup(current)
     change = Fraction(
         sum(1 for x in range(source.size) if completed.exponent[x] != 1), source.size
     )
-    witness = total_extension_witness(completed)
     log = ConstructionLog(
         reports=tuple(reports),
         beta=beta,
         change_mass=change,
         change_bound=fold,
-        witness=witness,
+        witness=total_extension_witness(completed),
     )
     return FactorResult(completed, current, pbar, beta, log, chain, model_start)
+
+
+def run_factor(
+    target: ExtensionSystem,
+    source: ExtensionSystem,
+    pbar0: Sequence[int],
+    schedule: IterationSchedule,
+) -> FactorResult:
+    """Iterate improvement steps, twisting the extension between them.
+
+    Each iteration verifies its own hypothesis against the freshly
+    twisted extension; the accumulated twist composes newest-first.
+    The returned speedup is the last partial map extended to a total
+    one, and the log's change quantities are recomputed directly.
+    """
+    return _construct(target, source, pbar0, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +431,7 @@ def copy_partition(
     partition with the measured joint name distance, which the caller
     compares against zeta.
     """
-    if not (0 < Fraction(zeta) < 1):
-        raise ValidationError("zeta must sit in (0,1)")
+    open_unit("zeta", zeta)
     if n > target.size:
         raise TowerInfeasible("block length %d exceeds the small cycle" % n)
     verify_factor_map(fmap, big, target)
@@ -552,62 +566,33 @@ def run_isomorphism(
         raise GeneratorCheckFailed(
             "target labels leave %d points unseparated" % (target.size - period)
         )
-    n0, d0, _, _ = schedule.step_for(0)
-    current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
-    boot_exponent = current.exponent
-    pbar = tuple(pbar0)
-    beta = Twist.identity(source.size, source.group)
-    parent = source
-    reports: list[ImprovementReport] = []
+    cylinders: list[tuple[int, ...]] = []
     records: list[GeneratorRecord] = []
-    fold = Fraction(sum(1 for k in boot_exponent if k != 1), source.size)
-    cylinders = _cylinder_sets(pbar0, source.size, max(schedule.budget, 1))
-    chain: tuple[int, ...] = ()
-    model_start = 0
-    for k in range(schedule.budget):
-        n, d, n1, d1 = schedule.step_for(k)
-        a1, a2 = schedule.rect_for(k)
-        res = improve(
-            target, current, pbar, n, d, n1, d1, a1, a2,
-            schedule.eps_for(k), strict=schedule.strict,
-        )
-        fold += Fraction(
-            sum(1 for x in range(source.size) if res.speedup.exponent[x] != current.exponent[x]),
-            source.size,
-        )
-        parent = twist(parent, res.alpha)
-        current = PartialSpeedup(parent, res.speedup.exponent, res.speedup.k_max)
-        pbar = res.labels
-        beta = Twist.compose(res.alpha, beta, source.group)
-        reports.append(res.report)
-        chain = res.chain
-        model_start = res.model.start
+
+    def track(k: int, current: PartialSpeedup, res: ImproveResult) -> None:
+        if not cylinders:  # read once bootstrap has checked pbar0
+            cylinders.extend(_cylinder_sets(pbar0, source.size, schedule.budget))
         snapshot = complete_speedup(current)
         target_set = set(cylinders[k % len(cylinders)])
         bound = 2 * schedule.eps_for(k)
-        window, defect = _majority_defect_schedule(snapshot, pbar, target_set, bound)
+        window, defect = _majority_defect_schedule(snapshot, res.labels, target_set, bound)
         qbar = tuple(1 if x in target_set else 0 for x in range(source.size))
-        fmap = FactorMap(source.size, target.size, chain, model_start)
-        _, dist = copy_partition(fmap, current, pbar, target, qbar, copy_zeta, n)
+        fmap = FactorMap(source.size, target.size, res.chain, res.model.start)
+        n = schedule.step_for(k)[0]
+        _, dist = copy_partition(fmap, current, res.labels, target, qbar, copy_zeta, n)
         records.append(GeneratorRecord(k, window, defect, bound, dist))
-    completed = complete_speedup(current)
-    change = Fraction(
-        sum(1 for x in range(source.size) if completed.exponent[x] != 1), source.size
-    )
-    log = ConstructionLog(
-        reports=tuple(reports),
-        beta=beta,
-        change_mass=change,
-        change_bound=fold,
-        witness=total_extension_witness(completed),
+
+    result = _construct(target, source, pbar0, schedule, track)
+    log = replace(
+        result.log,
         generator=tuple(records),
-        separation_failure=_separation_failure(completed, pbar),
+        separation_failure=_separation_failure(result.speedup, result.labels),
     )
-    return FactorResult(completed, current, pbar, beta, log, chain, model_start)
+    return replace(result, log=log)
 
 
 # ---------------------------------------------------------------------------
-# orbit seeding and truncation
+# orbit seeding
 
 
 def seed_from_orbit(
@@ -625,7 +610,7 @@ def seed_from_orbit(
     translates), then defines labels and a twist level by level so the
     copied tower reads exactly like the orbit segment.
     """
-    zeta = Fraction(zeta)
+    zeta = open_unit("zeta", zeta)
     if n < 1:
         raise ValidationError("block length must be positive")
     if n_len < n or n_len > source.size:

@@ -3,8 +3,11 @@
 Every refusal the library can produce is a subclass of SkewlabError, so
 callers (and the command line driver) can distinguish "the construction
 refused, and said why" from a genuine bug.  Refusals carry the binding
-quantity in their message.
+quantity in their message.  open_unit is the one range check every
+tolerance goes through.
 """
+
+from fractions import Fraction
 
 
 class SkewlabError(Exception):
@@ -47,14 +50,6 @@ class InfeasibleTemplate(SkewlabError):
     """The exhaustion template requests more blocks of a type than exist."""
 
 
-class TooFar(SkewlabError):
-    """Not enough matched pairs are metrically close."""
-
-
-class TooShort(SkewlabError):
-    """A surjection target receives an unbalanced share of preimages."""
-
-
 class Infeasible(SkewlabError):
     """A combinatorial construction has no solution under the given bounds."""
 
@@ -93,3 +88,11 @@ class NoGoodOrbit(SkewlabError):
 
 class GeneratorCheckFailed(SkewlabError):
     """The iterated partition does not separate points, so no isomorphism."""
+
+
+def open_unit(name: str, value) -> Fraction:
+    """value as a Fraction; ValidationError unless it sits in (0,1)."""
+    value = Fraction(value)
+    if not 0 < value < 1:
+        raise ValidationError("%s must sit in (0,1)" % name)
+    return value

@@ -21,10 +21,10 @@ from .distributions import EmpiricalDistribution, kantorovich
 from .errors import (
     Collision,
     HypothesisDistance,
-    Infeasible,
     RegularityRejected,
     ScheduleInfeasible,
     ValidationError,
+    open_unit,
 )
 from .systems import (
     ExtensionSystem,
@@ -288,10 +288,7 @@ class ModelName:
 
     labels and groups give the (P, c)-coordinates of the template;
     window_distance and block_distance compare its n1-statistics to the
-    target's stationary ones (after averaging over right translates),
-    cover_fraction is the portion of each n1-block covered by real
-    n-blocks, and min_atom_count is the scarcest atom count used for
-    sampling feasibility.
+    target's stationary ones (after averaging over right translates).
     """
 
     labels: tuple[int, ...]
@@ -301,10 +298,6 @@ class ModelName:
     start: int
     window_distance: Fraction
     block_distance: Fraction
-    cover_fraction: Fraction
-    min_atom_count: int
-    real_blocks: tuple[tuple[int, ...], ...]
-    pseudo_blocks: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -371,21 +364,17 @@ def build_model_name(
     n: int,
     n1: int,
     delta1: Fraction,
-    zeta: Fraction,
     *,
     length: int,
-    q_atoms=None,
-    k_count: int = 1,
     strict: bool = False,
 ) -> ModelName:
     """Template name of the given length with measured block statistics.
 
     The template is the target's own extension name from a start point
-    chosen to balance rung names against window names.  Every n-block
-    is real (taken from the orbit), so the covering certificate is
-    exact; window and disjoint-block distances are measured against the
-    target's stationary n1-distribution and enforced at delta1/100 only
-    under the strict preset.
+    chosen to balance rung names against window names.  Window and
+    disjoint-block distances are measured against the target's
+    stationary n1-distribution and enforced at delta1/100 only under
+    the strict preset.
     """
     delta1 = Fraction(delta1)
     if n1 % n != 0:
@@ -417,26 +406,6 @@ def build_model_name(
             raise ScheduleInfeasible(
                 "block distance %s misses the strict budget %s" % (block_distance, budget)
             )
-    per = n1 // n
-    kinds = len({(ids[(x0 + t) % target.size], groups[t]) for t in range(0, length, n1)})
-    real = tuple(tuple(range(per)) for _ in range(kinds))
-    pseudo = tuple(() for _ in range(kinds))
-    if q_atoms is None:
-        q_atoms = lambda name: 0
-    atom_counts: dict = {}
-    for j in range(length // n):
-        name = tuple((labels[j * n + i], groups[j * n + i]) for i in range(n))
-        atom = q_atoms(name)
-        atom_counts[atom] = atom_counts.get(atom, 0) + 1
-    needed = set()
-    for nm in name_distribution(target, n).support():
-        needed.add(q_atoms(nm))
-    short = {q for q in needed if atom_counts.get(q, 0) < k_count}
-    if short:
-        raise Infeasible(
-            "atoms %s fall below %d template blocks; coarsen the sampling partition"
-            % (sorted(map(str, short)), k_count)
-        )
     return ModelName(
         labels=labels,
         groups=groups,
@@ -445,10 +414,6 @@ def build_model_name(
         start=x0,
         window_distance=window_distance,
         block_distance=block_distance,
-        cover_fraction=Fraction(1),
-        min_atom_count=min(atom_counts[q] for q in needed),
-        real_blocks=real,
-        pseudo_blocks=pseudo,
     )
 
 
@@ -480,8 +445,6 @@ class ImprovementReport:
     max_exponent: int
     model_window_distance: Fraction
     model_block_distance: Fraction
-    model_cover_fraction: Fraction
-    model_min_atom_count: int
     model_length: int
     model_start: int
     rotation: int
@@ -564,8 +527,6 @@ def improve(
     a2: Sequence[int],
     epsilon: Fraction,
     *,
-    zeta: Fraction | None = None,
-    k_count: int = 1,
     strict: bool = False,
 ) -> ImproveResult:
     """One improvement step: copy a model name onto the tower's blocks.
@@ -578,11 +539,9 @@ def improve(
     """
     if n < 1 or n1 < 1:
         raise ValidationError("block lengths must be positive")
-    delta = Fraction(delta)
-    delta1 = Fraction(delta1)
-    epsilon = Fraction(epsilon)
-    if zeta is None:
-        zeta = delta1
+    delta = open_unit("delta", delta)
+    delta1 = open_unit("delta1", delta1)
+    epsilon = open_unit("epsilon", epsilon)
     ext = current.parent
     group = ext.group
     pbar = tuple(pbar)
@@ -614,9 +573,7 @@ def improve(
         ("step 2", "%d of %d ladder blocks host the new orbit" % (used_blocks, len(lad.starts)))
     )
 
-    model = build_model_name(
-        target, n, n1, delta1, zeta, length=length, k_count=k_count, strict=strict
-    )
+    model = build_model_name(target, n, n1, delta1, length=length, strict=strict)
     steps.append(
         ("step 3", "template of length %d read from %d" % (len(model), model.start))
     )
@@ -659,7 +616,6 @@ def improve(
     chain, gaps = _chain_for_rotation(blocks, seam_gap, rotation, used_blocks)
     offsets = walk_offsets(chain, gaps)
     steps.append(("step 4", "rotation %d scored %d mismatches" % (rotation, best[0])))
-    steps.append(("step 5", "no pseudo blocks needed: template fully real"))
 
     exponent = [0] * ext.size
     for t, z in enumerate(chain[:-1]):
@@ -748,8 +704,6 @@ def improve(
         max_exponent=kmax1,
         model_window_distance=model.window_distance,
         model_block_distance=model.block_distance,
-        model_cover_fraction=model.cover_fraction,
-        model_min_atom_count=model.min_atom_count,
         model_length=len(model),
         model_start=model.start,
         rotation=rotation,

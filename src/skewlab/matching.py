@@ -1,26 +1,24 @@
-"""Combinatorial matching devices used by the improvement step.
+"""Finite sampling lemmas of the tower construction.
 
-Three tools: spreading a finite domain onto a target distribution,
-exhausting a set by disjoint equal-template samples, and building
-index matchings between two name sequences whose distributions are
-close.  Everything is deterministic; ties break at the lowest index.
+Two tools: spreading a finite domain onto a target distribution with
+bounded error, and exhausting a set by disjoint samples that share one
+atom template.  The improvement step does not call them; they stand as
+checked finite versions of the lemmas.  Everything is deterministic;
+ties break at the lowest index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Hashable, Mapping, Sequence
 
-from .distributions import EmpiricalDistribution, continuity_partition
+from .distributions import EmpiricalDistribution
 from .errors import (
     AtomTooSmall,
     DomainTooSmall,
     InfeasibleTemplate,
     PreconditionViolated,
-    TooFar,
-    TooShort,
     ValidationError,
 )
 
@@ -184,99 +182,3 @@ def exhaust_samples(
             "greedy family left %s uncovered despite the bounds" % family.leftover_mass()
         )
     return family
-
-
-def _atom_indices(seq: Sequence, partition) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for i, v in enumerate(seq):
-        out.setdefault(partition.atom_of(v), []).append(i)
-    return out
-
-
-def match_bijection(gamma1: Sequence, gamma2: Sequence, zeta: Fraction, *, space):
-    """Bijection phi on indices with gamma1[phi[i]] close to gamma2[i].
-
-    Exact count matching inside continuity atoms of width zeta, with the
-    cross-atom remainder paired lowest index to lowest index.  Raises
-    TooFar when fewer than ceil((1-zeta)*n) pairs land within zeta.
-    """
-    n = len(gamma1)
-    if n == 0 or len(gamma2) != n:
-        raise ValidationError("sequences must share a positive length")
-    zeta = Fraction(zeta)
-    part = continuity_partition(tuple(gamma1) + tuple(gamma2), zeta, space=space)
-    by1 = _atom_indices(gamma1, part)
-    by2 = _atom_indices(gamma2, part)
-    phi: list[int | None] = [None] * n
-    left1: list[int] = []
-    left2: list[int] = []
-    for a in sorted(set(by1) | set(by2)):
-        js = by1.get(a, [])
-        is_ = by2.get(a, [])
-        m = min(len(js), len(is_))
-        for t in range(m):
-            phi[is_[t]] = js[t]
-        left1.extend(js[m:])
-        left2.extend(is_[m:])
-    for i, j in zip(sorted(left2), sorted(left1)):
-        phi[i] = j
-    good = sum(1 for i in range(n) if space.dist(gamma1[phi[i]], gamma2[i]) < zeta)
-    if good < ceil((1 - zeta) * n):
-        raise TooFar(
-            "only %d of %d pairs within %s; need %d" % (good, n, zeta, ceil((1 - zeta) * n))
-        )
-    return tuple(phi)
-
-
-def match_surjection(gamma1: Sequence, gamma2: Sequence, zeta: Fraction, *, space):
-    """Balanced surjection phi: indices of gamma2 onto indices of gamma1.
-
-    Fiber sizes are fixed up front by floor-rounding n1/n, so every
-    fiber mass sits within zeta of 1/n; assignment then fills fibers
-    inside continuity atoms round-robin, remainder to the lowest open
-    fiber.  Raises TooShort when the balance bound is unreachable and
-    TooFar when too few pairs land within zeta.
-    """
-    n = len(gamma1)
-    n1 = len(gamma2)
-    if n == 0 or n1 == 0:
-        raise ValidationError("sequences must be nonempty")
-    zeta = Fraction(zeta)
-    if n1 < n:
-        raise TooShort("cannot map %d points onto %d fibers" % (n1, n))
-    if n1 % n != 0 and not Fraction(1, n1) < zeta:
-        raise TooShort("length %d cannot balance fibers within %s" % (n1, zeta))
-    sizes = [(j + 1) * n1 // n - j * n1 // n for j in range(n)]
-    room = list(sizes)
-    part = continuity_partition(tuple(gamma1) + tuple(gamma2), zeta, space=space)
-    by1 = _atom_indices(gamma1, part)
-    by2 = _atom_indices(gamma2, part)
-    phi: list[int | None] = [None] * n1
-    for a in sorted(set(by2)):
-        fibers = by1.get(a, [])
-        if not fibers:
-            continue
-        turn = 0
-        for i in by2[a]:
-            placed = False
-            for _ in range(len(fibers)):
-                j = fibers[turn % len(fibers)]
-                turn += 1
-                if room[j] > 0:
-                    phi[i] = j
-                    room[j] -= 1
-                    placed = True
-                    break
-            if not placed:
-                break
-    for i in range(n1):
-        if phi[i] is None:
-            j = next(j for j in range(n) if room[j] > 0)
-            phi[i] = j
-            room[j] -= 1
-    good = sum(1 for i in range(n1) if space.dist(gamma1[phi[i]], gamma2[i]) < zeta)
-    if good < ceil((1 - zeta) * n1):
-        raise TooFar(
-            "only %d of %d pairs within %s; need %d" % (good, n1, zeta, ceil((1 - zeta) * n1))
-        )
-    return tuple(phi)

@@ -49,9 +49,6 @@ class ExtensionSystem:
             if not isinstance(a, int):
                 raise ValidationError("labels must be integers")
 
-    def base_step(self, x: int) -> int:
-        return (x + 1) % self.size
-
     def step(self, x: int, g: int) -> tuple[int, int]:
         return (x + 1) % self.size, self.group.mul[self.skew[x]][g]
 
@@ -242,9 +239,6 @@ class PartialSpeedup:
     def domain_mass(self) -> Fraction:
         return Fraction(sum(1 for k in self.exponent if k > 0), self.parent.size)
 
-    def in_domain(self, x: int) -> bool:
-        return self.exponent[x] > 0
-
     def k(self, x: int) -> int:
         k = self.exponent[x]
         if k == 0:
@@ -268,16 +262,6 @@ class PartialSpeedup:
             tuple(cocycle_product(ext, x, k) if k else e for x, k in enumerate(self.exponent)),
             ext.group,
         )
-
-    @staticmethod
-    def from_map(parent: ExtensionSystem, exponent: dict[int, int]) -> "PartialSpeedup":
-        table = [0] * parent.size
-        for x, k in exponent.items():
-            if k < 1:
-                raise ValidationError("exponents must be at least 1")
-            table[x] = k
-        k_max = max(exponent.values()) if exponent else 1
-        return PartialSpeedup(parent, tuple(table), k_max)
 
 
 def apply_speedup(speedup: PartialSpeedup, point: tuple[int, int]) -> tuple[int, int]:

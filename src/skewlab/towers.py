@@ -1,180 +1,19 @@
-"""Towers over finite cyclic bases, name-pure columns, and ladders.
+"""Ladders: constant-height speedup towers sliced into blocks.
 
-A tower is a stack of pairwise disjoint levels, each the image of the
-base under the acting map.  Columns refine a tower by the full name of
-the chosen observables; ladders slice a constant-height speedup tower
-into consecutive blocks of a fixed length.
+A regular speedup's domain is a tower of equal-height columns; a ladder
+slices it into consecutive blocks of a fixed length, which the
+improvement step threads its new orbit through.  broken_fraction
+measures the ladder mass on which a second speedup departs from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .distributions import (
-    DiscreteSpace,
-    EmpiricalDistribution,
-    GroupSpace,
-    continuity_partition,
-    kantorovich,
-)
-from .errors import Infeasible, NotMultiple, ValidationError
-from .groups import FiniteGroup
+from .errors import NotMultiple, ValidationError
 from .systems import PartialSpeedup
-
-
-@dataclass(frozen=True)
-class RokhlinTower:
-    """Stack of pairwise disjoint levels over a cyclic base of given size."""
-
-    size: int
-    levels: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValidationError("tower needs at least one level")
-        width = len(self.levels[0])
-        seen: set[int] = set()
-        for lev in self.levels:
-            if len(lev) != width:
-                raise ValidationError("levels must have equal width")
-            for x in lev:
-                if not (0 <= x < self.size):
-                    raise ValidationError("level point out of range")
-                if x in seen:
-                    raise ValidationError("tower levels are not disjoint")
-                seen.add(x)
-
-    @property
-    def base(self) -> tuple[int, ...]:
-        return self.levels[0]
-
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
-    @property
-    def coverage(self) -> Fraction:
-        return Fraction(self.height * len(self.base), self.size)
-
-    def points(self) -> set[int]:
-        return {x for lev in self.levels for x in lev}
-
-    def column_of(self, b: int) -> tuple[int, ...]:
-        """The level-by-level orbit over one base point."""
-        j = self.base.index(b)
-        return tuple(lev[j] for lev in self.levels)
-
-
-def rotation_tower(size: int, base: Sequence[int], height: int) -> RokhlinTower:
-    """Tower under the cycle step x -> x+1."""
-    base = tuple(base)
-    levels = tuple(tuple((b + i) % size for b in base) for i in range(height))
-    return RokhlinTower(size, levels)
-
-
-def build_tower(
-    size: int,
-    height: int,
-    epsilon: Fraction,
-    f: Sequence,
-    zeta: Fraction,
-    *,
-    space=None,
-) -> RokhlinTower:
-    """Tower under the cycle step whose base f-distribution is zeta-close.
-
-    Scans all rotations of the arithmetic base {r + j*height} and keeps
-    the one whose base distribution of f is closest to the global one
-    (lowest rotation on ties).  Disjointness forces base gaps of at
-    least the height, so rotations of the evenly spaced base exhaust
-    the maximal-coverage shapes up to slack placement.
-    """
-    if space is None:
-        space = DiscreteSpace()
-    if height < 1 or height > size:
-        raise Infeasible("height %d impossible on %d points" % (height, size))
-    if len(f) != size:
-        raise ValidationError("observable must cover every point")
-    width = size // height
-    if not Fraction(width * height, size) >= 1 - Fraction(epsilon):
-        raise Infeasible(
-            "coverage %s below 1 - epsilon" % Fraction(width * height, size)
-        )
-    full = EmpiricalDistribution.from_samples(space, f)
-    best: tuple[Fraction, int] | None = None
-    for r in range(size):
-        base = [(r + j * height) % size for j in range(width)]
-        d = kantorovich(
-            EmpiricalDistribution.from_samples(space, [f[b] for b in base]), full
-        )
-        if best is None or d < best[0]:
-            best = (d, r)
-        if d == 0:
-            break
-    assert best is not None
-    if not best[0] < Fraction(zeta):
-        raise Infeasible(
-            "no rotation base meets the distribution bound: best %s, need below %s"
-            % (best[0], zeta)
-        )
-    base = sorted((best[1] + j * height) % size for j in range(width))
-    return rotation_tower(size, base, height)
-
-
-@dataclass(frozen=True)
-class Column:
-    """Base points of a tower sharing one full observable name."""
-
-    name: tuple
-    base: tuple[int, ...]
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
-    def width(self) -> int:
-        return len(self.base)
-
-
-def pure_columns(
-    tower: RokhlinTower,
-    observables: Sequence[Sequence],
-    zeta_prime: Fraction | None = None,
-    *,
-    skew: Sequence[int] | None = None,
-    group: FiniteGroup | None = None,
-) -> tuple[Column, ...]:
-    """Split a tower into columns constant in every observable per level.
-
-    When a skewing map is supplied its values are coarsened into
-    continuity classes of width zeta_prime first, so the skewing varies
-    by less than zeta_prime inside every column level.
-    """
-    obs: list[Callable[[int], object]] = [
-        (lambda x, o=o: o[x]) for o in observables
-    ]
-    if skew is not None:
-        if group is None or zeta_prime is None:
-            raise ValidationError("skew coarsening needs the group and a bound")
-        part = continuity_partition(
-            sorted(set(skew)), Fraction(zeta_prime), space=GroupSpace(group)
-        )
-        obs.append(lambda x: part.atom_of(skew[x]))
-    groups: dict[tuple, list[int]] = {}
-    for j, b in enumerate(tower.base):
-        col = tuple(lev[j] for lev in tower.levels)
-        name = tuple(tuple(fn(x) for fn in obs) for x in col)
-        groups.setdefault(name, []).append(j)
-    out = []
-    for name in sorted(groups):
-        js = groups[name]
-        base = tuple(tower.base[j] for j in js)
-        levels = tuple(tuple(lev[j] for j in js) for lev in tower.levels)
-        out.append(Column(name, base, levels))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -399,3 +399,41 @@ def test_rect_group_outside_the_group(z4_pair, tmp_path):
     )
     assert payload["error"] == "ParseError"
     assert "[0, 4)" in payload["detail"]
+
+
+@pytest.fixture
+def z2_pair(tmp_path):
+    labels = [1 if x == 47 else 0 for x in range(48)]
+    group = {"type": "cyclic", "order": 2}
+    t = write_system(tmp_path / "t2.json", 48, labels, group, [1 if x == 0 else 0 for x in range(48)])
+    s = write_system(tmp_path / "s2.json", 48, labels, group, [1 if x == 24 else 0 for x in range(48)])
+    return t, s
+
+
+@pytest.mark.parametrize(
+    "override, name",
+    [
+        (["--epsilon", "7"], "epsilon"),
+        (["--epsilon", "1"], "epsilon"),
+        (["--delta1", "7"], "delta1"),
+        (["--delta1", "-1"], "delta1"),
+        (["--delta", "0"], "delta"),
+        (["--delta", "5", "--delta1", "-1", "--epsilon", "0"], "delta"),
+    ],
+)
+def test_improve_rejects_tolerance_outside_unit_interval(z2_pair, tmp_path, override, name):
+    t, s = z2_pair
+    payload = _rejected(["improve", "--target", t, "--source", s, *STEP, *override], tmp_path)
+    assert payload["error"] == "ValidationError"
+    assert payload["detail"] == "%s must sit in (0,1)" % name
+
+
+@pytest.mark.parametrize("zeta", ["-1", "5"])
+def test_seed_orbit_rejects_zeta_outside_unit_interval(z2_pair, tmp_path, zeta):
+    t, s = z2_pair
+    payload = _rejected(
+        ["seed-orbit", "--target", t, "--source", s, "--nlen", "48", "--zeta", zeta, "--n", "4"],
+        tmp_path,
+    )
+    assert payload["error"] == "ValidationError"
+    assert payload["detail"] == "zeta must sit in (0,1)"

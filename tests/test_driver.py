@@ -1,6 +1,7 @@
 """Iteration schedules, the factor and isomorphism loops, witnesses,
 factor maps, and orbit seeding."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,20 @@ def test_isomorphism_tracks_generators():
         assert rec.window == 0
         assert rec.copy_distance == Fraction(1, 12)
     assert res.log.separation_failure == 0
+
+
+def test_isomorphism_hook_leaves_the_construction_alone():
+    # generator tracking only reads the loop's state: both loops build the
+    # same speedup and the same log apart from the tracking entries
+    g2 = cyclic(2)
+    target = marker_system(48, 47, group=g2, flips=(0,))
+    source = marker_system(48, 47, group=g2, flips=(24,))
+    plain = run_factor(target, source, source.labels, plain_schedule(48, 2))
+    tracked = run_isomorphism(target, source, source.labels, plain_schedule(48, 2))
+    assert len(tracked.log.generator) == 2
+    for field in ("speedup", "labels", "beta", "chain", "model_start"):
+        assert getattr(tracked, field) == getattr(plain, field)
+    assert replace(tracked.log, generator=(), separation_failure=None) == plain.log
 
 
 def test_isomorphism_needs_separating_target():

@@ -10,7 +10,6 @@ from skewlab import (
     Collision,
     ExtensionSystem,
     HypothesisDistance,
-    Infeasible,
     PartialSpeedup,
     RegularityCertificate,
     RegularityRefusal,
@@ -245,55 +244,39 @@ def test_two_rounds_give_two_cycles():
 def test_model_constant_target_exact():
     tg = trivial()
     c = ExtensionSystem(size=32, labels=(0,) * 32, group=tg, skew=(0,) * 32)
-    m = build_model_name(c, 4, 8, Fraction(1, 10), Fraction(1, 10), length=32)
+    m = build_model_name(c, 4, 8, Fraction(1, 10), length=32)
     assert set(m.labels) == {0}
     assert m.window_distance == 0
     assert m.block_distance == 0
-    assert m.cover_fraction == 1
     assert len(m) == 32
 
 
 def test_model_periodic_target_repeats_fundamental():
     tg = trivial()
     per = ExtensionSystem(size=16, labels=(0, 1, 1, 0) * 4, group=tg, skew=(0,) * 16)
-    m = build_model_name(per, 4, 4, Fraction(1, 2), Fraction(1, 2), length=16)
+    m = build_model_name(per, 4, 4, Fraction(1, 2), length=16)
     assert m.labels == m.labels[:4] * 4
-
-
-def test_model_atom_counts_checked():
-    tg = trivial()
-    c = ExtensionSystem(size=32, labels=(0,) * 32, group=tg, skew=(0,) * 32)
-    m = build_model_name(
-        c, 4, 8, Fraction(1, 10), Fraction(1, 10), length=32,
-        q_atoms=lambda nm: nm[0][0], k_count=2,
-    )
-    assert m.min_atom_count >= 2
-    with pytest.raises(Infeasible):
-        build_model_name(
-            c, 4, 8, Fraction(1, 10), Fraction(1, 10), length=32,
-            q_atoms=lambda nm: nm[0][0], k_count=100,
-        )
 
 
 def test_model_validation():
     tg = trivial()
     c = ExtensionSystem(size=32, labels=(0,) * 32, group=tg, skew=(0,) * 32)
     with pytest.raises(ValidationError):
-        build_model_name(c, 4, 6, Fraction(1, 10), Fraction(1, 10), length=24)
+        build_model_name(c, 4, 6, Fraction(1, 10), length=24)
     with pytest.raises(ValidationError):
-        build_model_name(c, 4, 8, Fraction(1, 10), Fraction(1, 10), length=28)
+        build_model_name(c, 4, 8, Fraction(1, 10), length=28)
     split = ExtensionSystem(
         size=8, labels=(0,) * 8, group=cyclic(2), skew=(0,) * 8
     )
     with pytest.raises(ValidationError):
-        build_model_name(split, 2, 4, Fraction(1, 10), Fraction(1, 10), length=8)
+        build_model_name(split, 2, 4, Fraction(1, 10), length=8)
 
 
 def test_model_strict_budget():
     tg = trivial()
     mk = marker_system(48, 47)
     with pytest.raises(Exception) as exc:
-        build_model_name(mk, 4, 8, Fraction(1, 100), Fraction(1, 100), length=48, strict=True)
+        build_model_name(mk, 4, 8, Fraction(1, 100), length=48, strict=True)
     assert "strict" in str(exc.value) or "budget" in str(exc.value)
 
 
@@ -320,7 +303,7 @@ def test_improve_small_marker_all_conclusions():
     assert r.twist_size == 0
     assert r.broken_mass == 0
     assert len(res.chain) == 48
-    assert len(r.steps) == 9
+    assert len(r.steps) == 8
 
 
 def test_improve_output_measured_on_twisted_system():

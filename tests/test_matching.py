@@ -1,26 +1,19 @@
-"""Sampling maps, exhaustion families, and name matchings."""
+"""Sampling maps and exhaustion families."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from skewlab import (
     AtomTooSmall,
     DiscreteSpace,
     DomainTooSmall,
     EmpiricalDistribution,
-    GroupSpace,
     PreconditionViolated,
-    TooShort,
     ValidationError,
-    cyclic,
     exhaust_samples,
     kantorovich,
-    match_bijection,
-    match_surjection,
     sample_onto,
 )
 
@@ -194,102 +187,3 @@ def test_exhaust_template_must_sum():
     atom_of = {z: 0 for z in ground}
     with pytest.raises(ValidationError):
         exhaust_samples(ground, atom_of, 4, Fraction(1, 2), {0: 3})
-
-
-# ---------------------------------------------------------------------------
-# match_bijection
-
-
-def test_bijection_identity():
-    phi = match_bijection("abc", "abc", Fraction(1, 2), space=SPACE)
-    assert phi == (0, 1, 2)
-
-
-def test_bijection_permutation():
-    gamma1 = "abab"
-    gamma2 = "baba"
-    phi = match_bijection(gamma1, gamma2, Fraction(1, 2), space=SPACE)
-    assert sorted(phi) == [0, 1, 2, 3]
-    assert all(gamma1[phi[i]] == gamma2[i] for i in range(4))
-
-
-def test_bijection_multiset_match():
-    gamma1 = "aab"
-    gamma2 = "aba"
-    phi = match_bijection(gamma1, gamma2, Fraction(1, 2), space=SPACE)
-    assert sorted(phi) == [0, 1, 2]
-    assert all(gamma1[phi[i]] == gamma2[i] for i in range(3))
-
-
-def test_bijection_too_far():
-    from skewlab import TooFar
-
-    with pytest.raises(TooFar):
-        match_bijection("aaaa", "bbbb", Fraction(1, 4), space=SPACE)
-
-
-def test_bijection_tolerates_small_remainder():
-    # one mismatched coordinate out of five stays under zeta = 1/4
-    phi = match_bijection("aaaab", "aaaac", Fraction(1, 4), space=SPACE)
-    assert sorted(phi) == [0, 1, 2, 3, 4]
-
-
-@given(st.data())
-def test_bijection_on_group_names(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    g = cyclic(6)
-    space = GroupSpace(g)
-    gamma1 = [rng.randrange(6) for _ in range(12)]
-    perm = list(range(12))
-    rng.shuffle(perm)
-    gamma2 = [gamma1[perm[i]] for i in range(12)]
-    phi = match_bijection(gamma1, gamma2, Fraction(1, 3), space=space)
-    assert sorted(phi) == list(range(12))
-    assert all(gamma1[phi[i]] == gamma2[i] for i in range(12))
-
-
-# ---------------------------------------------------------------------------
-# match_surjection
-
-
-def test_surjection_bijection_case():
-    phi = match_surjection("ab", "ab", Fraction(1, 2), space=SPACE)
-    assert phi == (0, 1)
-
-
-def test_surjection_double_cover():
-    phi = match_surjection("ab", "aabb", Fraction(1, 2), space=SPACE)
-    assert sorted(phi) == [0, 0, 1, 1]
-    gamma1 = "ab"
-    gamma2 = "aabb"
-    assert all(gamma1[phi[i]] == gamma2[i] for i in range(4))
-
-
-def test_surjection_constant_round_robin():
-    phi = match_surjection("xx", "xxxxxx", Fraction(1, 2), space=SPACE)
-    assert sorted(phi) == [0, 0, 0, 1, 1, 1]
-
-
-def test_surjection_too_short():
-    with pytest.raises(TooShort):
-        match_surjection("abc", "ab", Fraction(1, 2), space=SPACE)
-
-
-def test_surjection_unbalanced_length_needs_slack():
-    with pytest.raises(TooShort):
-        match_surjection("ab", "aab", Fraction(1, 4), space=SPACE)
-    phi = match_surjection("ab", "aab", Fraction(1, 2), space=SPACE)
-    assert len(phi) == 3
-
-
-@given(st.data())
-def test_surjection_fibers_balanced(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    n = data.draw(st.integers(1, 5))
-    mult = data.draw(st.integers(1, 4))
-    n1 = n * mult
-    gamma1 = [rng.randrange(3) for _ in range(n)]
-    gamma2 = [gamma1[i % n] for i in range(n1)]
-    phi = match_surjection(gamma1, gamma2, Fraction(1, 2), space=SPACE)
-    sizes = [phi.count(j) for j in range(n)]
-    assert all(s == mult for s in sizes), "exact multiples split evenly"

@@ -1,6 +1,5 @@
-"""Rokhlin towers, pure columns, and ladder slicing."""
+"""Ladder slicing and broken-block mass."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,20 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab import (
-    DiscreteSpace,
-    EmpiricalDistribution,
-    ExtensionSystem,
-    Infeasible,
     NotMultiple,
     PartialSpeedup,
-    ValidationError,
     broken_fraction,
-    build_tower,
-    cyclic,
-    kantorovich,
     ladder,
-    pure_columns,
-    rotation_tower,
 )
 
 from conftest import tiny_extension
@@ -33,116 +22,6 @@ def trimmed_rotation(size, top=None):
     top = size - 1 if top is None else top
     exponent = tuple(0 if x == top else 1 for x in range(size))
     return PartialSpeedup(ext, exponent, 1)
-
-
-# ---------------------------------------------------------------------------
-# towers
-
-
-def test_rotation_tower_shape():
-    t = rotation_tower(10, (0, 5), 5)
-    assert t.base == (0, 5)
-    assert t.height == 5
-    assert t.coverage == 1
-    assert t.points() == set(range(10))
-    assert t.column_of(0) == (0, 1, 2, 3, 4)
-
-
-def test_build_tower_ten_three():
-    t = build_tower(10, 3, Fraction(1, 5), (0,) * 10, Fraction(1, 2))
-    assert len(t.base) == 3
-    assert t.coverage == Fraction(9, 10)
-
-
-def test_build_tower_height_one_is_exact():
-    rng = random.Random(3)
-    f = tuple(rng.randrange(3) for _ in range(10))
-    t = build_tower(10, 1, Fraction(1, 10), f, Fraction(1, 100))
-    assert len(t.base) == 10
-    assert t.coverage == 1
-    space = DiscreteSpace()
-    base_dist = EmpiricalDistribution.from_samples(space, [f[b] for b in t.base])
-    full = EmpiricalDistribution.from_samples(space, f)
-    assert kantorovich(base_dist, full) == 0
-
-
-def test_build_tower_full_height_single_column():
-    t = build_tower(10, 10, Fraction(1, 10), (0,) * 10, Fraction(1, 2))
-    assert len(t.base) == 1
-    assert t.coverage == 1
-
-
-def test_build_tower_coverage_infeasible():
-    with pytest.raises(Infeasible):
-        build_tower(10, 4, Fraction(1, 10), (0,) * 10, Fraction(1, 2))
-
-
-def test_build_tower_distribution_infeasible():
-    # every rotation of a 5-point base misses the 10-valued observable
-    with pytest.raises(Infeasible):
-        build_tower(10, 2, Fraction(1, 10), tuple(range(10)), Fraction(1, 100))
-
-
-def test_build_tower_deterministic():
-    rng = random.Random(9)
-    f = tuple(rng.randrange(2) for _ in range(12))
-    t1 = build_tower(12, 3, Fraction(1, 10), f, Fraction(1, 2))
-    t2 = build_tower(12, 3, Fraction(1, 10), f, Fraction(1, 2))
-    assert t1.base == t2.base
-
-
-# ---------------------------------------------------------------------------
-# pure columns
-
-
-def test_single_constant_observable_one_column():
-    t = rotation_tower(12, (0, 3, 6, 9), 3)
-    cols = pure_columns(t, [(7,) * 12])
-    assert len(cols) == 1
-    assert cols[0].width() == 4
-    assert cols[0].height == 3
-
-
-def test_two_valued_labels_height_one():
-    t = rotation_tower(6, tuple(range(6)), 1)
-    labels = (0, 1, 0, 1, 1, 0)
-    cols = pure_columns(t, [labels])
-    assert len(cols) == 2
-    widths = sorted(c.width() for c in cols)
-    assert widths == [3, 3]
-
-
-def test_columns_match_brute_name_enumeration():
-    rng = random.Random(19)
-    labels = tuple(rng.randrange(2) for _ in range(12))
-    t = rotation_tower(12, (0, 3, 6, 9), 3)
-    cols = pure_columns(t, [labels])
-    names = {tuple(labels[(b + i) % 12] for i in range(3)) for b in (0, 3, 6, 9)}
-    assert len(cols) == len(names)
-    for c in cols:
-        got = tuple(v[0] for v in c.name)
-        assert got in names
-
-
-def test_columns_partition_the_base():
-    rng = random.Random(23)
-    labels = tuple(rng.randrange(3) for _ in range(20))
-    t = rotation_tower(20, (0, 4, 8, 12, 16), 4)
-    cols = pure_columns(t, [labels])
-    seen = sorted(b for c in cols for b in c.base)
-    assert seen == [0, 4, 8, 12, 16]
-
-
-def test_columns_coarsen_skew_classes():
-    # the skewing joins the observables after coarsening to 0.3-classes
-    g = cyclic(8)
-    skew = (0, 1, 0, 1, 4, 5, 4, 5)
-    t = rotation_tower(8, (0, 2, 4, 6), 2)
-    cols = pure_columns(t, [(0,) * 8], Fraction(3, 10), skew=skew, group=g)
-    # adjacent skew values share a class, distant ones split: two columns
-    assert len(cols) == 2
-    with pytest.raises(ValidationError):
-        pure_columns(t, [(0,) * 8], None, skew=skew, group=g)
 
 
 # ---------------------------------------------------------------------------
