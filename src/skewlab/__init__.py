@@ -2,18 +2,11 @@
 
 from .distributions import (
     BlockSpace,
-    ContinuityPartition,
     DiscreteSpace,
     EmpiricalDistribution,
     GroupSpace,
     LabelGroupSpace,
-    TableMetricSpace,
-    block_distribution,
-    continuity_partition,
-    density_lower_bound,
     kantorovich,
-    translate_name,
-    uniformity_modulus,
 )
 from .driver import (
     ConstructionLog,
@@ -30,7 +23,6 @@ from .driver import (
     run_isomorphism,
     seed_from_orbit,
     total_extension_witness,
-    truncate_partition,
     verify_factor_map,
 )
 from .errors import (
@@ -46,7 +38,6 @@ from .errors import (
     NotReachable,
     OutOfDomain,
     ParseError,
-    PositionOutOfRange,
     PreconditionViolated,
     RegularityRejected,
     ScheduleInfeasible,
@@ -84,8 +75,6 @@ from .systems import (
     cocycle_product,
     name_distribution,
     power_domain,
-    skew_orbit,
-    speedup_name,
     speedup_name_distribution,
     twist,
     twist_size,

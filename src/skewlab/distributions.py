@@ -17,9 +17,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .errors import PositionOutOfRange, SpaceMismatch, ValidationError
+from .errors import SpaceMismatch, ValidationError
 from .groups import FiniteGroup
 
 
@@ -97,41 +97,6 @@ class BlockSpace:
     @property
     def discrete(self) -> bool:
         return self.coord.discrete
-
-
-@dataclass(frozen=True)
-class TableMetricSpace:
-    """An explicit finite metric, points indexed 0..len-1."""
-
-    table: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.table)
-        for i in range(n):
-            if len(self.table[i]) != n:
-                raise ValidationError("metric table must be square")
-            if self.table[i][i] != 0:
-                raise ValidationError("metric table diagonal must be zero")
-            for j in range(n):
-                d = self.table[i][j]
-                if i != j and d <= 0:
-                    raise ValidationError("metric table must be positive off diagonal")
-                if d > 1:
-                    raise ValidationError("metric table diameter must be at most 1")
-                if d != self.table[j][i]:
-                    raise ValidationError("metric table must be symmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[i][j] > self.table[i][k] + self.table[k][j]:
-                        raise ValidationError("metric table violates the triangle inequality")
-
-    def dist(self, a, b) -> Fraction:
-        return self.table[a][b]
-
-    @property
-    def discrete(self) -> bool:
-        return all(d in (0, 1) for row in self.table for d in row)
 
 
 # ---------------------------------------------------------------------------
@@ -354,125 +319,3 @@ def kantorovich(
     if method == "auto" and d1.space.discrete:
         return sum((w for _, w in supply), Fraction(0))
     return _solve_transport(supply, demand, d1.space.dist)
-
-
-# ---------------------------------------------------------------------------
-# block (name) distributions
-
-
-def block_distribution(
-    seq: Sequence,
-    n: int,
-    positions: Sequence[int] | None = None,
-    *,
-    space,
-) -> EmpiricalDistribution:
-    """Distribution of the length-n blocks of seq at the given start positions.
-
-    Positions default to every start that keeps the block inside the
-    sequence; explicit positions that leave it raise PositionOutOfRange.
-    """
-    if n < 1:
-        raise ValidationError("block length must be positive")
-    if positions is None:
-        if len(seq) < n:
-            raise PositionOutOfRange("sequence shorter than one block")
-        positions = range(len(seq) - n + 1)
-    blocks = []
-    for i in positions:
-        if i < 0 or i + n > len(seq):
-            raise PositionOutOfRange("block at %d leaves the sequence" % i)
-        blocks.append(tuple(seq[i : i + n]))
-    return EmpiricalDistribution.from_samples(BlockSpace(space, n), blocks)
-
-
-# ---------------------------------------------------------------------------
-# continuity partitions
-
-@dataclass(frozen=True)
-class ContinuityPartition:
-    """Partition of a finite point set into cells of diameter < bound."""
-
-    space: object
-    bound: Fraction
-    atoms: tuple[tuple[object, ...], ...]
-
-    def atom_of(self, key) -> int:
-        for i, cell in enumerate(self.atoms):
-            if key in cell:
-                return i
-        raise ValidationError("%r not covered by the partition" % (key,))
-
-    def index(self) -> dict:
-        out = {}
-        for i, cell in enumerate(self.atoms):
-            for k in cell:
-                out[k] = i
-        return out
-
-
-def continuity_partition(points: Sequence, bound, *, space) -> ContinuityPartition:
-    """Greedy first-fit packing into cells of diameter strictly under bound."""
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise ValidationError("bound must be positive")
-    pts = sorted(set(points))
-    cells: list[list] = []
-    for p in pts:
-        placed = False
-        for cell in cells:
-            if all(space.dist(p, q) < bound for q in cell):
-                cell.append(p)
-                placed = True
-                break
-        if not placed:
-            cells.append([p])
-    return ContinuityPartition(space, bound, tuple(tuple(c) for c in cells))
-
-
-# ---------------------------------------------------------------------------
-# group-valued name helpers
-
-
-def translate_name(gamma: Sequence[int], h: int, group: FiniteGroup) -> tuple[int, ...]:
-    """Right-translate every coordinate of a group-valued name by h."""
-    return tuple(group.mul[g][h] for g in gamma)
-
-
-def uniformity_modulus(group: FiniteGroup, A: frozenset, epsilon) -> Fraction:
-    """Largest eta with: names eta-close to Haar keep every translate's
-    A-frequency above lambda(A) - epsilon.
-
-    Closed form epsilon * gap(A, complement); by two-sided invariance the
-    cross-distance gap controls how much mass can leak over the boundary.
-    """
-    epsilon = Fraction(epsilon)
-    if not A or len(A) >= group.order:
-        return Fraction(epsilon)
-    gap = min(group.metric[a][b] for a in A for b in group.elements() if b not in A)
-    return epsilon * gap
-
-
-def density_lower_bound(
-    gamma: Sequence[int],
-    A: frozenset,
-    group: FiniteGroup,
-    epsilon,
-) -> tuple[Fraction, bool]:
-    """Worst A-frequency over all right translates of the name.
-
-    Returns (min frequency, judgement min >= lambda(A) - epsilon).
-    """
-    epsilon = Fraction(epsilon)
-    if not gamma:
-        raise ValidationError("empty name")
-    if not A:
-        raise ValidationError("empty target set")
-    worst = None
-    for h in group.elements():
-        hits = sum(1 for g in gamma if group.mul[g][h] in A)
-        freq = Fraction(hits, len(gamma))
-        if worst is None or freq < worst:
-            worst = freq
-    lam = Fraction(len(A), group.order)
-    return worst, worst >= lam - epsilon

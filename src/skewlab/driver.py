@@ -36,7 +36,6 @@ from .systems import (
     Twist,
     cocycle_product,
     name_distribution,
-    skew_orbit,
     speedup_name_distribution,
     twist,
 )
@@ -206,47 +205,29 @@ def complete_speedup(speedup: PartialSpeedup) -> PartialSpeedup:
 
 
 def total_extension_witness(speedup: PartialSpeedup) -> ErgodicityWitness:
-    """Single-cycle test for the sped-up extension on the product space."""
+    """Single-cycle test for the sped-up extension on the product space.
+
+    Walks the base orbit of 0 once; a total speedup is injective, so the
+    walk returns to 0.  A base orbit that misses points splits off the
+    first missed point.
+    """
     size = speedup.parent.size
     group = speedup.parent.group
     x = 0
-    w = group.identity
-    steps = 0
-    while True:
+    lap = group.identity
+    orbit = set()
+    while x not in orbit:
         k = speedup.exponent[x]
         if k == 0:
             raise ValidationError("witness needs a total speedup")
-        w = group.mul[cocycle_product(speedup.parent, x, k)][w]
+        orbit.add(x)
+        lap = group.mul[cocycle_product(speedup.parent, x, k)][lap]
         x = (x + k) % size
-        steps += 1
-        if x == 0:
-            break
-        if steps > size:
-            raise ValidationError("base walk does not close")  # pragma: no cover
-    reached = {group.identity}
-    g = w
-    while g != group.identity:
-        reached.add(g)
-        g = group.mul[w][g]
-    base_ok = steps == size
-    group_ok = len(reached) == group.order
-    cycle = steps * len(reached)
-    if base_ok and group_ok:
-        return ErgodicityWitness(True, cycle, None)
-    if not base_ok:
-        off = min(set(range(size)) - _cycle_points(speedup))
-        return ErgodicityWitness(False, cycle, (off, group.identity))
-    missing = min(h for h in group.elements() if h not in reached)
-    return ErgodicityWitness(False, cycle, (0, missing))
-
-
-def _cycle_points(speedup: PartialSpeedup) -> set[int]:
-    pts = {0}
-    x = speedup.base_image(0)
-    while x != 0:
-        pts.add(x)
-        x = speedup.base_image(x)
-    return pts
+    witness = ErgodicityWitness.of_lap(group, lap, len(orbit))
+    if len(orbit) == size:
+        return witness
+    off = min(set(range(size)) - orbit)
+    return ErgodicityWitness(False, witness.cycle_length, (off, group.identity))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +540,7 @@ def run_isomorphism(
     window sizes, defects, and copy distances, plus the final fraction
     of base points not separated by full-length names.
     """
+    copy_zeta = open_unit("copy_zeta", copy_zeta)
     # full-length rotation names separate points exactly when the label
     # word has no rotation period below its length
     period = primitive_period(target.labels)
@@ -623,16 +605,14 @@ def seed_from_orbit(
     walk = target.walk()
     ids = walk.classes(n)
     windows = n_len - n + 1
-    found = None
     for x in range(target.size):
         # segment windows are target windows at x + t, right-translated
         emp = walk.distribution(space, n, [(x + t) % target.size for t in range(windows)], ids)
         if kantorovich(emp, reference) < zeta:
-            found = (x, skew_orbit(target, (x, group.identity), n_len))
             break
-    if found is None:
+    else:
         raise NoGoodOrbit("no segment of length %d sits within %s" % (n_len, zeta))
-    x_star, word = found
+    word = walk.name(x, n_len)
     junk = max(target.alphabet()) + 1
     labels = [junk] * source.size
     alpha = [group.identity] * source.size
@@ -642,15 +622,3 @@ def seed_from_orbit(
         alpha[i] = group.mul[word[i][1]][group.inv[src_acc]]
         src_acc = group.mul[source.skew[i]][src_acc]
     return tuple(labels), Twist(tuple(alpha))
-
-
-def truncate_partition(labels: Sequence[int], n_cut: int) -> tuple[int, ...]:
-    """Merge all but the first n_cut atoms (in label order) into one."""
-    if n_cut < 1:
-        raise ValidationError("must keep at least one atom")
-    atoms = sorted(set(labels))
-    if len(atoms) <= n_cut:
-        return tuple(labels)
-    keep = set(atoms[:n_cut])
-    merged = max(keep) + 1
-    return tuple(l if l in keep else merged for l in labels)

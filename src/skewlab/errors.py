@@ -30,10 +30,6 @@ class OutOfDomain(SkewlabError):
     """A partial map was applied to a point it is not defined on."""
 
 
-class PositionOutOfRange(SkewlabError):
-    """A requested block position leaves the sequence."""
-
-
 class DomainTooSmall(SkewlabError):
     """A finite domain is too coarse to carry the requested approximation."""
 

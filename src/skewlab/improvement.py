@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     open_unit,
 )
+from .names import prefix_products
 from .systems import (
     ExtensionSystem,
     PartialSpeedup,
@@ -36,7 +37,6 @@ from .systems import (
     check_extension_ergodic,
     cocycle_product,
     name_distribution,
-    speedup_name,
     speedup_name_distribution,
     twist,
     twist_size,
@@ -221,13 +221,14 @@ def check_regular(
             Fraction(k_seen),
         )
     group = ext.group
-    for h in group.elements():
-        names = {speedup_name(speedup, pbar, b, h, height) for b in bases}
-        if len(names) != 1:
-            return RegularityRefusal(
-                "condition 3",
-                "base fibers at %d carry %d distinct tower names" % (h, len(names)),
-            )
+    walk = speedup.walk(pbar)
+    # right translation is injective, so every fibre carries as many
+    # distinct tower names as the fibre of e
+    names = {walk.name(b, height) for b in bases}
+    if len(names) != 1:
+        return RegularityRefusal(
+            "condition 3", "base fibers at 0 carry %d distinct tower names" % len(names)
+        )
     if height % n != 0:
         return RegularityRefusal(
             "condition 4", "height %d is not a multiple of %d" % (height, n)
@@ -246,11 +247,10 @@ def check_regular(
         w = group.identity
         for i in range(height):
             if i % n == 0:
-                nm = speedup_name(speedup, pbar, z, w, n)
+                nm = tuple((a, mul[g][w]) for a, g in walk.name(z, n))
                 counts[nm] = counts.get(nm, 0) + 1
-            if i < height - 1:
-                w = mul[cocycle_product(ext, z, speedup.exponent[z])][w]
-                z = speedup.base_image(z)
+            w = mul[walk.inc[z]][w]
+            z = walk.nxt[z]
         dist = EmpiricalDistribution.from_weights(
             space, {k: Fraction(v, height // n) for k, v in counts.items()}
         )
@@ -306,18 +306,6 @@ class ModelName:
         return (self.labels[t], self.groups[t])
 
 
-def _extension_word(ext: ExtensionSystem, start: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    labels = []
-    groups = []
-    g = ext.group.identity
-    for t in range(length):
-        x = (start + t) % ext.size
-        labels.append(ext.labels[x])
-        groups.append(g)
-        g = ext.group.mul[ext.skew[x]][g]
-    return tuple(labels), tuple(groups)
-
-
 def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: int) -> int:
     """First position whose template balances rung names against windows.
 
@@ -337,7 +325,7 @@ def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: 
     m = target.group.order
     rungs = len(range(0, length, n1))
     windows = length - n1 + 1
-    _, track = _extension_word(target, 0, size + length)
+    track = [g for _, g in target.walk().name(0, size + length)]
     in_windows = [0] * (max(ids) + 1)
     for t in range(windows):
         in_windows[ids[t % size]] += 1
@@ -386,7 +374,7 @@ def build_model_name(
     walk = target.walk()
     ids = walk.classes(n1)
     x0 = _choose_start(target, ids, length, n1)
-    labels, groups = _extension_word(target, x0, length)
+    labels, groups = zip(*walk.name(x0, length))
     space = target.name_space(n1)
     reference = name_distribution(target, n1)
 
@@ -469,21 +457,6 @@ class ImproveResult:
     report: ImprovementReport
     chain: tuple[int, ...]
     model: ModelName
-
-
-def _chain_for_rotation(blocks, seam_gap, rotation: int, used: int):
-    """Chain points and per-step exponents for one block rotation."""
-    count = len(blocks)
-    points: list[int] = []
-    gaps: list[int] = []
-    for idx in range(used):
-        j = (rotation + idx) % count
-        blk = blocks[j]
-        if points:
-            gaps.append(seam_gap[(rotation + idx - 1) % count])
-        points.extend(blk[0])
-        gaps.extend(blk[1])
-    return points, gaps
 
 
 def _good_rungs(
@@ -578,44 +551,38 @@ def improve(
         ("step 3", "template of length %d read from %d" % (len(model), model.start))
     )
 
-    # per-block point runs and in-block step exponents, in start order
-    blocks = []
+    # the ladder blocks in start order form one cyclic chain; each
+    # block's last step is its seam to the next block
+    points: list[int] = []
+    gaps: list[int] = []
     for s in lad.starts:
         pts = lad.block(s)
-        gaps = [current.exponent[z] for z in pts[:-1]]
-        blocks.append((pts, gaps))
-    seam_gap = []
-    for j in range(len(blocks)):
-        end = blocks[j][0][-1]
-        nxt = blocks[(j + 1) % len(blocks)][0][0]
-        seam_gap.append((nxt - end) % ext.size or ext.size)
+        points.extend(pts)
+        gaps.extend(current.exponent[z] for z in pts[:-1])
+        gaps.append(0)
+    total = len(points)
+    for j in range(n - 1, total, n):
+        gaps[j] = (points[(j + 1) % total] - points[j]) % ext.size or ext.size
+    # group increments per step are forced by the parent skewing; rotation
+    # r reads the chain from s = r*n with offsets q[s+t] * q[s]^-1
+    q = prefix_products(group, [cocycle_product(ext, z, k) for z, k in zip(points, gaps)])
+    track = [pbar[z] for z in points] * 2
+    mul = group.mul
 
-    # group increments per step are forced by the parent skewing
-    def walk_offsets(points: list[int], gaps: list[int]) -> list[int]:
-        w = group.identity
-        out = [w]
-        for z, k in zip(points, gaps):
-            w = group.mul[cocycle_product(ext, z, k)][w]
-            out.append(w)
-        return out
+    def mismatches(s: int) -> int:
+        back = group.inv[q[s]]
+        return sum(a != b for a, b in zip(track[s : s + length], model.labels)) + sum(
+            mul[g][back] != b for g, b in zip(q[s : s + length], model.groups)
+        )
 
-    best: tuple[int, int] | None = None
-    for r in range(len(blocks)):
-        points, gaps = _chain_for_rotation(blocks, seam_gap, r, used_blocks)
-        offsets = walk_offsets(points, gaps)
-        score = 0
-        for t, z in enumerate(points):
-            if pbar[z] != model.labels[t]:
-                score += 1
-            if offsets[t] != model.groups[t]:
-                score += 1
-        if best is None or score < best[0]:
-            best = (score, r)
-    assert best is not None
-    rotation = best[1]
-    chain, gaps = _chain_for_rotation(blocks, seam_gap, rotation, used_blocks)
-    offsets = walk_offsets(chain, gaps)
-    steps.append(("step 4", "rotation %d scored %d mismatches" % (rotation, best[0])))
+    # ties go to the first rotation
+    score, start = min((mismatches(s), s) for s in range(0, total, n))
+    rotation = start // n
+    chain = (points * 2)[start : start + length]
+    gaps = (gaps * 2)[start : start + length - 1]
+    back = group.inv[q[start]]
+    offsets = [mul[g][back] for g in q[start : start + length]]
+    steps.append(("step 4", "rotation %d scored %d mismatches" % (rotation, score)))
 
     exponent = [0] * ext.size
     for t, z in enumerate(chain[:-1]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .distributions import (
     BlockSpace,
@@ -72,24 +72,6 @@ class ExtensionSystem:
             self.skew,
             self.group,
         )
-
-
-def skew_orbit(
-    ext: ExtensionSystem, start: tuple[int, int], length: int
-) -> tuple[tuple[int, int], ...]:
-    """(label, group) coordinates of the orbit segment from start."""
-    if length < 1:
-        raise ValidationError("length must be positive")
-    x, g = start
-    if not (0 <= x < ext.size):
-        raise ValidationError("base point out of range")
-    if not (0 <= g < ext.group.order):
-        raise ValidationError("group element out of range")
-    out = []
-    for _ in range(length):
-        out.append((ext.labels[x], g))
-        x, g = ext.step(x, g)
-    return tuple(out)
 
 
 def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
@@ -174,25 +156,30 @@ class ErgodicityWitness:
     cycle_length: int
     splitting_point: tuple[int, int] | None
 
+    @staticmethod
+    def of_lap(group: FiniteGroup, lap: int, steps: int) -> "ErgodicityWitness":
+        """Witness for the orbit of (0, e) that returns to base 0 after steps base steps.
+
+        Each return multiplies the group coordinate by lap, so the orbit
+        meets the fibre over 0 in the cyclic subgroup lap generates: one
+        cycle of steps times the order of lap, splitting off the first
+        element it misses.
+        """
+        reached = {group.identity}
+        g = lap
+        while g != group.identity:
+            reached.add(g)
+            g = group.mul[lap][g]
+        cycle = steps * len(reached)
+        if len(reached) == group.order:
+            return ErgodicityWitness(True, cycle, None)
+        missing = min(h for h in group.elements() if h not in reached)
+        return ErgodicityWitness(False, cycle, (0, missing))
+
 
 def check_extension_ergodic(ext: ExtensionSystem) -> ErgodicityWitness:
-    """Single-cycle test for the skew product on [N] x G.
-
-    The orbit of (0, id) returns to base 0 with the full-cycle product w;
-    the product is one cycle exactly when w's powers sweep the whole
-    group, so the cycle length is size times the order of w.
-    """
-    w = cocycle_product(ext, 0, ext.size)
-    reached = {ext.group.identity}
-    g = w
-    while g != ext.group.identity:
-        reached.add(g)
-        g = ext.group.mul[w][g]
-    cycle_len = ext.size * len(reached)
-    if len(reached) == ext.group.order:
-        return ErgodicityWitness(True, cycle_len, None)
-    missing = min(h for h in ext.group.elements() if h not in reached)
-    return ErgodicityWitness(False, cycle_len, (0, missing))
+    """Single-cycle test for the skew product on [N] x G: one lap of the base."""
+    return ErgodicityWitness.of_lap(ext.group, cocycle_product(ext, 0, ext.size), ext.size)
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +280,6 @@ def power_domain(speedup: PartialSpeedup, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def speedup_name(
-    speedup: PartialSpeedup,
-    labels: Sequence[int],
-    x: int,
-    g: int,
-    length: int,
-) -> tuple[tuple[int, int], ...]:
-    """(label, group) name along the speedup orbit from (x, g).
-
-    The last coordinate is observed without stepping, so a name of this
-    length only needs length-1 applications to be defined.
-    """
-    ext = speedup.parent
-    out = []
-    for i in range(length):
-        out.append((labels[x], g))
-        if i < length - 1:
-            x, g = apply_speedup(speedup, (x, g))
-    return tuple(out)
-
-
 def name_distribution(
     ext: ExtensionSystem,
     n: int,
@@ -329,18 +295,9 @@ def speedup_name_distribution(
     speedup: PartialSpeedup,
     labels: Sequence[int],
     n: int,
-    starts: Iterable[int] | None = None,
 ) -> EmpiricalDistribution:
-    """Distribution of n-names over Dom(S^n) x G (or the given base starts)."""
-    if starts is None:
-        starts = power_domain(speedup, n)
-    else:
-        # an explicit start must carry a whole name; base_image raises
-        # OutOfDomain where its walk leaves the domain
-        starts = tuple(starts)
-        for x in starts:
-            for _ in range(n - 1):
-                x = speedup.base_image(x)
+    """Distribution of n-names over Dom(S^n) x G."""
+    starts = power_domain(speedup, n)
     if not starts:
         raise ValidationError("no start points for the name distribution")
     return speedup.walk(labels).distribution(speedup.parent.name_space(n), n, starts)

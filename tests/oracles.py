@@ -7,10 +7,14 @@ codec and Fraction half-L1 distances, condition 4 is measured on every
 fibre, and separation compares full-length names pairwise.  They walk
 the systems themselves and share no counting code with the library.
 
-The last two replaced the integer kernels for non-discrete groups: the
-Fraction successive-shortest-path transport solver and the cubic
-group-table validator that checks invariance and the triangle inequality
-on every triple.
+Two replaced the integer kernels for non-discrete groups: the Fraction
+successive-shortest-path transport solver and the cubic group-table
+validator that checks invariance and the triangle inequality on every
+triple.
+
+The last two are orbit walks that names.Walk and one prefix table
+replaced: rotation scoring walks every rotation's chain step by step,
+and regularity condition 3 compares tower names on every fibre.
 """
 
 import heapq
@@ -413,3 +417,49 @@ def fraction_kantorovich(d1, d2):
     if not supply:
         return Fraction(0)
     return fraction_transport(supply, demand, d1.space.dist)
+
+
+def rotation_walked(speedup, pbar, starts, n, model):
+    """(rotation, mismatches) of the improvement step, every chain walked.
+
+    Rotation r runs through len(model) / n consecutive ladder blocks from
+    the r-th start, multiplying one cocycle loop per step; a seam jumps
+    from a block's last point to the next block's first.
+    """
+    ext = speedup.parent
+    mul = ext.group.mul
+    blocks = []
+    for s in starts:
+        block = [s]
+        for _ in range(n - 1):
+            block.append((block[-1] + speedup.exponent[block[-1]]) % ext.size)
+        blocks.append(block)
+    best = None
+    for r in range(len(blocks)):
+        chain = [z for i in range(len(model) // n) for z in blocks[(r + i) % len(blocks)]]
+        score = 0
+        g = ext.group.identity
+        for t, z in enumerate(chain):
+            if t:
+                y = chain[t - 1]
+                k = speedup.exponent[y] if t % n else (z - y) % ext.size or ext.size
+                g = mul[cocycle_loop(ext, y, k)][g]
+            score += (pbar[z] != model.labels[t]) + (g != model.groups[t])
+        if best is None or score < best[0]:
+            best = (score, r)
+    return best[1], best[0]
+
+
+def tower_name_counts_per_fibre(speedup, pbar):
+    """Distinct full-height tower names over the bases, one count per fibre h.
+
+    None when the speedup has no constant-height tower.
+    """
+    structure, _ = _tower_structure(speedup)
+    if structure is None:
+        return None
+    bases, height = structure
+    return [
+        len({_speedup_name(speedup, pbar, b, h, height) for b in bases})
+        for h in speedup.parent.group.elements()
+    ]

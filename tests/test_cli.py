@@ -15,7 +15,7 @@ from skewlab.cli import (
     run_command,
     system_to_dict,
 )
-from skewlab.groups import cyclic, from_tables
+from skewlab.groups import cyclic
 
 
 def write_system(path, size, labels, group, skew):
@@ -437,3 +437,15 @@ def test_seed_orbit_rejects_zeta_outside_unit_interval(z2_pair, tmp_path, zeta):
     )
     assert payload["error"] == "ValidationError"
     assert payload["detail"] == "zeta must sit in (0,1)"
+
+
+@pytest.mark.parametrize("budget, zeta", [("0", "5"), ("1", "5"), ("1", "0")])
+def test_iso_rejects_copy_zeta_outside_unit_interval(z2_pair, tmp_path, budget, zeta):
+    # checked before bootstrap, also when no iteration would copy a partition
+    t, s = z2_pair
+    payload = _rejected(
+        ["iso", "--target", t, "--source", s, *STEP, "--budget", budget, "--copy-zeta", zeta],
+        tmp_path,
+    )
+    assert payload["error"] == "ValidationError"
+    assert payload["detail"] == "copy_zeta must sit in (0,1)"

@@ -1,4 +1,4 @@
-"""Transport distance, name distributions, and continuity partitions."""
+"""Metric spaces, exact distributions, and the transport distance."""
 
 import random
 from fractions import Fraction
@@ -14,16 +14,10 @@ from skewlab import (
     GroupSpace,
     LabelGroupSpace,
     SpaceMismatch,
-    TableMetricSpace,
     ValidationError,
-    block_distribution,
-    continuity_partition,
     cyclic,
-    density_lower_bound,
     from_tables,
     kantorovich,
-    translate_name,
-    uniformity_modulus,
 )
 
 import oracles
@@ -192,37 +186,7 @@ def test_convex_mix_bound():
 
 
 # ---------------------------------------------------------------------------
-# block distributions
-
-
-def test_block_distribution_constant_sequence():
-    space = DiscreteSpace()
-    d = block_distribution("aaaa", 2, space=space)
-    assert d.support() == (("a", "a"),)
-    assert d.weight(("a", "a")) == 1
-
-
-def test_block_distribution_enumerated():
-    space = DiscreteSpace()
-    d = block_distribution("aabb", 2, space=space)
-    assert d.weight(("a", "a")) == Fraction(1, 3)
-    assert d.weight(("a", "b")) == Fraction(1, 3)
-    assert d.weight(("b", "b")) == Fraction(1, 3)
-
-
-def test_block_distribution_disjoint_positions():
-    space = DiscreteSpace()
-    d = block_distribution("abab", 2, positions=(0, 2), space=space)
-    assert d.support() == (("a", "b"),)
-
-
-def test_block_distribution_position_bounds():
-    from skewlab import PositionOutOfRange
-
-    with pytest.raises(PositionOutOfRange):
-        block_distribution("ab", 2, positions=(1,), space=DiscreteSpace())
-    with pytest.raises(PositionOutOfRange):
-        block_distribution("a", 2, space=DiscreteSpace())
+# block spaces
 
 
 def test_block_space_metric_is_normalized_hamming_max():
@@ -233,41 +197,7 @@ def test_block_space_metric_is_normalized_hamming_max():
 
 
 # ---------------------------------------------------------------------------
-# continuity partitions
-
-
-def test_partition_whole_space_when_bound_large():
-    part = continuity_partition(range(5), Fraction(3, 2), space=DiscreteSpace())
-    assert len(part.atoms) == 1
-
-
-def test_partition_singletons_under_discrete_half():
-    part = continuity_partition(range(5), Fraction(1, 2), space=DiscreteSpace())
-    assert len(part.atoms) == 5
-
-
-def test_partition_circle_arcs():
-    g = cyclic(8)
-    part = continuity_partition(range(8), Fraction(3, 10), space=GroupSpace(g))
-    assert all(len(cell) <= 2 for cell in part.atoms)
-    for cell in part.atoms:
-        for a in cell:
-            for b in cell:
-                assert g.metric[a][b] < Fraction(3, 10)
-
-
-def test_partition_atom_lookup():
-    part = continuity_partition(range(4), Fraction(1, 2), space=DiscreteSpace())
-    idx = part.index()
-    for p in range(4):
-        assert part.atom_of(p) == idx[p]
-    with pytest.raises(ValidationError):
-        part.atom_of(99)
-
-
-def test_partition_rejects_nonpositive_bound():
-    with pytest.raises(ValidationError):
-        continuity_partition(range(3), 0, space=DiscreteSpace())
+# pushforwards to cells
 
 
 def test_pushforward_contracts_by_separation():
@@ -276,11 +206,11 @@ def test_pushforward_contracts_by_separation():
     rng = random.Random(31)
     g = cyclic(8)
     space = GroupSpace(g)
-    part = continuity_partition(range(8), Fraction(3, 10), space=space)
+    cells = [(2 * i, 2 * i + 1) for i in range(4)]  # the arcs {2i, 2i+1} of Z/8
     sep = min(
         g.metric[a][b]
-        for ca in part.atoms
-        for cb in part.atoms
+        for ca in cells
+        for cb in cells
         if ca != cb
         for a in ca
         for b in cb
@@ -292,7 +222,7 @@ def test_pushforward_contracts_by_separation():
             DiscreteSpace(),
             {
                 i: sum((d1.weight(a) for a in cell), Fraction(0))
-                for i, cell in enumerate(part.atoms)
+                for i, cell in enumerate(cells)
                 if any(d1.weight(a) > 0 for a in cell)
             },
         )
@@ -300,7 +230,7 @@ def test_pushforward_contracts_by_separation():
             DiscreteSpace(),
             {
                 i: sum((d2.weight(a) for a in cell), Fraction(0))
-                for i, cell in enumerate(part.atoms)
+                for i, cell in enumerate(cells)
                 if any(d2.weight(a) > 0 for a in cell)
             },
         )
@@ -308,49 +238,7 @@ def test_pushforward_contracts_by_separation():
 
 
 # ---------------------------------------------------------------------------
-# group-name helpers
-
-
-def test_translate_name():
-    g = cyclic(4)
-    assert translate_name((0, 1, 2), 1, g) == (1, 2, 3)
-    assert translate_name((0, 1, 2), 0, g) == (0, 1, 2)
-
-
-def test_density_bound_uniform_name():
-    g = cyclic(4)
-    worst, ok = density_lower_bound((0, 1, 2, 3), frozenset({2}), g, Fraction(1, 10))
-    assert worst == Fraction(1, 4)
-    assert ok
-
-
-def test_density_bound_full_set():
-    g = cyclic(4)
-    worst, ok = density_lower_bound((0, 0, 1), frozenset(g.elements()), g, Fraction(1, 10))
-    assert worst == 1
-    assert ok
-
-
-def test_density_bound_enumerated():
-    # gamma = (0,1,2,2) in Z/4 against A={2}: the h=3 translate (3,0,1,1)
-    # never hits A, so the worst frequency is 0 and the judgement fails
-    g = cyclic(4)
-    worst, ok = density_lower_bound((0, 1, 2, 2), frozenset({2}), g, Fraction(1, 10))
-    assert worst == 0
-    assert not ok
-    # one repeated value balanced out restores the quarter bound
-    worst2, ok2 = density_lower_bound((0, 1, 2, 3), frozenset({2}), g, Fraction(1, 10))
-    assert worst2 == Fraction(1, 4)
-    assert ok2
-
-
-def test_uniformity_modulus_scales_with_gap():
-    g = cyclic(8)
-    eta_tight = uniformity_modulus(g, frozenset({0}), Fraction(1, 10))
-    eta_loose = uniformity_modulus(g, frozenset({0, 1, 2, 3}), Fraction(1, 10))
-    assert eta_tight == Fraction(1, 10) * g.metric[0][1]
-    assert eta_loose == Fraction(1, 10) * g.metric[3][4]
-    assert uniformity_modulus(g, frozenset(g.elements()), Fraction(1, 10)) == Fraction(1, 10)
+# group-valued names
 
 
 @given(st.data())
@@ -380,26 +268,3 @@ def test_distribution_validation():
     d = EmpiricalDistribution.from_weights(DiscreteSpace(), {0: 2, 1: 2})
     assert d.weight(0) == Fraction(1, 2)
     assert d.total() == 1
-
-
-def test_table_metric_space():
-    table = (
-        (Fraction(0), Fraction(1, 3), Fraction(2, 3)),
-        (Fraction(1, 3), Fraction(0), Fraction(1, 3)),
-        (Fraction(2, 3), Fraction(1, 3), Fraction(0)),
-    )
-    space = TableMetricSpace(table)
-    assert space.dist(0, 1) == Fraction(1, 3)
-    assert space.dist(1, 0) == Fraction(1, 3)
-    assert space.dist(2, 2) == 0
-    assert not space.discrete
-
-
-def test_table_metric_rejects_triangle_violation():
-    bad = (
-        (Fraction(0), Fraction(1, 10), Fraction(1)),
-        (Fraction(1, 10), Fraction(0), Fraction(1, 10)),
-        (Fraction(1), Fraction(1, 10), Fraction(0)),
-    )
-    with pytest.raises(ValidationError):
-        TableMetricSpace(bad)

@@ -28,7 +28,6 @@ from skewlab import (
     seed_from_orbit,
     total_extension_witness,
     trivial,
-    truncate_partition,
     verify_factor_map,
 )
 from skewlab.driver import _cylinder_sets
@@ -440,7 +439,7 @@ def test_isomorphism_needs_separating_target():
 
 
 # ---------------------------------------------------------------------------
-# orbit seeding and truncation
+# orbit seeding
 
 
 def test_seed_identical_constant_systems():
@@ -472,15 +471,15 @@ def test_seed_matches_skewing_on_twisted_source():
     target = marker_system(16, 15, group=g2, flips=(8,))
     source = marker_system(16, 15, group=g2, flips=(5,))
     labels, alpha = seed_from_orbit(target, source, 16, Fraction(1, 2), n=4)
-    from skewlab import skew_orbit, twist
+    from skewlab import twist
 
     twisted = twist(source, alpha)
-    word = skew_orbit(twisted, (0, 0), 16)
+    word = twisted.walk().name(0, 16)
     expect_start = next(
         x for x in range(16)
         if tuple(target.labels[(x + i) % 16] for i in range(16)) == labels
     )
-    expect = skew_orbit(target, (expect_start, 0), 16)
+    expect = target.walk().name(expect_start, 16)
     assert [g for _, g in word] == [g for _, g in expect]
     assert [labels[i] for i in range(16)] == [a for a, _ in expect]
 
@@ -503,24 +502,3 @@ def test_seed_validation():
     z2 = marker_system(16, 15, group=cyclic(2))
     with pytest.raises(ValidationError):
         seed_from_orbit(z2, m, 16, Fraction(1, 10), n=4)
-
-
-def test_truncate_keeps_small_partitions():
-    labels = (0, 1, 2, 0, 1, 2)
-    assert truncate_partition(labels, 3) == labels
-    assert truncate_partition(labels, 5) == labels
-
-
-def test_truncate_to_one_atom_leaves_two():
-    labels = (0, 1, 2, 0, 1, 2)
-    assert truncate_partition(labels, 1) == (0, 1, 1, 0, 1, 1)
-
-
-def test_truncate_merges_tail():
-    labels = tuple(range(16))
-    assert truncate_partition(labels, 8) == tuple(min(l, 8) for l in labels)
-
-
-def test_truncate_validation():
-    with pytest.raises(ValidationError):
-        truncate_partition((0, 1), 0)

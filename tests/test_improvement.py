@@ -19,7 +19,6 @@ from skewlab import (
     apply_speedup,
     build_cycles,
     build_model_name,
-    check_extension_ergodic,
     check_regular,
     cyclic,
     improve,
@@ -30,8 +29,9 @@ from skewlab import (
     twist,
 )
 from skewlab.driver import bootstrap_regular
+from skewlab.towers import ladder
 
-from conftest import tiny_extension
+import oracles
 
 
 def marker_system(size, marker, group=None, flips=()):
@@ -418,3 +418,39 @@ def test_report_conclusion_keys_frozen():
         "regular",
         "twist_size",
     ]
+
+
+@pytest.mark.parametrize(
+    "order, size, target_flips, source_flips",
+    [
+        (2, 64, (32,), (20,)),
+        (4, 128, (0, 26, 51, 77, 102), (18, 55, 65, 92, 111)),
+        (4, 128, (0, 26, 51, 77, 102), (20, 57, 67, 94, 113)),
+    ],
+    ids=["z2", "z4", "z4_moved"],
+)
+def test_rotation_scoring_matches_walked_chains(order, size, target_flips, source_flips):
+    # two steps in a row, so the second one scores chains across seams
+    # between blocks of a woven tower; in the moved Z/4 pair the best
+    # rotations start where the chain offset has order 4, which checks
+    # the inverse in q[s+t] * q[s]^-1
+    g = cyclic(order)
+    target = marker_system(size, size - 1, group=g, flips=target_flips)
+    source = marker_system(size, size - 1, group=g, flips=source_flips)
+    current, _ = bootstrap_regular(source, source.labels, 4, Fraction(3, 10), Fraction(2, 5))
+    pbar = source.labels
+    for n, n1 in ((4, 8), (8, 16)):
+        res = improve(
+            target, current, pbar, n, Fraction(3, 10), n1, Fraction(3, 10),
+            tuple(range(size)), (0,), Fraction(2, 5),
+        )
+        cert = check_regular(current, pbar, n, Fraction(3, 10))
+        starts = ladder(current, cert.tower_base, cert.height, n).starts
+        rotation, mismatches = oracles.rotation_walked(current, pbar, starts, n, res.model)
+        assert res.report.rotation == rotation
+        assert dict(res.report.steps)["step 4"] == "rotation %d scored %d mismatches" % (
+            rotation, mismatches
+        )
+        parent = twist(current.parent, res.alpha)
+        current = PartialSpeedup(parent, res.speedup.exponent, res.speedup.k_max)
+        pbar = res.labels

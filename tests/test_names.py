@@ -125,7 +125,7 @@ def test_speedup_name_distribution_matches_per_fibre(sp, n, data):
     )
     some = sorted(data.draw(st.sets(st.sampled_from(starts), min_size=1)))
     assert (
-        speedup_name_distribution(sp, labels, n, starts=some).weights
+        sp.walk(labels).distribution(sp.parent.name_space(n), n, some).weights
         == oracles.speedup_name_distribution_per_fibre(sp, labels, n, some).weights
     )
 
@@ -243,3 +243,33 @@ def test_seed_from_orbit_matches_per_fibre(target, data):
         return
     labels, alpha = seed_from_orbit(target, source, n_len, zeta, n=n)
     assert (labels, alpha.values) == expected
+
+
+# ---------------------------------------------------------------------------
+# regularity condition 3
+
+
+@st.composite
+def towers(draw):
+    columns = draw(st.integers(1, 3))
+    height = draw(st.integers(2, 4))
+    ext = draw(systems(min_size=columns * height, max_size=columns * height + 2))
+    return column_speedup(ext, columns, height)
+
+
+@given(st.one_of(speedups(), towers()))
+def test_tower_names_match_per_fibre(sp):
+    labels = sp.parent.labels
+    counts = oracles.tower_name_counts_per_fibre(sp, labels)
+    res = check_regular(sp, labels, 1, Fraction(1, 2))
+    if counts is None:
+        assert res.condition == "condition 1"
+        return
+    assert len(set(counts)) == 1, "right translation keeps the count on every fibre"
+    failed = [(h, c) for h, c in enumerate(counts) if c != 1]
+    if failed:
+        assert (res.condition, res.detail) == (
+            "condition 3", "base fibers at %d carry %d distinct tower names" % failed[0]
+        )
+    else:
+        assert getattr(res, "condition", None) != "condition 3"

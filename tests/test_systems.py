@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab import (
-    EmpiricalDistribution,
     ExtensionSystem,
     OutOfDomain,
     PartialSpeedup,
@@ -18,11 +17,8 @@ from skewlab import (
     check_extension_ergodic,
     cocycle_product,
     cyclic,
-    kantorovich,
     name_distribution,
     power_domain,
-    skew_orbit,
-    speedup_name,
     speedup_name_distribution,
     trivial,
     twist,
@@ -43,7 +39,7 @@ def random_extension(rng, size, order):
 
 
 # ---------------------------------------------------------------------------
-# construction and orbits
+# construction
 
 
 def test_extension_validation():
@@ -52,33 +48,6 @@ def test_extension_validation():
         ExtensionSystem(size=3, labels=(0, 1), group=g, skew=(0, 0, 0))
     with pytest.raises(ValidationError):
         ExtensionSystem(size=2, labels=(0, 1), group=g, skew=(0, 5))
-
-
-def test_skew_orbit_trivial_cocycle():
-    ext = tiny_extension(size=6, flip_at=(), marker_at=(5,))
-    orbit = skew_orbit(ext, (0, 0), 3)
-    assert all(g == 0 for _, g in orbit)
-
-
-def test_skew_orbit_alternating():
-    # constant skew 1 over Z/2 alternates the fiber
-    g = cyclic(2)
-    ext = ExtensionSystem(size=4, labels=(0, 0, 0, 0), group=g, skew=(1, 1, 1, 1))
-    orbit = skew_orbit(ext, (0, 0), 4)
-    assert tuple(gg for _, gg in orbit) == (0, 1, 0, 1)
-
-
-def test_skew_orbit_length_one():
-    ext = tiny_extension()
-    assert skew_orbit(ext, (3, 1), 1) == ((ext.labels[3], 1),)
-
-
-def test_skew_orbit_validation():
-    ext = tiny_extension()
-    with pytest.raises(ValidationError):
-        skew_orbit(ext, (0, 0), 0)
-    with pytest.raises(ValidationError):
-        skew_orbit(ext, (99, 0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +239,7 @@ def test_speedup_name_length_one_needs_no_step():
     ext = tiny_extension(size=4, flip_at=(0,))
     sp = PartialSpeedup(ext, (1, 1, 1, 0), 1)
     # the open top point still has a length-1 name
-    assert speedup_name(sp, ext.labels, 3, 1, 1) == ((ext.labels[3], 1),)
+    assert sp.walk(ext.labels).name(3, 1) == ((ext.labels[3], 0),)
 
 
 def test_name_distribution_independent_recount():
@@ -312,10 +281,11 @@ def test_speedup_name_distribution_explicit_starts():
     ext = tiny_extension(size=6, flip_at=(0,))
     sp = PartialSpeedup(ext, (1,) * 6, 1)
     d_all = speedup_name_distribution(sp, ext.labels, 2)
-    d_some = speedup_name_distribution(sp, ext.labels, 2, starts=(0, 1))
+    d_some = sp.walk(ext.labels).distribution(ext.name_space(2), 2, (0, 1))
     assert set(d_some.support()) <= set(d_all.support())
+    # an empty domain leaves no start point
     with pytest.raises(ValidationError):
-        speedup_name_distribution(sp, ext.labels, 2, starts=())
+        speedup_name_distribution(PartialSpeedup(ext, (0,) * 6, 1), ext.labels, 2)
 
 
 def test_unit_speedup_names_match_extension_names():
