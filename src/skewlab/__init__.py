@@ -30,6 +30,7 @@ from .errors import (
     Collision,
     DomainTooSmall,
     GeneratorCheckFailed,
+    GroupTooLarge,
     HypothesisDistance,
     Infeasible,
     InfeasibleTemplate,

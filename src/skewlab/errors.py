@@ -22,6 +22,10 @@ class ParseError(SkewlabError):
     """Serialized input did not describe a valid object."""
 
 
+class GroupTooLarge(SkewlabError):
+    """A group spec exceeds the order limit of exact table validation."""
+
+
 class SpaceMismatch(SkewlabError):
     """Two distributions do not live on the same metric space."""
 

@@ -12,7 +12,8 @@ coordinate on the constructed orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -26,6 +27,7 @@ from .errors import (
     ValidationError,
     open_unit,
 )
+from .groups import FiniteGroup
 from .names import prefix_products
 from .systems import (
     ExtensionSystem,
@@ -206,20 +208,33 @@ def check_regular(
     condition is returned as a refusal with a measurement; success
     returns a certificate with the measured margins.
     """
+    return _regularity(speedup, pbar, n, delta, k_bound=k_bound)[0]
+
+
+def _regularity(
+    speedup: PartialSpeedup,
+    pbar: Sequence[int],
+    n: int,
+    delta: Fraction,
+    *,
+    k_bound: int | None = None,
+    full: EmpiricalDistribution | None = None,
+) -> tuple[RegularityCertificate | RegularityRefusal, EmpiricalDistribution | None]:
+    """check_regular and the n-name distribution over Dom(S^n), given as full or computed."""
     delta = Fraction(delta)
     ext = speedup.parent
     if len(pbar) != ext.size:
         raise ValidationError("partition must cover the base")
     structure, why = _tower_structure(speedup)
     if structure is None:
-        return RegularityRefusal("condition 1", why)
+        return RegularityRefusal("condition 1", why), None
     bases, height = structure
     k_seen = speedup.max_exponent()
     if k_bound is not None and k_seen > k_bound:
         return RegularityRefusal(
             "condition 2", "exponent %d exceeds the bound %d" % (k_seen, k_bound),
             Fraction(k_seen),
-        )
+        ), None
     group = ext.group
     walk = speedup.walk(pbar)
     # right translation is injective, so every fibre carries as many
@@ -228,12 +243,13 @@ def check_regular(
     if len(names) != 1:
         return RegularityRefusal(
             "condition 3", "base fibers at 0 carry %d distinct tower names" % len(names)
-        )
+        ), None
     if height % n != 0:
         return RegularityRefusal(
             "condition 4", "height %d is not a multiple of %d" % (height, n)
-        )
-    full = speedup_name_distribution(speedup, pbar, n)
+        ), None
+    if full is None:
+        full = speedup_name_distribution(speedup, pbar, n)
     space = ext.name_space(n)
     mul = group.mul
     worst = Fraction(0)
@@ -261,12 +277,12 @@ def check_regular(
                 "condition 4",
                 "ladder distribution at base %d is %s away" % (b, gap),
                 gap,
-            )
+            ), full
     mass = speedup.domain_mass()
     if not mass > 1 - delta:
         return RegularityRefusal(
             "condition 5", "domain mass %s not above %s" % (mass, 1 - delta), mass
-        )
+        ), full
     return RegularityCertificate(
         n=n,
         delta=delta,
@@ -275,7 +291,7 @@ def check_regular(
         domain_mass=mass,
         max_exponent=k_seen,
         ladder_distance=worst,
-    )
+    ), full
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +304,8 @@ class ModelName:
 
     labels and groups give the (P, c)-coordinates of the template;
     window_distance and block_distance compare its n1-statistics to the
-    target's stationary ones (after averaging over right translates).
+    target's stationary ones, reference (after averaging over right
+    translates).
     """
 
     labels: tuple[int, ...]
@@ -298,6 +315,7 @@ class ModelName:
     start: int
     window_distance: Fraction
     block_distance: Fraction
+    reference: EmpiricalDistribution = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -318,33 +336,55 @@ def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: 
     and the group coordinate of its first point; the averaged windows
     give each of the m translates of a class C its window count, so with
     R rungs and W windows, 2*R*W*m times the half-L1 distance is
-    m*R*W + sum over rung names of |r*W*m - C*R| - C*R, r being the
-    name's rung count.  The window counts slide with the start.
+    2*m*R*W - 2 * sum over rung names of min(r*W*m, C*R), r being the
+    name's rung count.  The start x0 + n1 shares all rungs of x0 but one
+    and all windows but n1, so each residue class mod n1 is walked with
+    only the classes whose counts change touched: O(N * n1) in all.
     """
     size = target.size
     m = target.group.order
-    rungs = len(range(0, length, n1))
+    rungs = length // n1
     windows = length - n1 + 1
+    wm = windows * m
     track = [g for _, g in target.walk().name(0, size + length)]
-    in_windows = [0] * (max(ids) + 1)
-    for t in range(windows):
-        in_windows[ids[t % size]] += 1
-    best: tuple[int, int] | None = None
-    for x0 in range(size):
-        seen: dict[int, int] = {}
-        for y in range(x0, x0 + length, n1):
-            key = ids[y % size] * m + track[y]
-            seen[key] = seen.get(key, 0) + 1
-        score = m * rungs * windows
-        for key, r in seen.items():
-            cr = in_windows[key // m] * rungs
-            score += abs(r * windows * m - cr) - cr
-        if best is None or score < best[0]:
-            best = (score, x0)
-        in_windows[ids[x0]] -= 1
-        in_windows[ids[(x0 + windows) % size]] += 1
-    assert best is not None
-    return best[1]
+    ids = list(ids) * -(-(size + length) // size)
+    shared = [0] * size  # sum of min(r*W*m, C*R) at every start
+    in_windows: Counter = Counter()  # class -> window count
+    # class -> group coordinate -> rung count; a zero count adds nothing to part
+    at: defaultdict[int, Counter] = defaultdict(Counter)
+
+    def part(c: int) -> int:
+        cap = in_windows[c] * rungs
+        return sum(min(r * wm, cap) for r in at[c].values()) if c in at else 0
+
+    for first in range(min(n1, size)):
+        in_windows.clear()
+        in_windows.update(ids[first : first + windows])
+        at.clear()
+        for y in range(first, first + length, n1):
+            at[ids[y]][track[y]] += 1
+        parts = {c: part(c) for c in at}
+        total = sum(parts.values())
+        for x0 in range(first, size, n1):
+            shared[x0] = total
+            nxt = x0 + n1
+            if nxt >= size:
+                break
+            changed = {ids[x0], ids[x0 + length]}
+            out, into = ids[x0:nxt], ids[x0 + windows : nxt + windows]
+            if out != into:
+                delta = Counter(into)
+                delta.subtract(Counter(out))
+                in_windows.update(delta)
+                changed.update(delta)
+            at[ids[x0]][track[x0]] -= 1
+            at[ids[x0 + length]][track[x0 + length]] += 1
+            for c in changed:
+                now = part(c)
+                total += now - parts.get(c, 0)
+                parts[c] = now
+    # the least distance is the largest shared mass; ties go to the first start
+    return max(range(size), key=shared.__getitem__)
 
 
 def build_model_name(
@@ -376,7 +416,7 @@ def build_model_name(
     x0 = _choose_start(target, ids, length, n1)
     labels, groups = zip(*walk.name(x0, length))
     space = target.name_space(n1)
-    reference = name_distribution(target, n1)
+    reference = walk.distribution(space, n1, range(target.size), ids)
 
     def averaged(starts) -> EmpiricalDistribution:
         # template windows are target windows at x0 + t, right-translated
@@ -402,6 +442,7 @@ def build_model_name(
         start=x0,
         window_distance=window_distance,
         block_distance=block_distance,
+        reference=reference,
     )
 
 
@@ -488,6 +529,54 @@ def _good_rungs(
     return good
 
 
+def _best_rotation(
+    group: FiniteGroup,
+    track: Sequence[int],
+    q: Sequence[int],
+    labels: Sequence[int],
+    groups: Sequence[int],
+    stride: int,
+) -> tuple[int, int]:
+    """(mismatches, s) of the best chain rotation s in range(0, len(track), stride).
+
+    Rotation s reads the cyclic label track from s against labels and
+    the offsets q[s+t] * q[s]^-1 against groups; ties go to the first s.
+    With h = q[s] the offset matches exactly when q[s+t] = groups[t] * h,
+    so every point gets a one-hot slot of its label and q value, the
+    template for h one of its label and groups[t] * h, and the matches
+    of a rotation are one popcount of (chain >> s slots) & template (the
+    shift-and of Baeza-Yates and Gonnet): O(len(track) / stride) big-int
+    operations.  q needs len(track) + len(labels) - 1 entries; a track
+    label outside labels matches nothing.
+    """
+    total, length, m = len(track), len(labels), group.order
+    symbols = sorted(set(labels))
+    label_bits = {a: "0" * (len(symbols) - 1 - i) + "1" + "0" * i for i, a in enumerate(symbols)}
+    group_bits = ["0" * (m - 1 - g) + "1" + "0" * g for g in range(m)]
+    blank = "0" * len(symbols)
+    width = len(symbols) + m
+
+    def packed(slots: list[str]) -> int:
+        # slot i holds bits i*width .. (i+1)*width - 1, so the string starts at the last
+        return int("".join(reversed(slots)), 2)
+
+    reads = list(track) * 2
+    chain = packed(
+        [group_bits[q[i]] + label_bits.get(reads[i], blank) for i in range(total + length - 1)]
+    )
+    templates: dict[int, int] = {}
+    best = (-1, 0)
+    for s in range(0, total, stride):
+        h = q[s]
+        if h not in templates:
+            row = [group.mul[b][h] for b in groups]
+            templates[h] = packed([group_bits[g] + label_bits[a] for a, g in zip(labels, row)])
+        hits = ((chain >> s * width) & templates[h]).bit_count()
+        if hits > best[0]:
+            best = (hits, s)
+    return 2 * length - best[0], best[1]
+
+
 def improve(
     target: ExtensionSystem,
     current: PartialSpeedup,
@@ -520,16 +609,14 @@ def improve(
     pbar = tuple(pbar)
     steps: list[tuple[str, str]] = []
 
-    cert = check_regular(current, pbar, n, delta)
+    cert, current_names = _regularity(current, pbar, n, delta)
     if isinstance(cert, RegularityRefusal):
         raise RegularityRejected(
             "input speedup failed %s: %s" % (cert.condition, cert.detail)
         )
     steps.append(("step 1", "input certified regular at (%d, %s)" % (n, delta)))
 
-    hyp = kantorovich(
-        name_distribution(target, n), speedup_name_distribution(current, pbar, n)
-    )
+    hyp = kantorovich(name_distribution(target, n), current_names)
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
@@ -566,18 +653,11 @@ def improve(
     # group increments per step are forced by the parent skewing; rotation
     # r reads the chain from s = r*n with offsets q[s+t] * q[s]^-1
     q = prefix_products(group, [cocycle_product(ext, z, k) for z, k in zip(points, gaps)])
-    track = [pbar[z] for z in points] * 2
-    mul = group.mul
-
-    def mismatches(s: int) -> int:
-        back = group.inv[q[s]]
-        return sum(a != b for a, b in zip(track[s : s + length], model.labels)) + sum(
-            mul[g][back] != b for g, b in zip(q[s : s + length], model.groups)
-        )
-
-    # ties go to the first rotation
-    score, start = min((mismatches(s), s) for s in range(0, total, n))
+    score, start = _best_rotation(
+        group, [pbar[z] for z in points], q, model.labels, model.groups, n
+    )
     rotation = start // n
+    mul = group.mul
     chain = (points * 2)[start : start + length]
     gaps = (gaps * 2)[start : start + length - 1]
     back = group.inv[q[start]]
@@ -622,10 +702,9 @@ def improve(
     drift = Fraction(sum(1 for x in range(ext.size) if pbar[x] != labels1[x]), ext.size)
     size_alpha = twist_size(alpha, group)
     broken = broken_fraction(lad, speedup1)
-    final = kantorovich(
-        name_distribution(target, n1), speedup_name_distribution(speedup1t, labels1, n1)
-    )
-    cert1 = check_regular(speedup1t, labels1, n1, delta1)
+    output_names = speedup_name_distribution(speedup1t, labels1, n1)
+    final = kantorovich(model.reference, output_names)
+    cert1, _ = _regularity(speedup1t, labels1, n1, delta1, full=output_names)
     if isinstance(cert1, RegularityRefusal):
         regular = False
         note = "%s: %s" % (cert1.condition, cert1.detail)

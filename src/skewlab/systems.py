@@ -261,23 +261,29 @@ def apply_speedup(speedup: PartialSpeedup, point: tuple[int, int]) -> tuple[int,
 
 
 def power_domain(speedup: PartialSpeedup, m: int) -> tuple[int, ...]:
-    """Base points from which m consecutive speedup steps stay defined."""
+    """Base points from which m consecutive speedup steps stay defined.
+
+    The base map is injective, so walking back once from each point off
+    the domain counts every point's steps left, in O(N); points never
+    reached lie on cycles inside the domain.
+    """
     if m < 0:
         raise ValidationError("power must be nonnegative")
-    out = []
     n = speedup.parent.size
-    for x in range(n):
-        y = x
-        ok = True
-        for _ in range(m):
-            kk = speedup.exponent[y]
-            if kk == 0:
-                ok = False
-                break
-            y = (y + kk) % n
-        if ok:
-            out.append(x)
-    return tuple(out)
+    exponent = speedup.exponent
+    pred = [-1] * n
+    for x, k in enumerate(exponent):
+        if k:
+            pred[(x + k) % n] = x
+    left: list[int | None] = [None] * n
+    for z, k in enumerate(exponent):
+        if not k:
+            steps = 0
+            while z >= 0:
+                left[z] = steps
+                z = pred[z]
+                steps += 1
+    return tuple(x for x, s in enumerate(left) if s is None or s >= m)
 
 
 def name_distribution(

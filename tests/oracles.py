@@ -12,15 +12,19 @@ successive-shortest-path transport solver and the cubic group-table
 validator that checks invariance and the triangle inequality on every
 triple.
 
-The last two are orbit walks that names.Walk and one prefix table
-replaced: rotation scoring walks every rotation's chain step by step,
-and regularity condition 3 compares tower names on every fibre.
+Two are orbit walks that names.Walk and one prefix table replaced:
+rotation scoring walks every rotation's chain step by step, and
+regularity condition 3 compares tower names on every fibre.
+
+The last two are the quadratic loops of the improvement step: the
+power domain walks m steps from every point, and rotation scoring
+compares every rotation slot by slot.
 """
 
 import heapq
 from fractions import Fraction
 
-from skewlab import EmpiricalDistribution, kantorovich, power_domain
+from skewlab import EmpiricalDistribution, kantorovich
 from skewlab.improvement import _tower_structure
 
 
@@ -164,7 +168,7 @@ def ladder_distances_per_fibre(speedup, pbar, n):
     ext = speedup.parent
     group = ext.group
     mul = group.mul
-    full = speedup_name_distribution_per_fibre(speedup, pbar, n, power_domain(speedup, n))
+    full = speedup_name_distribution_per_fibre(speedup, pbar, n, power_domain_walked(speedup, n))
     out = []
     for b in bases:
         rung_starts = []
@@ -463,3 +467,34 @@ def tower_name_counts_per_fibre(speedup, pbar):
         len({_speedup_name(speedup, pbar, b, h, height) for b in bases})
         for h in speedup.parent.group.elements()
     ]
+
+
+def power_domain_walked(speedup, m):
+    """Base points from which m speedup steps stay defined, m steps walked from each."""
+    n = speedup.parent.size
+    out = []
+    for x in range(n):
+        y = x
+        for _ in range(m):
+            k = speedup.exponent[y]
+            if k == 0:
+                break
+            y = (y + k) % n
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def rotation_direct(group, track, q, labels, groups, stride):
+    """(mismatches, s) of the best rotation, every rotation compared slot by slot."""
+    mul, inv = group.mul, group.inv
+    total = len(track)
+    best = None
+    for s in range(0, total, stride):
+        score = 0
+        for t in range(len(labels)):
+            score += track[(s + t) % total] != labels[t]
+            score += mul[q[s + t]][inv[q[s]]] != groups[t]
+        if best is None or score < best[0]:
+            best = (score, s)
+    return best

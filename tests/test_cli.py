@@ -1,13 +1,25 @@
 """JSON system descriptions, report encoding, exit codes, and the
 subcommands end to end."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from skewlab import ParseError, run_factor, IterationSchedule, ExtensionSystem, trivial
+from skewlab import (
+    ExtensionSystem,
+    GroupTooLarge,
+    IterationSchedule,
+    ParseError,
+    run_factor,
+    trivial,
+)
 from skewlab.cli import (
+    GROUP_ORDER_LIMIT,
     _fraction_in,
     group_to_dict,
     parse_group_spec,
@@ -72,6 +84,33 @@ def test_parse_group_rejects_malformed():
     ):
         with pytest.raises(ParseError):
             parse_group_spec(bad)
+
+
+def test_parse_group_refuses_orders_above_the_limit():
+    largest = parse_group_spec({"type": "cyclic", "order": GROUP_ORDER_LIMIT})
+    assert largest.order == GROUP_ORDER_LIMIT
+    big = GROUP_ORDER_LIMIT + 1
+    # a table is refused on its size, before any of it is read
+    for spec in (
+        {"type": "cyclic", "order": 4096},
+        {"type": "cyclic", "order": big},
+        {"type": "tables", "mul": [[0]] * big},
+    ):
+        with pytest.raises(GroupTooLarge) as err:
+            parse_group_spec(spec)
+        order = spec.get("order", big)
+        assert str(err.value) == "group order %d exceeds the limit %d" % (order, GROUP_ORDER_LIMIT)
+
+
+def test_group_over_the_limit_exits_two(tmp_path):
+    big = write_system(tmp_path / "big.json", 2, [0, 0], {"type": "cyclic", "order": 4096}, [0, 0])
+    out = tmp_path / "big_out.json"
+    rc = run_command(["metrics", "--target", big, "--source", big, "--n", "1", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text()) == {
+        "error": "GroupTooLarge",
+        "detail": "group order 4096 exceeds the limit %d" % GROUP_ORDER_LIMIT,
+    }
 
 
 def test_group_round_trip_through_dict():
@@ -449,3 +488,135 @@ def test_iso_rejects_copy_zeta_outside_unit_interval(z2_pair, tmp_path, budget, 
     )
     assert payload["error"] == "ValidationError"
     assert payload["detail"] == "copy_zeta must sit in (0,1)"
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit 1 with a JSON body on standard output
+
+
+def _run_captured(argv):
+    """(exit code, standard output) of one run_command call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = run_command(argv)
+    return rc, buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        ([], "skewlab: the following arguments are required: command"),
+        (["bogus"], "skewlab: argument command: invalid choice: 'bogus'"),
+        (["metrics", "--n", "x"], "skewlab metrics: argument --n: invalid int value: 'x'"),
+        (["metrics", "--target", "t", "--source", "s"], "skewlab metrics: the following arguments"),
+        (["iso", "--copy-zeta", "1/0"], "skewlab iso: argument --copy-zeta: '1/0' is not a fraction"),
+    ],
+)
+def test_usage_error_exits_one_with_json(argv, detail):
+    rc, text = _run_captured(argv)
+    assert rc == 1
+    payload = json.loads(text)
+    assert payload["error"] == "ParseError"
+    assert payload["detail"].startswith(detail)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_command(["--help"])
+    assert stop.value.code == 0
+    assert "usage: skewlab" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# property: every argv ends in exit 0, 1 or 2 with a JSON object
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Tiny systems (N <= 16) and broken inputs for the argv property."""
+    root = tmp_path_factory.mktemp("argv")
+
+    def marker(name, size, group, flip):
+        return write_system(
+            root / name, size, [1 if x == size - 1 else 0 for x in range(size)], group,
+            [1 if x == flip else 0 for x in range(size)],
+        )
+
+    z2 = {"type": "cyclic", "order": 2}
+    garbled = root / "garbled.json"
+    garbled.write_text("{not json")
+    good = [
+        marker("t16.json", 16, z2, 0),
+        marker("s16.json", 16, z2, 8),
+        marker("s8.json", 8, z2, 3),
+        marker("z3.json", 12, {"type": "cyclic", "order": 3}, 0),
+        marker("triv.json", 16, {"type": "trivial"}, -1),
+    ]
+    bad = [
+        marker("flat.json", 16, z2, -1),
+        write_system(root / "big.json", 2, [0, 0], {"type": "cyclic", "order": 999}, [0, 0]),
+        str(garbled),
+        str(root / "missing.json"),
+    ]
+    return good, bad
+
+
+# (working values on the 16-point pair, broken values) per flag
+BAD_INTS = ["0", "-1", "99", "x", ""]
+BAD_FRACTIONS = ["0", "1", "7", "-1/2", "abc", "1/0"]
+BAD_LISTS = ["x", "99", "-1", ","]
+FLAG_VALUES = {
+    "--n": (["1", "2"], BAD_INTS),
+    "--n1": (["2", "4", "8"], BAD_INTS),
+    "--budget": (["0", "1", "2"], BAD_INTS),
+    "--nlen": (["4", "8", "16"], BAD_INTS),
+    "--seed": (["0", "7"], ["x"]),
+    "--delta": (["3/10", "2/5", "1/2"], BAD_FRACTIONS),
+    "--delta1": (["3/10", "2/5", "1/2"], BAD_FRACTIONS),
+    "--epsilon": (["2/5", "1/2"], BAD_FRACTIONS),
+    "--zeta": (["2/5", "1/2"], BAD_FRACTIONS),
+    "--copy-zeta": (["1/10", "1/2"], BAD_FRACTIONS),
+    "--epsilons": (["1/4,1/8", "1/4"], ["x", "0", "1/4,"]),
+    "--rect-base": (["0,2,4,6", "1,3,5"], BAD_LISTS),
+    "--rect-group": (["0", "0,1"], BAD_LISTS),
+}
+STEP_FLAGS = ["--n", "--delta", "--n1", "--delta1", "--epsilon", "--rect-base", "--rect-group"]
+COMMAND_FLAGS = {
+    "metrics": ["--n"],
+    "improve": STEP_FLAGS,
+    "factor": STEP_FLAGS + ["--budget", "--epsilons"],
+    "iso": STEP_FLAGS + ["--budget", "--epsilons", "--copy-zeta"],
+    "seed-orbit": ["--nlen", "--zeta", "--n"],
+}
+
+
+@st.composite
+def argvs(draw, files):
+    """A working command line with up to three things broken in it."""
+    good, bad = files
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = {"--target": good[0], "--source": draw(st.sampled_from(good))}
+    for flag in COMMAND_FLAGS[command] + ["--seed"]:
+        argv[flag] = draw(st.sampled_from(FLAG_VALUES[flag][0]))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(argv)))
+        how = draw(st.sampled_from(["value", "drop", "file", "noise"]))
+        if how == "value" and flag in FLAG_VALUES:
+            argv[flag] = draw(st.sampled_from(FLAG_VALUES[flag][1]))
+        elif how == "drop":
+            argv.pop(flag)
+        elif how == "file":
+            argv[draw(st.sampled_from(["--target", "--source"]))] = draw(st.sampled_from(bad))
+        else:
+            extra.append(draw(st.sampled_from(["--strict-schedule", "--bogus", "stray", "--n"])))
+    command = draw(st.sampled_from([command] * 9 + ["nope"]))
+    return [command] + [v for pair in argv.items() for v in pair] + extra
+
+
+@given(st.data())
+def test_any_argv_exits_with_a_json_object(argv_files, data):
+    argv = data.draw(argvs(argv_files))
+    rc, text = _run_captured(argv)
+    assert rc in (0, 1, 2)
+    assert isinstance(json.loads(text), dict)

@@ -28,7 +28,7 @@ from skewlab import (
     speedup_name_distribution,
 )
 from skewlab.driver import _separation_failure
-from skewlab.improvement import _choose_start, _good_rungs
+from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
 from skewlab.names import primitive_period
 
 import oracles
@@ -98,6 +98,50 @@ def test_cocycle_product_rejects_nonpositive_steps():
 
 
 # ---------------------------------------------------------------------------
+# power domains
+
+
+@given(st.one_of(speedups(), speedups(total=True)), st.data())
+def test_power_domain_matches_walk(sp, data):
+    # total speedups are unions of cycles; m runs past N, where only
+    # the cycles inside the domain remain
+    n = sp.parent.size
+    for m in sorted({0, 1, n, n + 1, data.draw(st.integers(0, 3 * n + 2))}):
+        assert power_domain(sp, m) == oracles.power_domain_walked(sp, m)
+
+
+# ---------------------------------------------------------------------------
+# rotation scoring
+
+
+@st.composite
+def rotation_problems(draw):
+    """A chain track, its q table and a template; periodic tracks make ties."""
+    group = draw(st.sampled_from(GROUPS))
+    total = draw(st.integers(1, 12))
+    length = draw(st.integers(1, total))
+    stride = draw(st.integers(1, total))
+    period = draw(st.integers(1, total))
+    # labels 3 and 4 never occur in the template: junk
+    word = draw(st.lists(st.integers(0, 4), min_size=period, max_size=period))
+    track = (word * total)[:total]
+    elements = st.integers(0, group.order - 1)
+    q = draw(st.lists(elements, min_size=total + length - 1, max_size=total + length - 1))
+    if draw(st.booleans()):
+        q = [q[t % period] for t in range(total + length - 1)]
+    labels = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    groups = draw(st.lists(elements, min_size=length, max_size=length))
+    return group, track, q, labels, groups, stride
+
+
+@given(rotation_problems())
+def test_best_rotation_matches_direct_scoring(problem):
+    # S3 is among the groups, so q[s+t] * q[s]^-1 read as q[s]^-1 * q[s+t]
+    # (or a template of h * groups[t]) fails
+    assert _best_rotation(*problem) == oracles.rotation_direct(*problem)
+
+
+# ---------------------------------------------------------------------------
 # name distributions
 
 
@@ -134,8 +178,9 @@ def test_speedup_name_distribution_matches_per_fibre(sp, n, data):
 # model names
 
 
-@given(systems(), st.integers(1, 4), st.integers(1, 4))
+@given(systems(), st.integers(1, 4), st.integers(1, 12))
 def test_choose_start_matches_byte_codec(target, n1, rungs):
+    # up to 48 points, so templates run several laps past a base of <= 10
     length = n1 * rungs
     ids = target.walk().classes(n1)
     assert _choose_start(target, ids, length, n1) == oracles.choose_start_bytes(target, length, n1)

@@ -235,6 +235,15 @@ def test_power_domain_shrinks_along_chain():
     assert set(power_domain(sp, 2)) <= set(power_domain(sp, 1))
 
 
+def test_power_domain_keeps_cycles_inside_the_domain():
+    # 0 -> 2 -> 4 -> 0 is a cycle; 1 -> 3 ends off the domain
+    ext = tiny_extension(size=6, flip_at=(0,))
+    sp = PartialSpeedup(ext, (2, 2, 2, 0, 2, 0), 2)
+    assert power_domain(sp, 1) == (0, 1, 2, 4)
+    assert power_domain(sp, 2) == (0, 2, 4)
+    assert power_domain(sp, 100) == (0, 2, 4)
+
+
 def test_speedup_name_length_one_needs_no_step():
     ext = tiny_extension(size=4, flip_at=(0,))
     sp = PartialSpeedup(ext, (1, 1, 1, 0), 1)
