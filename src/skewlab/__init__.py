@@ -84,6 +84,7 @@ from .towers import (
     Ladder,
     broken_fraction,
     ladder,
+    tower,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -186,15 +186,6 @@ def _emit(payload: Any, out: str | None) -> None:
 # commands
 
 
-def _witness_dict(ext: ExtensionSystem) -> dict:
-    w = check_extension_ergodic(ext)
-    return {
-        "ergodic": w.ergodic,
-        "cycle_length": w.cycle_length,
-        "splitting_point": list(w.splitting_point) if w.splitting_point else None,
-    }
-
-
 def _cmd_metrics(args: argparse.Namespace) -> dict:
     target = load_system(args.target)
     source = load_system(args.source)
@@ -205,8 +196,8 @@ def _cmd_metrics(args: argparse.Namespace) -> dict:
         "command": "metrics",
         "n": args.n,
         "seed": args.seed,
-        "target": _witness_dict(target),
-        "source": _witness_dict(source),
+        "target": check_extension_ergodic(target),
+        "source": check_extension_ergodic(source),
         "name_distance": dist,
     }
 
@@ -290,13 +281,7 @@ def _factor_payload(result) -> dict:
         "model_start": result.model_start,
         "change_mass": log.change_mass,
         "change_bound": log.change_bound,
-        "witness": {
-            "ergodic": log.witness.ergodic,
-            "cycle_length": log.witness.cycle_length,
-            "splitting_point": list(log.witness.splitting_point)
-            if log.witness.splitting_point
-            else None,
-        },
+        "witness": log.witness,
         "reports": list(log.reports),
     }
     if log.generator:

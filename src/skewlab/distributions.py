@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import SpaceMismatch, ValidationError
 from .groups import FiniteGroup
@@ -107,8 +107,8 @@ class BlockSpace:
 class EmpiricalDistribution:
     """Finitely supported probability vector with exact rational weights.
 
-    Construct through from_weights/from_samples; weights are stored sorted
-    by key so equal distributions compare (and serialize) identically.
+    Construct through from_weights; weights are stored sorted by key so
+    equal distributions compare (and serialize) identically.
     """
 
     space: object
@@ -139,19 +139,6 @@ class EmpiricalDistribution:
         items.sort(key=lambda kv: kv[0])
         return EmpiricalDistribution(space, tuple((k, w / total) for k, w in items))
 
-    @staticmethod
-    def from_samples(space, samples: Iterable) -> "EmpiricalDistribution":
-        counts: dict = {}
-        n = 0
-        for s in samples:
-            counts[s] = counts.get(s, 0) + 1
-            n += 1
-        if n == 0:
-            raise ValidationError("no samples")
-        return EmpiricalDistribution.from_weights(
-            space, {k: Fraction(c, n) for k, c in counts.items()}
-        )
-
     def weight(self, key) -> Fraction:
         for k, w in self.weights:
             if k == key:
@@ -163,9 +150,6 @@ class EmpiricalDistribution:
 
     def as_dict(self) -> dict:
         return dict(self.weights)
-
-    def total(self) -> Fraction:
-        return sum((w for _, w in self.weights), Fraction(0))
 
 
 def _solve_transport(

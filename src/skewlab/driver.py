@@ -316,9 +316,6 @@ class FullGroupWitness:
     pieces: tuple[tuple[int, int, int], ...]
     matched: Fraction
 
-    def carried(self) -> tuple[int, ...]:
-        return tuple(t for _, _, t in self.pieces)
-
 
 def ergodicity_certificate(
     speedup: PartialSpeedup,
@@ -376,9 +373,6 @@ class FactorMap:
     small_size: int
     chain: tuple[int, ...]
     start: int
-
-    def mapping(self) -> dict[int, int]:
-        return {z: (self.start + t) % self.small_size for t, z in enumerate(self.chain)}
 
 
 def verify_factor_map(

@@ -107,25 +107,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def haar(self) -> dict[int, Fraction]:
-        w = Fraction(1, self.order)
-        return {g: w for g in self.elements()}
-
-    def product(self, gs: Sequence[int]) -> int:
-        """Product with the newest factor on the left: gs[-1] * ... * gs[0]."""
-        acc = self.identity
-        for g in gs:
-            acc = self.mul[g][acc]
-        return acc
-
-    def element_order(self, g: int) -> int:
-        acc = g
-        k = 1
-        while acc != self.identity:
-            acc = self.mul[g][acc]
-            k += 1
-        return k
-
 
 def cyclic(m: int) -> FiniteGroup:
     """Z/m with the normalized circle metric."""

@@ -43,7 +43,7 @@ from .systems import (
     twist,
     twist_size,
 )
-from .towers import broken_fraction, ladder
+from .towers import broken_fraction, ladder, tower
 
 
 # ---------------------------------------------------------------------------
@@ -160,39 +160,6 @@ def build_cycles(
 # regularity
 
 
-def _tower_structure(speedup: PartialSpeedup):
-    """Recover the constant-height tower carrying the speedup domain.
-
-    Returns (bases, height) where height counts the levels including
-    the top level that sits outside the domain, or a refusal reason.
-    """
-    dom = set(speedup.domain())
-    images = {speedup.base_image(x) for x in dom}
-    bases = sorted(x for x in dom if x not in images)
-    if not bases:
-        return None, "domain has no entry points (a cycle)"
-    chains = []
-    covered = 0
-    for b in bases:
-        chain = [b]
-        z = b
-        for _ in range(len(dom) + 1):
-            z = speedup.base_image(z)
-            if z not in dom:
-                break
-            chain.append(z)
-        else:
-            return None, "walk from base %d never leaves the domain" % b
-        chains.append(chain)
-        covered += len(chain)
-    if covered != len(dom):
-        return None, "domain contains points unreachable from any base"
-    heights = {len(c) for c in chains}
-    if len(heights) != 1:
-        return None, "columns have unequal heights %s" % sorted(heights)
-    return (tuple(bases), heights.pop() + 1), None
-
-
 def check_regular(
     speedup: PartialSpeedup,
     pbar: Sequence[int],
@@ -225,10 +192,10 @@ def _regularity(
     ext = speedup.parent
     if len(pbar) != ext.size:
         raise ValidationError("partition must cover the base")
-    structure, why = _tower_structure(speedup)
-    if structure is None:
+    columns, why = tower(speedup)
+    if why is not None:
         return RegularityRefusal("condition 1", why), None
-    bases, height = structure
+    height = len(columns[0])
     k_seen = speedup.max_exponent()
     if k_bound is not None and k_seen > k_bound:
         return RegularityRefusal(
@@ -236,13 +203,25 @@ def _regularity(
             Fraction(k_seen),
         ), None
     group = ext.group
-    walk = speedup.walk(pbar)
+    mul = group.mul
+    _, inc = speedup.step_table
+    # the orbit of (base, e) up every column; the fibre of e stands for
+    # all, since names from (x, h) are those from (x, e) right-translated
+    # by h and the metric is bi-invariant
+    orbits = []
+    for column in columns:
+        w = group.identity
+        orbit = []
+        for z in column:
+            orbit.append((pbar[z], w))
+            w = mul[inc[z]][w]
+        orbits.append(tuple(orbit))
     # right translation is injective, so every fibre carries as many
     # distinct tower names as the fibre of e
-    names = {walk.name(b, height) for b in bases}
-    if len(names) != 1:
+    names = len(set(orbits))
+    if names != 1:
         return RegularityRefusal(
-            "condition 3", "base fibers at 0 carry %d distinct tower names" % len(names)
+            "condition 3", "base fibers at 0 carry %d distinct tower names" % names
         ), None
     if height % n != 0:
         return RegularityRefusal(
@@ -251,22 +230,11 @@ def _regularity(
     if full is None:
         full = speedup_name_distribution(speedup, pbar, n)
     space = ext.name_space(n)
-    mul = group.mul
     worst = Fraction(0)
-    # the fibre of e stands for all: names from (x, h) are those from
-    # (x, e) right-translated by h and the metric is bi-invariant
-    for b in bases:
-        # rung starts carry the offset accumulated along the column, so
-        # the blocks read the actual orbit of (b, e)
-        counts: dict = {}
-        z = b
-        w = group.identity
-        for i in range(height):
-            if i % n == 0:
-                nm = tuple((a, mul[g][w]) for a, g in walk.name(z, n))
-                counts[nm] = counts.get(nm, 0) + 1
-            w = mul[walk.inc[z]][w]
-            z = walk.nxt[z]
+    for column, orbit in zip(columns, orbits):
+        # rungs read the orbit itself, so they carry the offset
+        # accumulated along the column
+        counts = Counter(orbit[i : i + n] for i in range(0, height, n))
         dist = EmpiricalDistribution.from_weights(
             space, {k: Fraction(v, height // n) for k, v in counts.items()}
         )
@@ -275,7 +243,7 @@ def _regularity(
         if not gap < delta:
             return RegularityRefusal(
                 "condition 4",
-                "ladder distribution at base %d is %s away" % (b, gap),
+                "ladder distribution at base %d is %s away" % (column[0], gap),
                 gap,
             ), full
     mass = speedup.domain_mass()
@@ -286,8 +254,7 @@ def _regularity(
     return RegularityCertificate(
         n=n,
         delta=delta,
-        tower_base=bases,
-        height=height,
+        columns=columns,
         domain_mass=mass,
         max_exponent=k_seen,
         ladder_distance=worst,
@@ -620,9 +587,9 @@ def improve(
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
-    lad = ladder(current, cert.tower_base, cert.height, n)
+    lad = ladder(current, cert.columns, n)
     unit = lcm(n, n1)
-    capacity = len(lad.starts) * n
+    capacity = len(lad.blocks) * n
     length = (capacity // unit) * unit
     if length < n1:
         raise ScheduleInfeasible(
@@ -630,7 +597,7 @@ def improve(
         )
     used_blocks = length // n
     steps.append(
-        ("step 2", "%d of %d ladder blocks host the new orbit" % (used_blocks, len(lad.starts)))
+        ("step 2", "%d of %d ladder blocks host the new orbit" % (used_blocks, len(lad.blocks)))
     )
 
     model = build_model_name(target, n, n1, delta1, length=length, strict=strict)
@@ -640,14 +607,9 @@ def improve(
 
     # the ladder blocks in start order form one cyclic chain; each
     # block's last step is its seam to the next block
-    points: list[int] = []
-    gaps: list[int] = []
-    for s in lad.starts:
-        pts = lad.block(s)
-        points.extend(pts)
-        gaps.extend(current.exponent[z] for z in pts[:-1])
-        gaps.append(0)
+    points = [z for block in lad.blocks for z in block]
     total = len(points)
+    gaps = [current.exponent[z] for z in points]
     for j in range(n - 1, total, n):
         gaps[j] = (points[(j + 1) % total] - points[j]) % ext.size or ext.size
     # group increments per step are forced by the parent skewing; rotation
@@ -658,7 +620,7 @@ def improve(
     )
     rotation = start // n
     mul = group.mul
-    chain = (points * 2)[start : start + length]
+    chain = tuple((points * 2)[start : start + length])
     gaps = (gaps * 2)[start : start + length - 1]
     back = group.inv[q[start]]
     offsets = [mul[g][back] for g in q[start : start + length]]
@@ -705,29 +667,17 @@ def improve(
     output_names = speedup_name_distribution(speedup1t, labels1, n1)
     final = kantorovich(model.reference, output_names)
     cert1, _ = _regularity(speedup1t, labels1, n1, delta1, full=output_names)
-    if isinstance(cert1, RegularityRefusal):
-        regular = False
-        note = "%s: %s" % (cert1.condition, cert1.detail)
-        ladder_distance = cert1.measured
-        height1 = length
-        mass1 = speedup1.domain_mass()
-        kmax1 = speedup1.max_exponent()
-    else:
-        regular = True
-        note = ""
-        ladder_distance = cert1.ladder_distance
-        height1 = cert1.height
-        mass1 = cert1.domain_mass
-        kmax1 = cert1.max_exponent
+    regular = isinstance(cert1, RegularityCertificate)
 
     a1set = frozenset(a1)
     a2set = frozenset(a2)
     if not a2set:
         raise ValidationError("the group window must be nonempty")
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
-    lad1 = ladder(speedup1t, (chain[0],), length, n1)
-    good = _good_rungs(speedup1t, lad1.starts, n1, a1set, a2set, density - epsilon)
-    good_fraction = Fraction(good, len(lad1.starts) * group.order)
+    lad1 = ladder(speedup1t, (chain,), n1)
+    starts = [block[0] for block in lad1.blocks]
+    good = _good_rungs(speedup1t, starts, n1, a1set, a2set, density - epsilon)
+    good_fraction = Fraction(good, len(starts) * group.order)
 
     report = ImprovementReport(
         n=n,
@@ -743,11 +693,11 @@ def improve(
         good_set_fraction=good_fraction,
         good_set_density=density,
         regular=regular,
-        regularity_note=note,
-        ladder_distance=ladder_distance,
-        domain_mass=mass1,
-        height=height1,
-        max_exponent=kmax1,
+        regularity_note="" if regular else "%s: %s" % (cert1.condition, cert1.detail),
+        ladder_distance=cert1.ladder_distance if regular else cert1.measured,
+        domain_mass=speedup1.domain_mass(),
+        height=length,  # the output tower is the chain, whatever the verdict
+        max_exponent=speedup1.max_exponent(),
         model_window_distance=model.window_distance,
         model_block_distance=model.block_distance,
         model_length=len(model),
@@ -760,6 +710,6 @@ def improve(
         labels=labels1,
         alpha=alpha,
         report=report,
-        chain=tuple(chain),
+        chain=chain,
         model=model,
     )

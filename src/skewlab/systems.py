@@ -105,9 +105,6 @@ class Twist:
 
     values: tuple[int, ...]
 
-    def at(self, x: int) -> int:
-        return self.values[x]
-
     @property
     def size(self) -> int:
         return len(self.values)
@@ -238,26 +235,32 @@ class PartialSpeedup:
     def max_exponent(self) -> int:
         return max((k for k in self.exponent if k > 0), default=0)
 
-    def walk(self, labels: Sequence[int]) -> Walk:
-        """The speedup walk reading the given labels; points off the domain stay put."""
+    @cached_property
+    def step_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Successor and cocycle of one speedup step from every base point.
+
+        Points off the domain stay put with the identity, so walks and
+        tower reads index both tuples without a domain test.
+        """
         ext = self.parent
         n = ext.size
         e = ext.group.identity
-        return Walk(
-            labels,
+        return (
             tuple((x + k) % n for x, k in enumerate(self.exponent)),
             tuple(cocycle_product(ext, x, k) if k else e for x, k in enumerate(self.exponent)),
-            ext.group,
         )
+
+    def walk(self, labels: Sequence[int]) -> Walk:
+        """The speedup walk reading the given labels; points off the domain stay put."""
+        return Walk(labels, *self.step_table, self.parent.group)
 
 
 def apply_speedup(speedup: PartialSpeedup, point: tuple[int, int]) -> tuple[int, int]:
     """One speedup step on the extension; right action commutes with it."""
     x, g = point
-    k = speedup.k(x)
-    ext = speedup.parent
-    w = cocycle_product(ext, x, k)
-    return (x + k) % ext.size, ext.group.mul[w][g]
+    speedup.k(x)  # raises OutOfDomain off the domain
+    nxt, inc = speedup.step_table
+    return nxt[x], speedup.parent.group.mul[inc[x]][g]
 
 
 def power_domain(speedup: PartialSpeedup, m: int) -> tuple[int, ...]:
@@ -317,23 +320,23 @@ def speedup_name_distribution(
 class RegularityCertificate:
     """Measured outcome of the five regularity conditions at (n, delta).
 
-    Issued only when all conditions hold; the measured values stay
-    available so callers can report margins.
+    Issued only when all conditions hold.  It carries the tower's
+    columns, each listed from its base up to its top level, and the
+    measured values, so callers can report margins.
     """
 
     n: int
     delta: Fraction
-    tower_base: tuple[int, ...]
-    height: int
+    columns: tuple[tuple[int, ...], ...]
     domain_mass: Fraction
     max_exponent: int
     ladder_distance: Fraction
 
     def __post_init__(self) -> None:
+        if not self.columns:
+            raise ValidationError("tower base is empty")
         if self.height % self.n != 0:
             raise ValidationError("tower height must be a multiple of the block length")
-        if not self.tower_base:
-            raise ValidationError("tower base is empty")
         if not self.domain_mass > 1 - self.delta:
             raise ValidationError("certificate requires domain mass above 1 - delta")
         # mass > 1 - delta with L - 1 levels of equal width forces this
@@ -341,8 +344,13 @@ class RegularityCertificate:
             raise ValidationError("height incompatible with the domain mass bound")
 
     @property
-    def rungs(self) -> int:
-        return self.height // self.n
+    def tower_base(self) -> tuple[int, ...]:
+        return tuple(column[0] for column in self.columns)
+
+    @property
+    def height(self) -> int:
+        """Levels of the tower, the top level outside the domain included."""
+        return len(self.columns[0])
 
 
 @dataclass(frozen=True)
@@ -352,7 +360,3 @@ class RegularityRefusal:
     condition: str
     detail: str
     measured: Fraction | None = None
-
-    @property
-    def ok(self) -> bool:
-        return False

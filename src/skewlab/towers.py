@@ -1,7 +1,8 @@
-"""Ladders: constant-height speedup towers sliced into blocks.
+"""The tower of a speedup domain, read once, and the ladders sliced from it.
 
-A regular speedup's domain is a tower of equal-height columns; a ladder
-slices it into consecutive blocks of a fixed length, which the
+A regular speedup's domain is a tower of equal-height columns; tower
+walks them once off the speedup's step table.  A ladder slices the
+columns into consecutive blocks of a fixed length, which the
 improvement step threads its new orbit through.  broken_fraction
 measures the ladder mass on which a second speedup departs from it.
 """
@@ -16,31 +17,49 @@ from .errors import NotMultiple, ValidationError
 from .systems import PartialSpeedup
 
 
+def tower(speedup: PartialSpeedup) -> tuple[tuple[tuple[int, ...], ...], str | None]:
+    """The columns of the constant-height tower carrying the speedup domain.
+
+    Each column runs from a base point, which no domain point maps to,
+    up to its top level, the first point outside the domain; columns
+    come in base order.  Returns (columns, None), or ((), reason) when
+    the domain is not such a tower.  The base map is injective, so a
+    walk from a base never returns to an earlier point and leaves the
+    domain within its size.
+    """
+    nxt, _ = speedup.step_table
+    exponent = speedup.exponent
+    dom = speedup.domain()
+    images = {nxt[x] for x in dom}
+    bases = [x for x in dom if x not in images]
+    if not bases:
+        return (), "domain has no entry points (a cycle)"
+    columns = []
+    for z in bases:
+        column = [z]
+        while exponent[z]:
+            z = nxt[z]
+            column.append(z)
+        columns.append(tuple(column))
+    if sum(len(c) - 1 for c in columns) != len(dom):
+        return (), "domain contains points unreachable from any base"
+    heights = {len(c) - 1 for c in columns}
+    if len(heights) != 1:
+        return (), "columns have unequal heights %s" % sorted(heights)
+    return tuple(columns), None
+
+
 @dataclass(frozen=True)
 class Ladder:
-    """Constant-height speedup tower sliced into length-n blocks."""
+    """Constant-height speedup tower sliced into length-n blocks, in start order."""
 
     speedup: PartialSpeedup
     n: int
-    starts: tuple[int, ...]
-
-    def block(self, start: int) -> tuple[int, ...]:
-        pts = [start]
-        z = start
-        for _ in range(self.n - 1):
-            z = self.speedup.base_image(z)
-            pts.append(z)
-        return tuple(pts)
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.block(s) for s in self.starts)
-
-    def mass(self) -> Fraction:
-        return Fraction(len(self.starts) * self.n, self.speedup.size)
+    blocks: tuple[tuple[int, ...], ...]
 
 
-def ladder(speedup: PartialSpeedup, base: Sequence[int], height: int, n: int) -> Ladder:
-    """Slice the tower over the given base into consecutive n-blocks.
+def ladder(speedup: PartialSpeedup, columns: Sequence[Sequence[int]], n: int) -> Ladder:
+    """Slice every column into consecutive n-blocks.
 
     The block at the top observes the tower's last level, whose points
     are outside the speedup domain; only the n-1 interior steps of each
@@ -48,17 +67,12 @@ def ladder(speedup: PartialSpeedup, base: Sequence[int], height: int, n: int) ->
     """
     if n < 1:
         raise ValidationError("block length must be positive")
-    if height % n != 0:
-        raise NotMultiple("height %d is not a multiple of %d" % (height, n))
-    starts = []
-    for b in base:
-        z = b
-        for i in range(height):
-            if i % n == 0:
-                starts.append(z)
-            if i < height - 1:
-                z = speedup.base_image(z)
-    return Ladder(speedup, n, tuple(sorted(starts)))
+    blocks = []
+    for column in columns:
+        if len(column) % n != 0:
+            raise NotMultiple("height %d is not a multiple of %d" % (len(column), n))
+        blocks.extend(tuple(column[i : i + n]) for i in range(0, len(column), n))
+    return Ladder(speedup, n, tuple(sorted(blocks)))
 
 
 def broken_fraction(lad: Ladder, other: PartialSpeedup) -> Fraction:
@@ -70,11 +84,6 @@ def broken_fraction(lad: Ladder, other: PartialSpeedup) -> Fraction:
     """
     if other.parent.size != lad.speedup.parent.size:
         raise ValidationError("speedups act on different bases")
-    broken = 0
-    for start in lad.starts:
-        pts = lad.block(start)
-        for z in pts[:-1]:
-            if other.exponent[z] != lad.speedup.exponent[z]:
-                broken += 1
-                break
+    mine, theirs = lad.speedup.exponent, other.exponent
+    broken = sum(1 for block in lad.blocks if any(mine[z] != theirs[z] for z in block[:-1]))
     return Fraction(broken * lad.n, lad.speedup.size)

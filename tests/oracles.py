@@ -16,16 +16,20 @@ Two are orbit walks that names.Walk and one prefix table replaced:
 rotation scoring walks every rotation's chain step by step, and
 regularity condition 3 compares tower names on every fibre.
 
-The last two are the quadratic loops of the improvement step: the
-power domain walks m steps from every point, and rotation scoring
-compares every rotation slot by slot.
+Two are the quadratic loops of the improvement step: the power domain
+walks m steps from every point, and rotation scoring compares every
+rotation slot by slot.
+
+The last two are the tower walks that the speedup's step table and
+towers.tower replaced: the tower is walked from every base point with
+its exponent, and a ladder walks every block from its start.
 """
 
 import heapq
 from fractions import Fraction
 
 from skewlab import EmpiricalDistribution, kantorovich
-from skewlab.improvement import _tower_structure
+from skewlab.towers import tower
 
 
 def cocycle_loop(ext, x, k):
@@ -159,10 +163,10 @@ def ladder_distances_per_fibre(speedup, pbar, n):
     None when the speedup has no constant-height tower with height a
     multiple of n.
     """
-    structure, _ = _tower_structure(speedup)
-    if structure is None:
+    columns, why = tower(speedup)
+    if why is not None:
         return None
-    bases, height = structure
+    bases, height = [c[0] for c in columns], len(columns[0])
     if height % n:
         return None
     ext = speedup.parent
@@ -459,10 +463,10 @@ def tower_name_counts_per_fibre(speedup, pbar):
 
     None when the speedup has no constant-height tower.
     """
-    structure, _ = _tower_structure(speedup)
-    if structure is None:
+    columns, why = tower(speedup)
+    if why is not None:
         return None
-    bases, height = structure
+    bases, height = [c[0] for c in columns], len(columns[0])
     return [
         len({_speedup_name(speedup, pbar, b, h, height) for b in bases})
         for h in speedup.parent.group.elements()
@@ -498,3 +502,49 @@ def rotation_direct(group, track, q, labels, groups, stride):
         if best is None or score < best[0]:
             best = (score, s)
     return best
+
+
+def tower_walked(speedup):
+    """(columns, None) of the speedup's constant-height tower, or ((), reason).
+
+    Every domain point that no domain point maps to is a base; its column
+    is walked with the exponent up to the first point outside the domain.
+    """
+    size = speedup.parent.size
+    exponent = speedup.exponent
+    dom = [x for x in range(size) if exponent[x]]
+    images = {(x + exponent[x]) % size for x in dom}
+    columns = []
+    for b in dom:
+        if b not in images:
+            column = [b]
+            while exponent[column[-1]]:
+                column.append((column[-1] + exponent[column[-1]]) % size)
+            columns.append(tuple(column))
+    if not columns:
+        return (), "domain has no entry points (a cycle)"
+    if sum(len(c) for c in columns) - len(columns) != len(dom):
+        return (), "domain contains points unreachable from any base"
+    heights = sorted({len(c) - 1 for c in columns})
+    if len(heights) != 1:
+        return (), "columns have unequal heights %s" % heights
+    return tuple(columns), None
+
+
+def ladder_walked(speedup, base, height, n):
+    """Blocks of n consecutive tower levels, each walked from its start, in start order."""
+    starts = []
+    for b in base:
+        z = b
+        for i in range(height):
+            if i % n == 0:
+                starts.append(z)
+            if i < height - 1:
+                z = speedup.base_image(z)
+    blocks = []
+    for start in sorted(starts):
+        block = [start]
+        for _ in range(n - 1):
+            block.append(speedup.base_image(block[-1]))
+        blocks.append(tuple(block))
+    return tuple(blocks)

@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from skewlab import (
     ExtensionSystem,
     NoGoodOrbit,
+    OutOfDomain,
     PartialSpeedup,
     RegularityCertificate,
     ValidationError,
+    apply_speedup,
     build_model_name,
     check_regular,
     cocycle_product,
     cyclic,
     from_tables,
+    ladder,
     name_distribution,
     power_domain,
     seed_from_orbit,
     speedup_name_distribution,
+    tower,
 )
 from skewlab.driver import _separation_failure
 from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
@@ -318,3 +322,29 @@ def test_tower_names_match_per_fibre(sp):
         )
     else:
         assert getattr(res, "condition", None) != "condition 3"
+
+
+# ---------------------------------------------------------------------------
+# the step table and the tower
+
+
+@given(st.one_of(speedups(), speedups(total=True), towers()))
+def test_step_table_tower_and_ladders_match_walks(sp):
+    ext = sp.parent
+    nxt, inc = sp.step_table
+    for x, k in enumerate(sp.exponent):
+        # off the domain a point stays put with the identity, the empty product
+        w = oracles.cocycle_loop(ext, x, k)
+        assert (nxt[x], inc[x]) == ((x + k) % ext.size, w)
+        for g in ext.group.elements():
+            if k:
+                assert apply_speedup(sp, (x, g)) == (nxt[x], ext.group.mul[w][g])
+            else:
+                with pytest.raises(OutOfDomain):
+                    apply_speedup(sp, (x, g))
+    columns, why = tower(sp)
+    assert (columns, why) == oracles.tower_walked(sp)
+    if why is None:
+        bases, height = [c[0] for c in columns], len(columns[0])
+        for n in (d for d in range(1, height + 1) if height % d == 0):
+            assert ladder(sp, columns, n).blocks == oracles.ladder_walked(sp, bases, height, n)

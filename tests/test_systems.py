@@ -132,7 +132,7 @@ def test_twist_conjugates_the_cocycle():
         for k in range(1, 5):
             lhs = cocycle_product(twisted, x, k)
             mid = cocycle_product(ext, x, k)
-            rhs = g.mul[alpha.at((x + k) % 10)][g.mul[mid][g.inv[alpha.at(x)]]]
+            rhs = g.mul[alpha.values[(x + k) % 10]][g.mul[mid][g.inv[alpha.values[x]]]]
             assert lhs == rhs
 
 
