@@ -96,11 +96,12 @@ def parse_group_spec(data: Any) -> FiniteGroup:
     raise ParseError("unknown group type %r" % (kind,))
 
 
-def parse_system_spec(data: Any) -> ExtensionSystem:
+def parse_system_spec(data: Any, groups: dict | None = None) -> ExtensionSystem:
     """Build an extension from its JSON description.
 
     Required fields: size, labels, group, skew; labels and skew are
-    lists of length size, skew entries index the group.
+    lists of length size, skew entries index the group.  Equal group
+    specs share one group through the groups memo.
     """
     if not isinstance(data, dict):
         raise ParseError("system description must be an object")
@@ -117,7 +118,11 @@ def parse_system_spec(data: Any) -> ExtensionSystem:
             raise ParseError("%s must be a list of length %d" % (name, size))
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in seq):
             raise ParseError("%s entries must be integers" % name)
-    group = parse_group_spec(data["group"])
+    groups = {} if groups is None else groups
+    spec = json.dumps(data["group"], sort_keys=True)
+    if spec not in groups:
+        groups[spec] = parse_group_spec(data["group"])
+    group = groups[spec]
     try:
         return ExtensionSystem(size, tuple(labels), group, tuple(skew))
     except ValidationError as exc:
@@ -142,7 +147,7 @@ def system_to_dict(ext: ExtensionSystem) -> dict:
     }
 
 
-def load_system(path: str) -> ExtensionSystem:
+def load_system(path: str, groups: dict) -> ExtensionSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -150,7 +155,12 @@ def load_system(path: str) -> ExtensionSystem:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("%s is not JSON: %s" % (path, exc)) from exc
-    return parse_system_spec(data)
+    return parse_system_spec(data, groups)
+
+
+def _load_pair(args: argparse.Namespace) -> tuple[ExtensionSystem, ExtensionSystem]:
+    groups: dict = {}
+    return load_system(args.target, groups), load_system(args.source, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +197,7 @@ def _emit(payload: Any, out: str | None) -> None:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> dict:
-    target = load_system(args.target)
-    source = load_system(args.source)
+    target, source = _load_pair(args)
     dist = kantorovich(
         name_distribution(target, args.n), name_distribution(source, args.n)
     )
@@ -231,8 +240,7 @@ def _rect_for(args: argparse.Namespace, source: ExtensionSystem):
 
 
 def _cmd_improve(args: argparse.Namespace) -> dict:
-    target = load_system(args.target)
-    source = load_system(args.source)
+    target, source = _load_pair(args)
     pbar = source.labels
     a1, a2 = _rect_for(args, source)
     current, cert = bootstrap_regular(source, pbar, args.n, args.delta, args.epsilon)
@@ -291,8 +299,7 @@ def _factor_payload(result) -> dict:
 
 
 def _cmd_factor(args: argparse.Namespace) -> dict:
-    target = load_system(args.target)
-    source = load_system(args.source)
+    target, source = _load_pair(args)
     schedule = _schedule_from(args, source)
     result = run_factor(target, source, source.labels, schedule)
     payload = _factor_payload(result)
@@ -302,8 +309,7 @@ def _cmd_factor(args: argparse.Namespace) -> dict:
 
 
 def _cmd_iso(args: argparse.Namespace) -> dict:
-    target = load_system(args.target)
-    source = load_system(args.source)
+    target, source = _load_pair(args)
     schedule = _schedule_from(args, source)
     result = run_isomorphism(
         target, source, source.labels, schedule, copy_zeta=args.copy_zeta
@@ -315,8 +321,7 @@ def _cmd_iso(args: argparse.Namespace) -> dict:
 
 
 def _cmd_seed_orbit(args: argparse.Namespace) -> dict:
-    target = load_system(args.target)
-    source = load_system(args.source)
+    target, source = _load_pair(args)
     labels, alpha = seed_from_orbit(target, source, args.nlen, args.zeta, n=args.n)
     return {
         "command": "seed-orbit",

@@ -6,18 +6,17 @@ the finite metric spaces names live on, exact rational empirical
 distributions over them, and an exact transport solver.  The solver
 cancels common mass first (for metric ground costs the value depends only
 on the difference measure), takes a closed-form path under the discrete
-metric, and otherwise runs successive shortest paths on the bipartite
-transportation graph.  Values are exact rationals; transport runs on
-common-denominator integers.
+metric, and otherwise runs the primal-dual method on the spaces' integer
+distances (common denominator L, at most L + 1 phases).  Values are exact
+rationals; transport runs on integers.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import SpaceMismatch, ValidationError
 from .groups import FiniteGroup
@@ -25,36 +24,48 @@ from .groups import FiniteGroup
 
 # ---------------------------------------------------------------------------
 # metric spaces
+#
+# Each space has one integer distance int_dist with values in [0, unit],
+# where unit is the common denominator of its distances; dist is
+# int_dist / unit.
 
 
-@dataclass(frozen=True)
-class DiscreteSpace:
-    """Any hashables, distance 0/1."""
-
+class _Scaled:
     def dist(self, a, b) -> Fraction:
-        return Fraction(0) if a == b else Fraction(1)
+        return Fraction(self.int_dist(a, b), self.unit)
 
     @property
     def discrete(self) -> bool:
-        return True
+        """True when the metric only takes the values 0 and 1."""
+        return self.unit == 1
 
 
 @dataclass(frozen=True)
-class GroupSpace:
+class DiscreteSpace(_Scaled):
+    """Any hashables, distance 0/1."""
+
+    unit = 1
+
+    def int_dist(self, a, b) -> int:
+        return 0 if a == b else 1
+
+
+@dataclass(frozen=True)
+class GroupSpace(_Scaled):
     """Elements of a finite group under its bi-invariant metric."""
 
     group: FiniteGroup
 
-    def dist(self, a, b) -> Fraction:
-        return self.group.metric[a][b]
-
     @property
-    def discrete(self) -> bool:
-        return self.group.discrete
+    def unit(self) -> int:
+        return self.group.int_metric[0]
+
+    def int_dist(self, a, b) -> int:
+        return self.group.int_metric[1][a][b]
 
 
 @dataclass(frozen=True)
-class LabelGroupSpace:
+class LabelGroupSpace(_Scaled):
     """Joint name coordinates (label, group element).
 
     Coordinate metric: 1 when the labels differ, the group metric
@@ -64,39 +75,40 @@ class LabelGroupSpace:
 
     group: FiniteGroup
 
-    def dist(self, a, b) -> Fraction:
-        if a[0] != b[0]:
-            return Fraction(1)
-        return self.group.metric[a[1]][b[1]]
-
     @property
-    def discrete(self) -> bool:
-        return self.group.discrete
+    def unit(self) -> int:
+        return self.group.int_metric[0]
+
+    def int_dist(self, a, b) -> int:
+        unit, table = self.group.int_metric
+        return unit if a[0] != b[0] else table[a[1]][b[1]]
 
 
 @dataclass(frozen=True)
-class BlockSpace:
+class BlockSpace(_Scaled):
     """Fixed-length tuples over a coordinate space, max metric."""
 
     coord: object
     length: int
 
-    def dist(self, a, b) -> Fraction:
+    @property
+    def unit(self) -> int:
+        return self.coord.unit
+
+    def int_dist(self, a, b) -> int:
         if len(a) != self.length or len(b) != self.length:
             raise SpaceMismatch("block length mismatch")
-        best = Fraction(0)
-        cd = self.coord.dist
+        top = self.coord.unit
+        cd = self.coord.int_dist
+        best = 0
         for x, y in zip(a, b):
             d = cd(x, y)
             if d > best:
                 best = d
-                if best >= 1:
+                # no coordinate is farther than distance 1 (= unit)
+                if best >= top:
                     break
         return best
-
-    @property
-    def discrete(self) -> bool:
-        return self.coord.discrete
 
 
 # ---------------------------------------------------------------------------
@@ -155,120 +167,97 @@ class EmpiricalDistribution:
 def _solve_transport(
     supply: list[tuple[object, Fraction]],
     demand: list[tuple[object, Fraction]],
-    dist: Callable,
+    space,
 ) -> Fraction:
-    """Exact min-cost transport by successive shortest augmenting paths.
+    """Exact min-cost transport by the primal-dual method (AMO 1993, 9.8).
 
-    Masses are scaled by the LCM D of their denominators and costs by the
-    LCM L of theirs, so Dijkstra, the potentials, the bottlenecks and the
-    flow all run on ints; the optimum is total / (D * L).  Scaling by
-    positive constants keeps every comparison, so each augmenting path is
-    the one the same algorithm would pick on the Fractions.
+    Masses are scaled by the LCM D of their denominators and costs are the
+    space's integer distances (unit L), so all work is on ints and the
+    optimum is total / (D * L).  Nodes 0..ns-1 are the suppliers and
+    ns..ns+nd-1 the consumers.
 
-    Nodes: 0 = source, 1..ns = suppliers, ns+1..ns+nd = consumers,
-    ns+nd+1 = sink.  Johnson potentials keep reduced costs nonnegative so
-    Dijkstra stays valid.  Ties break on node index.
+    Potentials keep every residual reduced cost c(u, v) + p(u) - p(v)
+    nonnegative.  A phase runs one dense Dijkstra on reduced costs from
+    the suppliers with mass left, stops once the sink's distance is final
+    and adds to each potential its distance capped at the sink's, which
+    keeps reduced costs nonnegative for the nodes it did not reach.  It
+    then augments along zero-reduced-cost paths (BFS) until none is left.
+    Suppliers with mass left keep potential 0, so the sink's potential is
+    the cost of the current cheapest augmenting path: it rises by at
+    least 1 per phase and never exceeds L (a direct arc costs at most L),
+    so there are at most L + 1 phases.
     """
     ns = len(supply)
     nd = len(demand)
-    n_nodes = ns + nd + 2
-    src = 0
-    snk = ns + nd + 1
-
-    mass_scale = math.lcm(*(w.denominator for _, w in supply), *(w.denominator for _, w in demand))
-    cost_sd = [[dist(a, b) for b, _ in demand] for a, _ in supply]
-    cost_scale = math.lcm(*(c.denominator for row in cost_sd for c in row))
-    for row in cost_sd:
-        row[:] = [c.numerator * (cost_scale // c.denominator) for c in row]
-
-    remaining_supply = [w.numerator * (mass_scale // w.denominator) for _, w in supply]
-    remaining_demand = [w.numerator * (mass_scale // w.denominator) for _, w in demand]
-    # flow on supplier->consumer arcs (reverse residuals derived from it)
+    mass_scale = math.lcm(*(w.denominator for _, w in supply + demand))
+    mass = [w.numerator * (mass_scale // w.denominator) for _, w in supply + demand]
+    cost = [[space.int_dist(a, b) for b, _ in demand] for a, _ in supply]
+    # flow on supplier->consumer arcs; the reverse arc is residual while it is positive
     flow = [[0] * nd for _ in range(ns)]
-    potential = [0] * n_nodes
-    total_cost = 0
-    left = sum(remaining_supply)
-
-    while left > 0:
-        dist_to = [None] * n_nodes
-        prev = [None] * n_nodes
-        dist_to[src] = 0
-        heap = [(0, src)]
-        while heap:
-            d_u, u = heapq.heappop(heap)
-            if d_u > dist_to[u]:
-                continue
-            if u == src:
-                for i in range(ns):
-                    if remaining_supply[i] > 0:
-                        v = 1 + i
-                        w = d_u + potential[src] - potential[v]
-                        if dist_to[v] is None or w < dist_to[v]:
-                            dist_to[v] = w
-                            prev[v] = (src, None)
-                            heapq.heappush(heap, (w, v))
-            elif u <= ns:
-                i = u - 1
-                base = d_u + potential[u]
-                row = cost_sd[i]
-                for j in range(nd):
-                    v = 1 + ns + j
-                    w = base + row[j] - potential[v]
-                    if dist_to[v] is None or w < dist_to[v]:
-                        dist_to[v] = w
-                        prev[v] = (u, ("f", i, j))
-                        heapq.heappush(heap, (w, v))
-            elif u != snk:
-                j = u - 1 - ns
-                base = d_u + potential[u]
-                if remaining_demand[j] > 0:
-                    w = base - potential[snk]
-                    if dist_to[snk] is None or w < dist_to[snk]:
-                        dist_to[snk] = w
-                        prev[snk] = (u, None)
-                        heapq.heappush(heap, (w, snk))
-                for i in range(ns):
-                    if flow[i][j] > 0:
-                        v = 1 + i
-                        w = base - cost_sd[i][j] - potential[v]
-                        if dist_to[v] is None or w < dist_to[v]:
-                            dist_to[v] = w
-                            prev[v] = (u, ("b", i, j))
-                            heapq.heappush(heap, (w, v))
-        if dist_to[snk] is None:
-            raise ValidationError("transport network disconnected")  # pragma: no cover
-        for v in range(n_nodes):
-            if dist_to[v] is not None:
-                potential[v] += dist_to[v]
-        # walk the path, find bottleneck
-        path = []
-        v = snk
-        while v != src:
-            u, arc = prev[v]
-            path.append((u, v, arc))
-            v = u
-        path.reverse()
-        bottleneck = left
-        for u, v, arc in path:
-            if u == src:
-                bottleneck = min(bottleneck, remaining_supply[v - 1])
-            elif v == snk:
-                bottleneck = min(bottleneck, remaining_demand[u - 1 - ns])
-            elif arc[0] == "b":
-                bottleneck = min(bottleneck, flow[arc[1]][arc[2]])
-        for u, v, arc in path:
-            if u == src:
-                remaining_supply[v - 1] -= bottleneck
-            elif v == snk:
-                remaining_demand[u - 1 - ns] -= bottleneck
-            elif arc[0] == "f":
-                flow[arc[1]][arc[2]] += bottleneck
-                total_cost += bottleneck * cost_sd[arc[1]][arc[2]]
+    pot = [0] * (ns + nd)
+    pot_t = total = 0
+    for _ in range(space.unit + 1):
+        if not any(mass[:ns]):
+            break
+        key = [0 if m else math.inf for m in mass[:ns]] + [math.inf] * nd
+        final = [None] * (ns + nd)
+        sink = math.inf
+        while (du := min(key)) < sink:
+            u = key.index(du)
+            key[u] = math.inf
+            final[u] = du
+            base = du + pot[u]
+            if u < ns:
+                arcs = zip(range(ns, ns + nd), cost[u])
             else:
-                flow[arc[1]][arc[2]] -= bottleneck
-                total_cost -= bottleneck * cost_sd[arc[1]][arc[2]]
-        left -= bottleneck
-    return Fraction(total_cost, mass_scale * cost_scale)
+                if mass[u]:
+                    sink = min(sink, base - pot_t)
+                arcs = ((i, -cost[i][u - ns]) for i in range(ns) if flow[i][u - ns])
+            for v, c in arcs:
+                if final[v] is None and base + c - pot[v] < key[v]:
+                    key[v] = base + c - pot[v]
+        pot = [p + (sink if d is None else d) for p, d in zip(pot, final)]
+        pot_t += sink
+        # forward arcs with zero reduced cost; every arc with flow is among them
+        tight = [[j for j in range(nd) if row[j] + p == pot[ns + j]] for row, p in zip(cost, pot)]
+        while True:
+            # BFS from the suppliers with mass left to a consumer whose sink arc is tight
+            reach = [None] * nd  # supplier that reached consumer j
+            back = [-1 if m else None for m in mass[:ns]]  # consumer that reached supplier i
+            queue = [i for i in range(ns) if mass[i]]
+            end = None
+            for i in queue:
+                for j in tight[i]:
+                    if reach[j] is None:
+                        reach[j] = i
+                        if mass[ns + j] and pot[ns + j] == pot_t:
+                            end = j
+                            break
+                        for k in range(ns):
+                            if back[k] is None and flow[k][j]:
+                                back[k] = j
+                                queue.append(k)
+                if end is not None:
+                    break
+            if end is None:
+                break
+            path = []  # (supplier, consumer it feeds, consumer it takes back from or -1)
+            j = end
+            while j != -1:
+                path.append((reach[j], j, back[reach[j]]))
+                j = path[-1][2]
+            root = path[-1][0]
+            push = min(mass[root], mass[ns + end], *(flow[i][k] for i, _, k in path if k != -1))
+            for i, j, k in path:
+                flow[i][j] += push
+                if k != -1:
+                    flow[i][k] -= push
+            mass[root] -= push
+            mass[ns + end] -= push
+            total += push * pot_t
+    if any(mass[:ns]):
+        raise ValidationError("transport needed more than L + 1 phases")  # pragma: no cover
+    return Fraction(total, mass_scale * space.unit)
 
 
 def kantorovich(
@@ -302,4 +291,4 @@ def kantorovich(
         return Fraction(0)
     if method == "auto" and d1.space.discrete:
         return sum((w for _, w in supply), Fraction(0))
-    return _solve_transport(supply, demand, d1.space.dist)
+    return _solve_transport(supply, demand, d1.space)

@@ -2,7 +2,8 @@
 
 A group element is an index into the multiplication table.  The metric is
 stored as a table of Fractions, normalized so the diameter is at most 1,
-and is required to be invariant under left and right translation.  The
+and is required to be invariant under left and right translation; its
+integer form (int_metric) scales it by the common denominator L.  The
 cyclic constructor equips Z/m with the normalized circle distance
 rho(a, b) = min(|a - b|, m - |a - b|) / floor(m / 2); for m <= 2 (and for
 arbitrary tables that happen to be 0/1 valued) the metric is discrete, and
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -91,18 +93,22 @@ class FiniteGroup:
         for c in range(m):
             if _gather(_gather(mul[inv[c]])(column[c]))(f) != f:
                 raise ValidationError("metric not right invariant")
-        # triangle inequality: f(gh) <= f(g) + f(h), on common-denominator ints
-        scale = math.lcm(*(v.denominator for v in f))
-        scaled = tuple(v.numerator * (scale // v.denominator) for v in f)
-        for g in range(m):
-            fg = scaled[g]
+        # triangle inequality: f(gh) <= f(g) + f(h), on the integer metric
+        scaled = self.int_metric[1][e]
+        for g, fg in enumerate(scaled):
             if any(fgh > fg + fh for fgh, fh in zip(_gather(mul[g])(scaled), scaled)):
                 raise ValidationError("triangle inequality fails")
 
-    @property
-    def discrete(self) -> bool:
-        """True when the metric only takes the values 0 and 1."""
-        return all(d in (0, 1) for d in self.metric[self.identity])
+    @cached_property
+    def int_metric(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, table) with table[a][b] = L * d(a, b), L the common denominator.
+
+        Rows are read off f = d(e, .) by left invariance, d(a, b) = f(a^-1 b).
+        """
+        f = self.metric[self.identity]
+        unit = math.lcm(*(v.denominator for v in f))
+        scaled = tuple(v.numerator * (unit // v.denominator) for v in f)
+        return unit, tuple(_gather(self.mul[a])(scaled) for a in self.inv)
 
     def elements(self) -> range:
         return range(self.order)

@@ -7,10 +7,11 @@ codec and Fraction half-L1 distances, condition 4 is measured on every
 fibre, and separation compares full-length names pairwise.  They walk
 the systems themselves and share no counting code with the library.
 
-Two replaced the integer kernels for non-discrete groups: the Fraction
-successive-shortest-path transport solver and the cubic group-table
-validator that checks invariance and the triangle inequality on every
-triple.
+Three replaced the integer kernels for non-discrete groups: the Fraction
+successive-shortest-path transport solver, the space distances read from
+the Fraction metric tables with every block coordinate compared, and the
+cubic group-table validator that checks invariance and the triangle
+inequality on every triple.
 
 Two are orbit walks that names.Walk and one prefix table replaced:
 rotation scoring walks every rotation's chain step by step, and
@@ -28,7 +29,14 @@ its exponent, and a ladder walks every block from its start.
 import heapq
 from fractions import Fraction
 
-from skewlab import EmpiricalDistribution, kantorovich
+from skewlab import (
+    BlockSpace,
+    DiscreteSpace,
+    EmpiricalDistribution,
+    GroupSpace,
+    LabelGroupSpace,
+    kantorovich,
+)
 from skewlab.towers import tower
 
 
@@ -409,6 +417,18 @@ def fraction_transport(supply, demand, dist):
     return total_cost
 
 
+def fraction_dist(space, a, b):
+    """Distance of a space read from the Fraction metric table, no early exit."""
+    if isinstance(space, DiscreteSpace):
+        return Fraction(int(a != b))
+    if isinstance(space, GroupSpace):
+        return space.group.metric[a][b]
+    if isinstance(space, LabelGroupSpace):
+        return Fraction(1) if a[0] != b[0] else space.group.metric[a[1]][b[1]]
+    assert isinstance(space, BlockSpace) and len(a) == len(b) == space.length
+    return max(fraction_dist(space.coord, x, y) for x, y in zip(a, b))
+
+
 def fraction_kantorovich(d1, d2):
     """Kantorovich distance through the Fraction solver, common mass cancelled."""
     a = d1.as_dict()
@@ -424,7 +444,7 @@ def fraction_kantorovich(d1, d2):
             demand.append((k, wb - wa))
     if not supply:
         return Fraction(0)
-    return fraction_transport(supply, demand, d1.space.dist)
+    return fraction_transport(supply, demand, lambda a, b: fraction_dist(d1.space, a, b))
 
 
 def rotation_walked(speedup, pbar, starts, n, model):

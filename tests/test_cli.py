@@ -187,6 +187,40 @@ def test_metrics_marker_versus_constant(tmp_path):
     assert json.loads(out.read_text())["name_distance"]["exact"] == "1/12"
 
 
+def _z64_pair(tmp_path):
+    # the metrics_z64 benchmark pair at seed 0: Z/64, N = 128, labels 1 at 5 and 102
+    labels = [1 if x in (5, 102) else 0 for x in range(128)]
+    group = {"type": "cyclic", "order": 64}
+    skews = ({0: 1, 42: 2}, {64: 1, 25: 2, 7: 62})
+    return [
+        write_system(tmp_path / name, 128, labels, group, [skew.get(x, 0) for x in range(128)])
+        for name, skew in zip(("t.json", "s.json"), skews)
+    ]
+
+
+def test_metrics_z64_frozen_distance(tmp_path):
+    # one 64 x 64 transport problem over 33 cost levels
+    t, s = _z64_pair(tmp_path)
+    out = tmp_path / "m.json"
+    rc = run_command(["metrics", "--target", t, "--source", s, "--n", "2", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["name_distance"]["exact"] == "1/4096"
+
+
+def test_equal_group_specs_build_one_group(tmp_path, monkeypatch):
+    built = []
+
+    def counting_cyclic(m):
+        built.append(m)
+        return cyclic(m)
+
+    monkeypatch.setattr("skewlab.cli.cyclic", counting_cyclic)
+    t, s = _z64_pair(tmp_path)
+    out = str(tmp_path / "m.json")
+    assert run_command(["metrics", "--target", t, "--source", s, "--n", "1", "--out", out]) == 0
+    assert built == [64]
+
+
 def test_metrics_writes_to_stdout(marker_pair, capsys):
     t, s = marker_pair
     rc = run_command(["metrics", "--target", t, "--source", s, "--n", "4"])

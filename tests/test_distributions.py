@@ -1,5 +1,6 @@
 """Metric spaces, exact distributions, and the transport distance."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -75,28 +76,39 @@ def test_flow_solver_against_assignment_oracle():
 
 
 @st.composite
-def non_discrete_pair(draw):
-    """Two distributions on a non-discrete name space, random integer weights."""
-    kind = draw(st.sampled_from(["group", "label", "block", "s3"]))
+def metric_space(draw):
+    """(space, point strategy, point count): cyclic orders up to 64, labels, blocks up to 4."""
+    kind = draw(st.sampled_from(["discrete", "group", "label", "block", "s3"]))
+    if kind == "discrete":
+        return DiscreteSpace(), st.integers(min_value=0, max_value=5), 6
     if kind == "s3":
         group = from_tables(s3_table(), left_invariant_metric(s3_table(), s3_class_metric()))
     else:
-        group = cyclic(draw(st.integers(min_value=3, max_value=8)))
+        group = cyclic(draw(st.integers(min_value=3, max_value=64)))
     elements = st.integers(min_value=0, max_value=group.order - 1)
     if kind in ("group", "s3"):
-        space, points = GroupSpace(group), elements
-    else:
-        space = LabelGroupSpace(group)
-        points = st.tuples(st.integers(min_value=0, max_value=2), elements)
-        if kind == "block":
-            length = draw(st.integers(min_value=2, max_value=3))
-            space = BlockSpace(space, length)
-            points = st.tuples(*[points] * length)
-    weights = st.dictionaries(points, st.integers(min_value=1, max_value=9), min_size=1, max_size=9)
-    return (
-        EmpiricalDistribution.from_weights(space, draw(weights)),
-        EmpiricalDistribution.from_weights(space, draw(weights)),
-    )
+        return GroupSpace(group), elements, group.order
+    space = LabelGroupSpace(group)
+    points = st.tuples(st.integers(min_value=0, max_value=2), elements)
+    if kind == "label":
+        return space, points, 3 * group.order
+    length = draw(st.integers(min_value=2, max_value=4))
+    return BlockSpace(space, length), st.tuples(*[points] * length), (3 * group.order) ** length
+
+
+@st.composite
+def non_discrete_pair(draw):
+    """Two distributions on a non-discrete name space, up to 40 keys each."""
+    space, points, count = draw(metric_space().filter(lambda sp: not sp[0].discrete))
+
+    def weights():
+        size = draw(st.integers(min_value=1, max_value=min(40, count)))
+        keys = st.dictionaries(
+            points, st.integers(min_value=1, max_value=9), min_size=size, max_size=size
+        )
+        return EmpiricalDistribution.from_weights(space, draw(keys))
+
+    return weights(), weights()
 
 
 @given(non_discrete_pair())
@@ -105,6 +117,22 @@ def test_integer_solver_matches_fraction_oracle(pair):
     expected = oracles.fraction_kantorovich(d1, d2)
     assert kantorovich(d1, d2) == expected
     assert kantorovich(d1, d2, method="flow") == expected
+
+
+@given(st.data())
+def test_integer_distance_is_unit_times_fraction_distance(data):
+    # unit is the common denominator of the metric; BlockSpace stops at it
+    space, points, _ = data.draw(metric_space())
+    coord = space.coord if isinstance(space, BlockSpace) else space
+    table = coord.group.metric if hasattr(coord, "group") else [[0, 1]]
+    assert space.unit == math.lcm(*(v.denominator for row in table for v in row))
+    for a, b in data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=20)):
+        expected = oracles.fraction_dist(space, a, b)
+        assert space.int_dist(a, b) == space.unit * expected
+        assert space.dist(a, b) == expected
+        # the block maximum does not depend on which coordinate comes first
+        for r in range(1, getattr(space, "length", 1)):
+            assert space.int_dist(a[r:] + a[:r], b[r:] + b[:r]) == space.unit * expected
 
 
 def test_kantorovich_frozen_values():
