@@ -34,10 +34,8 @@ from .systems import (
     RegularityCertificate,
     RegularityRefusal,
     Twist,
-    cocycle_product,
     name_distribution,
     speedup_name_distribution,
-    twist,
 )
 
 
@@ -181,7 +179,8 @@ def complete_speedup(speedup: PartialSpeedup) -> PartialSpeedup:
     """
     size = speedup.parent.size
     dom = set(speedup.domain())
-    images = {speedup.base_image(x) for x in dom}
+    nxt, _ = speedup.step_table
+    images = {nxt[x] for x in dom}
     missing = [v for v in range(size) if v not in dom]
     if not missing:
         return speedup
@@ -213,16 +212,16 @@ def total_extension_witness(speedup: PartialSpeedup) -> ErgodicityWitness:
     """
     size = speedup.parent.size
     group = speedup.parent.group
+    nxt, inc = speedup.step_table
     x = 0
     lap = group.identity
     orbit = set()
     while x not in orbit:
-        k = speedup.exponent[x]
-        if k == 0:
+        if speedup.exponent[x] == 0:
             raise ValidationError("witness needs a total speedup")
         orbit.add(x)
-        lap = group.mul[cocycle_product(speedup.parent, x, k)][lap]
-        x = (x + k) % size
+        lap = group.mul[inc[x]][lap]
+        x = nxt[x]
     witness = ErgodicityWitness.of_lap(group, lap, len(orbit))
     if len(orbit) == size:
         return witness
@@ -239,18 +238,17 @@ def _construct(
     source: ExtensionSystem,
     pbar0: Sequence[int],
     schedule: IterationSchedule,
-    hook: Callable[[int, PartialSpeedup, ImproveResult], None] | None = None,
+    hook: Callable[[int, ImproveResult], None] | None = None,
 ) -> FactorResult:
     """The construction loop behind both public loops.
 
-    hook(k, current, res) runs after iteration k has twisted the
-    extension; current is the improved speedup on the twisted parent.
+    Each step's res.twisted, the improved speedup on the twisted
+    extension, is the next step's input; hook(k, res) runs after step k.
     """
     n0, d0, _, _ = schedule.step_for(0)
     current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
     pbar = tuple(pbar0)
     beta = Twist.identity(source.size, source.group)
-    parent = source
     reports: list[ImprovementReport] = []
     fold = Fraction(sum(1 for k in current.exponent if k != 1), source.size)
     chain: tuple[int, ...] = ()
@@ -266,15 +264,14 @@ def _construct(
             sum(1 for x in range(source.size) if res.speedup.exponent[x] != current.exponent[x]),
             source.size,
         )
-        parent = twist(parent, res.alpha)
-        current = PartialSpeedup(parent, res.speedup.exponent, res.speedup.k_max)
+        current = res.twisted
         pbar = res.labels
         beta = Twist.compose(res.alpha, beta, source.group)
         reports.append(res.report)
         chain = res.chain
         model_start = res.model.start
         if hook is not None:
-            hook(k, current, res)
+            hook(k, res)
     completed = complete_speedup(current)
     change = Fraction(
         sum(1 for x in range(source.size) if completed.exponent[x] != 1), source.size
@@ -332,6 +329,7 @@ def ergodicity_certificate(
     size = speedup.parent.size
     if any(k == 0 for k in speedup.exponent):
         raise ValidationError("certificate needs a total speedup")
+    nxt, _ = speedup.step_table
     out = []
     for ci, cj in pairs:
         ci = sorted(set(ci))
@@ -348,7 +346,7 @@ def ergodicity_certificate(
                     used.add(y)
                     pieces.append((x, power, y))
                     break
-                y = speedup.base_image(y)
+                y = nxt[y]
                 power += 1
                 if power > size:
                     break
@@ -381,12 +379,12 @@ def verify_factor_map(
     """Check the chain's dynamics and skewing match the target's exactly."""
     if big.parent.size != fmap.big_size or target.size != fmap.small_size:
         raise ValidationError("factor map sizes do not match the systems")
+    nxt, inc = big.step_table
     for t, z in enumerate(fmap.chain[:-1]):
-        if big.base_image(z) != fmap.chain[t + 1]:
+        if not big.exponent[z] or nxt[z] != fmap.chain[t + 1]:
             raise ValidationError("chain breaks at position %d" % t)
-        inc = cocycle_product(big.parent, z, big.exponent[z])
         x = (fmap.start + t) % target.size
-        if inc != target.skew[x]:
+        if inc[z] != target.skew[x]:
             raise ValidationError("skewing mismatch at position %d" % t)
 
 
@@ -403,8 +401,9 @@ def copy_partition(
 
     Each small point takes the atom of its first chain preimage;
     points without preimages take the largest atom.  Returns the copied
-    partition with the measured joint name distance, which the caller
-    compares against zeta.
+    partition with the measured joint name distance.  zeta is only
+    range-checked: nothing here or in the isomorphism loop compares the
+    distance against it.
     """
     open_unit("zeta", zeta)
     if n > target.size:
@@ -470,7 +469,7 @@ def _majority_defect_schedule(
     """
     size = speedup.parent.size
     inside = set(target_set)
-    forward = [speedup.base_image(x) for x in range(size)]
+    forward, _ = speedup.step_table
     backward = [0] * size
     for x, y in enumerate(forward):
         backward[y] = x
@@ -509,7 +508,7 @@ def _majority_defect_schedule(
 def _separation_failure(speedup: PartialSpeedup, labels: Sequence[int]) -> Fraction:
     """Share of base points whose full-length label name another point shares."""
     size = speedup.parent.size
-    walk = Walk(labels, [speedup.base_image(x) for x in range(size)], (0,) * size, trivial())
+    walk = Walk(labels, speedup.step_table[0], (0,) * size, trivial())
     sizes: dict[int, int] = {}
     for c in walk.classes(size):
         sizes[c] = sizes.get(c, 0) + 1
@@ -532,7 +531,9 @@ def run_isomorphism(
     are approximated by name windows (majority vote) and one partition
     is copied down through the constructed chain; the log records the
     window sizes, defects, and copy distances, plus the final fraction
-    of base points not separated by full-length names.
+    of base points not separated by full-length names.  copy_zeta is
+    range-checked and otherwise unused; the copy distances are recorded,
+    not compared against it.
     """
     copy_zeta = open_unit("copy_zeta", copy_zeta)
     # full-length rotation names separate points exactly when the label
@@ -545,17 +546,17 @@ def run_isomorphism(
     cylinders: list[tuple[int, ...]] = []
     records: list[GeneratorRecord] = []
 
-    def track(k: int, current: PartialSpeedup, res: ImproveResult) -> None:
+    def track(k: int, res: ImproveResult) -> None:
         if not cylinders:  # read once bootstrap has checked pbar0
             cylinders.extend(_cylinder_sets(pbar0, source.size, schedule.budget))
-        snapshot = complete_speedup(current)
+        snapshot = complete_speedup(res.twisted)
         target_set = set(cylinders[k % len(cylinders)])
         bound = 2 * schedule.eps_for(k)
         window, defect = _majority_defect_schedule(snapshot, res.labels, target_set, bound)
         qbar = tuple(1 if x in target_set else 0 for x in range(source.size))
         fmap = FactorMap(source.size, target.size, res.chain, res.model.start)
         n = schedule.step_for(k)[0]
-        _, dist = copy_partition(fmap, current, res.labels, target, qbar, copy_zeta, n)
+        _, dist = copy_partition(fmap, res.twisted, res.labels, target, qbar, copy_zeta, n)
         records.append(GeneratorRecord(k, window, defect, bound, dist))
 
     result = _construct(target, source, pbar0, schedule, track)

@@ -437,14 +437,14 @@ class ImprovementReport:
     regularity_note: str
     ladder_distance: Fraction | None
     domain_mass: Fraction
-    height: int
     max_exponent: int
+    ladder_blocks: int
     model_window_distance: Fraction
     model_block_distance: Fraction
     model_length: int
     model_start: int
     rotation: int
-    steps: tuple[tuple[str, str], ...]
+    rotation_mismatches: int
 
     def conclusions(self) -> dict[str, bool]:
         return {
@@ -459,7 +459,11 @@ class ImprovementReport:
 
 @dataclass(frozen=True)
 class ImproveResult:
+    """speedup is the output map on the input's extension; twisted is the
+    same map on the twisted extension, the speedup the next step consumes."""
+
     speedup: PartialSpeedup
+    twisted: PartialSpeedup
     labels: tuple[int, ...]
     alpha: Twist
     report: ImprovementReport
@@ -574,14 +578,18 @@ def improve(
     ext = current.parent
     group = ext.group
     pbar = tuple(pbar)
-    steps: list[tuple[str, str]] = []
+    a1set = frozenset(a1)
+    a2set = frozenset(a2)
+    if not a2set:
+        raise ValidationError("the group window must be nonempty")
+    if not a1set <= frozenset(range(ext.size)) or not a2set <= frozenset(group.elements()):
+        raise ValidationError("the rectangle must sit in the base and the group")
 
     cert, current_names = _regularity(current, pbar, n, delta)
     if isinstance(cert, RegularityRefusal):
         raise RegularityRejected(
             "input speedup failed %s: %s" % (cert.condition, cert.detail)
         )
-    steps.append(("step 1", "input certified regular at (%d, %s)" % (n, delta)))
 
     hyp = kantorovich(name_distribution(target, n), current_names)
     if not hyp < delta:
@@ -595,15 +603,8 @@ def improve(
         raise ScheduleInfeasible(
             "tower holds %d ladder points, below one block of %d" % (capacity, n1)
         )
-    used_blocks = length // n
-    steps.append(
-        ("step 2", "%d of %d ladder blocks host the new orbit" % (used_blocks, len(lad.blocks)))
-    )
 
     model = build_model_name(target, n, n1, delta1, length=length, strict=strict)
-    steps.append(
-        ("step 3", "template of length %d read from %d" % (len(model), model.start))
-    )
 
     # the ladder blocks in start order form one cyclic chain; each
     # block's last step is its seam to the next block
@@ -624,28 +625,24 @@ def improve(
     gaps = (gaps * 2)[start : start + length - 1]
     back = group.inv[q[start]]
     offsets = [mul[g][back] for g in q[start : start + length]]
-    steps.append(("step 4", "rotation %d scored %d mismatches" % (rotation, score)))
 
     exponent = [0] * ext.size
     for t, z in enumerate(chain[:-1]):
         exponent[z] = gaps[t]
     k_max = max(max(gaps), 1) if gaps else 1
     speedup1 = PartialSpeedup(ext, tuple(exponent), k_max)
-    steps.append(("step 6", "new exponent bounded by %d" % k_max))
 
     g0 = model.groups[0]
     alpha_values = [group.identity] * ext.size
     for t, z in enumerate(chain):
         alpha_values[z] = group.mul[model.groups[t]][group.inv[group.mul[offsets[t]][g0]]]
     alpha = Twist(tuple(alpha_values))
-    steps.append(("step 7", "twist replicates the template's group track"))
 
     junk = max(target.alphabet()) + 1
     labels1 = [junk] * ext.size
     for t, z in enumerate(chain):
         labels1[z] = model.labels[t]
     labels1 = tuple(labels1)
-    steps.append(("step 8", "labels copied; %d points marked junk" % labels1.count(junk)))
 
     # all output statistics are read off the twisted extension, which is
     # the system the next step consumes
@@ -659,7 +656,6 @@ def improve(
             raise Collision("orbit coordinate %d does not replicate the template" % t)
         if t < len(chain) - 1:
             z, g = apply_speedup(speedup1t, (z, g))
-    steps.append(("step 9", "template replicated on all %d coordinates" % len(chain)))
 
     drift = Fraction(sum(1 for x in range(ext.size) if pbar[x] != labels1[x]), ext.size)
     size_alpha = twist_size(alpha, group)
@@ -669,10 +665,6 @@ def improve(
     cert1, _ = _regularity(speedup1t, labels1, n1, delta1, full=output_names)
     regular = isinstance(cert1, RegularityCertificate)
 
-    a1set = frozenset(a1)
-    a2set = frozenset(a2)
-    if not a2set:
-        raise ValidationError("the group window must be nonempty")
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
     lad1 = ladder(speedup1t, (chain,), n1)
     starts = [block[0] for block in lad1.blocks]
@@ -696,17 +688,18 @@ def improve(
         regularity_note="" if regular else "%s: %s" % (cert1.condition, cert1.detail),
         ladder_distance=cert1.ladder_distance if regular else cert1.measured,
         domain_mass=speedup1.domain_mass(),
-        height=length,  # the output tower is the chain, whatever the verdict
         max_exponent=speedup1.max_exponent(),
+        ladder_blocks=len(lad.blocks),
         model_window_distance=model.window_distance,
         model_block_distance=model.block_distance,
         model_length=len(model),
         model_start=model.start,
         rotation=rotation,
-        steps=tuple(steps),
+        rotation_mismatches=score,
     )
     return ImproveResult(
         speedup=speedup1,
+        twisted=speedup1t,
         labels=labels1,
         alpha=alpha,
         report=report,

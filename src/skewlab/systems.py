@@ -223,15 +223,6 @@ class PartialSpeedup:
     def domain_mass(self) -> Fraction:
         return Fraction(sum(1 for k in self.exponent if k > 0), self.parent.size)
 
-    def k(self, x: int) -> int:
-        k = self.exponent[x]
-        if k == 0:
-            raise OutOfDomain("base point %d outside the speedup domain" % x)
-        return k
-
-    def base_image(self, x: int) -> int:
-        return (x + self.k(x)) % self.parent.size
-
     def max_exponent(self) -> int:
         return max((k for k in self.exponent if k > 0), default=0)
 
@@ -258,7 +249,8 @@ class PartialSpeedup:
 def apply_speedup(speedup: PartialSpeedup, point: tuple[int, int]) -> tuple[int, int]:
     """One speedup step on the extension; right action commutes with it."""
     x, g = point
-    speedup.k(x)  # raises OutOfDomain off the domain
+    if not speedup.exponent[x]:
+        raise OutOfDomain("base point %d outside the speedup domain" % x)
     nxt, inc = speedup.step_table
     return nxt[x], speedup.parent.group.mul[inc[x]][g]
 

@@ -19,7 +19,7 @@ from skewlab import (
     trivial,
 )
 
-settings.register_profile("suite", max_examples=60, deadline=None)
+settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 

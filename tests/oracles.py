@@ -209,7 +209,7 @@ def separation_failure_pairwise(speedup, labels):
         nm = []
         for _ in range(size):
             nm.append(labels[z])
-            z = speedup.base_image(z)
+            z = (z + speedup.exponent[z]) % size
         key = tuple(nm)
         names[key] = names.get(key, 0) + 1
     return Fraction(sum(c for c in names.values() if c > 1), size)
@@ -553,6 +553,7 @@ def tower_walked(speedup):
 
 def ladder_walked(speedup, base, height, n):
     """Blocks of n consecutive tower levels, each walked from its start, in start order."""
+    size = speedup.parent.size
     starts = []
     for b in base:
         z = b
@@ -560,11 +561,11 @@ def ladder_walked(speedup, base, height, n):
             if i % n == 0:
                 starts.append(z)
             if i < height - 1:
-                z = speedup.base_image(z)
+                z = (z + speedup.exponent[z]) % size
     blocks = []
     for start in sorted(starts):
         block = [start]
         for _ in range(n - 1):
-            block.append(speedup.base_image(block[-1]))
+            block.append((block[-1] + speedup.exponent[block[-1]]) % size)
         blocks.append(tuple(block))
     return tuple(blocks)

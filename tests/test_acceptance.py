@@ -412,6 +412,13 @@ def test_c07_right_action_commutes_exactly(c7_run):
     conclude("C7b", True, "right action commutes on all %d fibers" % len(spt.domain()))
 
 
+def test_twisted_output_of_the_c07_step(c7_run):
+    res, _ = c7_run
+    assert res.twisted == PartialSpeedup(
+        twist(res.speedup.parent, res.alpha), res.speedup.exponent, res.speedup.k_max
+    )
+
+
 def test_c08_factor_loop(c8_run):
     res, dt = c8_run
     dist_ok = []

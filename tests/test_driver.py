@@ -197,7 +197,8 @@ def test_complete_images_stay_disjoint():
     ext = ExtensionSystem(size=12, labels=(0,) * 12, group=trivial(), skew=(0,) * 12)
     sp = PartialSpeedup(ext, (3, 1, 2, 0, 1, 1, 0, 2, 0, 1, 0, 0), 3)
     comp = complete_speedup(sp)
-    images = [comp.base_image(x) for x in range(12)]
+    assert all(comp.exponent)
+    images = [(x + k) % 12 for x, k in enumerate(comp.exponent)]
     assert sorted(images) == list(range(12))
     for x in sp.domain():
         assert comp.exponent[x] == sp.exponent[x]
@@ -278,6 +279,16 @@ def test_verify_factor_map_chain_break(eight_cycle):
     ext, big = eight_cycle
     with pytest.raises(ValidationError) as exc:
         verify_factor_map(FactorMap(8, 8, (0, 2, 3), 0), big, ext)
+    assert "position 0" in str(exc.value)
+
+
+def test_verify_factor_map_off_domain_point():
+    # off the domain the step table stays put with the identity, which
+    # must not pass for a chain that repeats the point
+    ext = marker_system(8, 7)
+    big = PartialSpeedup(ext, (1, 1, 1, 0, 1, 1, 1, 1), 1)
+    with pytest.raises(ValidationError) as exc:
+        verify_factor_map(FactorMap(8, 8, (3, 3), 0), big, ext)
     assert "position 0" in str(exc.value)
 
 

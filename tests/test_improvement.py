@@ -298,31 +298,26 @@ def test_improve_small_marker_all_conclusions():
     assert r.twist_size == 0
     assert r.broken_mass == 0
     assert len(res.chain) == 48
-    assert len(r.steps) == 8
 
 
 def test_improve_output_measured_on_twisted_system():
     # the reported distance is the one the next iteration will see
     target, source, res = run_small_improve()
-    twisted = twist(res.speedup.parent, res.alpha)
-    sp_t = PartialSpeedup(twisted, res.speedup.exponent, res.speedup.k_max)
     reread = kantorovich(
         name_distribution(target, 8),
-        speedup_name_distribution(sp_t, res.labels, 8),
+        speedup_name_distribution(res.twisted, res.labels, 8),
     )
     assert reread == res.report.name_distance
 
 
 def test_improve_replicates_template_on_chain():
     target, source, res = run_small_improve()
-    twisted = twist(res.speedup.parent, res.alpha)
-    sp_t = PartialSpeedup(twisted, res.speedup.exponent, res.speedup.k_max)
     z, g = res.chain[0], res.model.groups[0]
     for t in range(len(res.chain)):
         assert res.labels[z] == res.model.labels[t]
         assert g == res.model.groups[t]
         if t < len(res.chain) - 1:
-            z, g = apply_speedup(sp_t, (z, g))
+            z, g = apply_speedup(res.twisted, (z, g))
 
 
 def test_improve_constant_self_pair_exact_zero():
@@ -403,6 +398,44 @@ def test_improve_validates_group_window():
         )
 
 
+@pytest.mark.parametrize(
+    "a1, a2",
+    [
+        (tuple(range(48)), ()),
+        ((0, 48), (0,)),
+        ((-1,), (0,)),
+        (tuple(range(48)), (0, 1)),
+    ],
+    ids=["empty_group_window", "base_point_past_end", "negative_base_point", "not_a_group_element"],
+)
+def test_improve_checks_rectangle_before_step_one(a1, a2):
+    # the input is irregular, so any work before the check would raise
+    # RegularityRejected instead
+    t = marker_system(48, 47)
+    s = marker_system(48, 20)
+    sp = PartialSpeedup(s, (1,) * 48, 1)
+    with pytest.raises(ValidationError):
+        improve(
+            t, sp, s.labels, 4, Fraction(3, 10), 8, Fraction(3, 10),
+            a1, a2, Fraction(2, 5),
+        )
+
+
+def test_twisted_output_is_the_step_on_the_twisted_extension():
+    g = cyclic(4)
+    target = marker_system(128, 127, group=g, flips=(0, 26, 51, 77, 102))
+    source = marker_system(128, 127, group=g, flips=(18, 55, 65, 92, 111))
+    current, _ = bootstrap_regular(source, source.labels, 4, Fraction(3, 10), Fraction(2, 5))
+    res = improve(
+        target, current, source.labels, 4, Fraction(3, 10), 8, Fraction(3, 10),
+        tuple(range(128)), (0,), Fraction(2, 5),
+    )
+    assert any(res.alpha.values), "an identity twist would not tell the extensions apart"
+    assert res.twisted == PartialSpeedup(
+        twist(res.speedup.parent, res.alpha), res.speedup.exponent, res.speedup.k_max
+    )
+
+
 def test_report_conclusion_keys_frozen():
     _, _, res = run_small_improve()
     assert sorted(res.report.conclusions()) == [
@@ -444,9 +477,7 @@ def test_rotation_scoring_matches_walked_chains(order, size, target_flips, sourc
         starts = [block[0] for block in blocks]
         rotation, mismatches = oracles.rotation_walked(current, pbar, starts, n, res.model)
         assert res.report.rotation == rotation
-        assert dict(res.report.steps)["step 4"] == "rotation %d scored %d mismatches" % (
-            rotation, mismatches
-        )
-        parent = twist(current.parent, res.alpha)
-        current = PartialSpeedup(parent, res.speedup.exponent, res.speedup.k_max)
+        assert res.report.rotation_mismatches == mismatches
+        assert res.report.ladder_blocks == len(blocks)
+        current = res.twisted
         pbar = res.labels
