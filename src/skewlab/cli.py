@@ -129,24 +129,6 @@ def parse_system_spec(data: Any, groups: dict | None = None) -> ExtensionSystem:
         raise ParseError("inconsistent system: %s" % exc) from exc
 
 
-def group_to_dict(group: FiniteGroup) -> dict:
-    return {
-        "type": "tables",
-        "mul": [list(row) for row in group.mul],
-        "metric": [[_fraction_str(v) for v in row] for row in group.metric],
-        "name": group.name,
-    }
-
-
-def system_to_dict(ext: ExtensionSystem) -> dict:
-    return {
-        "size": ext.size,
-        "labels": list(ext.labels),
-        "group": group_to_dict(ext.group),
-        "skew": list(ext.skew),
-    }
-
-
 def load_system(path: str, groups: dict) -> ExtensionSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -281,12 +263,13 @@ def _schedule_from(args: argparse.Namespace, source: ExtensionSystem) -> Iterati
 
 def _factor_payload(result) -> dict:
     log = result.log
+    last = result.steps[-1] if result.steps else None
     out = {
         "labels": list(result.labels),
         "exponent": list(result.speedup.exponent),
         "beta": list(result.beta.values),
-        "chain_start": result.chain[0] if result.chain else None,
-        "model_start": result.model_start,
+        "chain_start": last.chain[0] if last else None,
+        "model_start": last.model.start if last else 0,
         "change_mass": log.change_mass,
         "change_bound": log.change_bound,
         "witness": log.witness,

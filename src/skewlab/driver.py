@@ -3,8 +3,8 @@
 The factor loop bootstraps a regular speedup, improves it under a
 tolerance schedule while twisting the carrying extension between
 steps, and finally extends the last partial map to a total one.  The
-isomorphism loop is the same loop with a per-iteration hook that tracks
-generators and copies a partition.  Everything returns logs whose
+isomorphism loop reads the factor loop's steps, tracking generators and
+copying a partition at each.  Everything returns logs whose
 quantities are recomputed from outputs.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .distributions import kantorovich
 from .errors import (
@@ -113,7 +113,6 @@ class GeneratorRecord:
 @dataclass(frozen=True)
 class ConstructionLog:
     reports: tuple[ImprovementReport, ...]
-    beta: Twist
     change_mass: Fraction
     change_bound: Fraction
     witness: ErgodicityWitness
@@ -123,13 +122,14 @@ class ConstructionLog:
 
 @dataclass(frozen=True)
 class FactorResult:
+    """The completed speedup, the last labels, the accumulated twist, the
+    log, and every improvement step in order."""
+
     speedup: PartialSpeedup
-    partial: PartialSpeedup
     labels: tuple[int, ...]
     beta: Twist
     log: ConstructionLog
-    chain: tuple[int, ...]
-    model_start: int
+    steps: tuple[ImproveResult, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +233,27 @@ def total_extension_witness(speedup: PartialSpeedup) -> ErgodicityWitness:
 # the factor loop
 
 
-def _construct(
+def run_factor(
     target: ExtensionSystem,
     source: ExtensionSystem,
     pbar0: Sequence[int],
     schedule: IterationSchedule,
-    hook: Callable[[int, ImproveResult], None] | None = None,
 ) -> FactorResult:
-    """The construction loop behind both public loops.
+    """Iterate improvement steps, twisting the extension between them.
 
     Each step's res.twisted, the improved speedup on the twisted
-    extension, is the next step's input; hook(k, res) runs after step k.
+    extension, is the next step's input, and each step verifies its own
+    hypothesis against it; the accumulated twist composes newest-first.
+    The returned speedup is the last partial map extended to a total
+    one, the steps are returned in order, and the log's change
+    quantities are recomputed directly.
     """
     n0, d0, _, _ = schedule.step_for(0)
     current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
     pbar = tuple(pbar0)
     beta = Twist.identity(source.size, source.group)
-    reports: list[ImprovementReport] = []
+    steps: list[ImproveResult] = []
     fold = Fraction(sum(1 for k in current.exponent if k != 1), source.size)
-    chain: tuple[int, ...] = ()
-    model_start = 0
     for k in range(schedule.budget):
         n, d, n1, d1 = schedule.step_for(k)
         a1, a2 = schedule.rect_for(k)
@@ -267,39 +268,18 @@ def _construct(
         current = res.twisted
         pbar = res.labels
         beta = Twist.compose(res.alpha, beta, source.group)
-        reports.append(res.report)
-        chain = res.chain
-        model_start = res.model.start
-        if hook is not None:
-            hook(k, res)
+        steps.append(res)
     completed = complete_speedup(current)
     change = Fraction(
         sum(1 for x in range(source.size) if completed.exponent[x] != 1), source.size
     )
     log = ConstructionLog(
-        reports=tuple(reports),
-        beta=beta,
+        reports=tuple(res.report for res in steps),
         change_mass=change,
         change_bound=fold,
         witness=total_extension_witness(completed),
     )
-    return FactorResult(completed, current, pbar, beta, log, chain, model_start)
-
-
-def run_factor(
-    target: ExtensionSystem,
-    source: ExtensionSystem,
-    pbar0: Sequence[int],
-    schedule: IterationSchedule,
-) -> FactorResult:
-    """Iterate improvement steps, twisting the extension between them.
-
-    Each iteration verifies its own hypothesis against the freshly
-    twisted extension; the accumulated twist composes newest-first.
-    The returned speedup is the last partial map extended to a total
-    one, and the log's change quantities are recomputed directly.
-    """
-    return _construct(target, source, pbar0, schedule)
+    return FactorResult(completed, pbar, beta, log, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -462,47 +442,32 @@ def _majority_defect_schedule(
 ) -> tuple[int, Fraction]:
     """Smallest window with majority-vote defect within the bound.
 
-    Classes are the (2m+1)-name atoms under the total speedup; the
-    defect of a class is whichever of its inside/outside parts is
-    smaller.  Classes only refine as m grows, so the defect is
-    monotone and the search walks m upward.
+    Classes are the (2m+1)-name atoms under the total speedup, the
+    label word read from m steps back; the defect of a class is
+    whichever of its inside/outside parts is smaller.  Classes only
+    refine as m grows, so the defect is monotone and the search walks m
+    upward.
     """
     size = speedup.parent.size
     inside = set(target_set)
     forward, _ = speedup.step_table
-    backward = [0] * size
-    for x, y in enumerate(forward):
-        backward[y] = x
-    ids = list(labels)
-    fwd_pt = list(range(size))
-    bwd_pt = list(range(size))
-
-    def defect_of(current_ids) -> Fraction:
-        split: dict[int, list[int]] = {}
-        for x, c in enumerate(current_ids):
-            split.setdefault(c, []).append(x)
-        bad = 0
-        for pts in split.values():
-            ins = sum(1 for x in pts if x in inside)
-            bad += min(ins, len(pts) - ins)
-        return Fraction(bad, size)
-
+    walk = Walk(labels, forward, (0,) * size, trivial())
+    # the total map is a permutation, so the word from every y, centred
+    # m steps ahead of y, gives every point its class once
+    centre = list(range(size))
     m = 0
-    d = defect_of(ids)
-    while d > bound and m < size:
+    while True:
+        ids = walk.classes(2 * m + 1)
+        split: dict[int, list[int]] = {}  # class -> [inside, total]
+        for y in range(size):
+            part = split.setdefault(ids[y], [0, 0])
+            part[0] += centre[y] in inside
+            part[1] += 1
+        d = Fraction(sum(min(ins, tot - ins) for ins, tot in split.values()), size)
+        if d <= bound or m >= size:
+            return m, d
         m += 1
-        fwd_pt = [forward[x] for x in fwd_pt]
-        bwd_pt = [backward[x] for x in bwd_pt]
-        fresh = {}
-        new_ids = []
-        for x in range(size):
-            key = (ids[x], labels[bwd_pt[x]], labels[fwd_pt[x]])
-            if key not in fresh:
-                fresh[key] = len(fresh)
-            new_ids.append(fresh[key])
-        ids = new_ids
-        d = defect_of(ids)
-    return m, d
+        centre = [forward[x] for x in centre]
 
 
 def _separation_failure(speedup: PartialSpeedup, labels: Sequence[int]) -> Fraction:
@@ -524,12 +489,12 @@ def run_isomorphism(
     *,
     copy_zeta: Fraction = Fraction(1, 10),
 ) -> FactorResult:
-    """Factor loop with generator tracking and partition copying.
+    """The factor loop, then generator tracking and partition copying per step.
 
-    Requires the target labels to separate points.  After each
-    improvement the current base sets from a fixed cylinder enumeration
+    Requires the target labels to separate points.  At each of the
+    loop's steps the current base sets from a fixed cylinder enumeration
     are approximated by name windows (majority vote) and one partition
-    is copied down through the constructed chain; the log records the
+    is copied down through the step's chain; the log records the
     window sizes, defects, and copy distances, plus the final fraction
     of base points not separated by full-length names.  copy_zeta is
     range-checked and otherwise unused; the copy distances are recorded,
@@ -543,23 +508,21 @@ def run_isomorphism(
         raise GeneratorCheckFailed(
             "target labels leave %d points unseparated" % (target.size - period)
         )
-    cylinders: list[tuple[int, ...]] = []
-    records: list[GeneratorRecord] = []
-
-    def track(k: int, res: ImproveResult) -> None:
-        if not cylinders:  # read once bootstrap has checked pbar0
-            cylinders.extend(_cylinder_sets(pbar0, source.size, schedule.budget))
-        snapshot = complete_speedup(res.twisted)
+    result = run_factor(target, source, pbar0, schedule)
+    steps = result.steps
+    cylinders = _cylinder_sets(pbar0, source.size, len(steps)) if steps else []
+    records = []
+    for k, res in enumerate(steps):
+        # the last step's completion is the result's speedup
+        total = result.speedup if k == len(steps) - 1 else complete_speedup(res.twisted)
         target_set = set(cylinders[k % len(cylinders)])
         bound = 2 * schedule.eps_for(k)
-        window, defect = _majority_defect_schedule(snapshot, res.labels, target_set, bound)
+        window, defect = _majority_defect_schedule(total, res.labels, target_set, bound)
         qbar = tuple(1 if x in target_set else 0 for x in range(source.size))
         fmap = FactorMap(source.size, target.size, res.chain, res.model.start)
         n = schedule.step_for(k)[0]
         _, dist = copy_partition(fmap, res.twisted, res.labels, target, qbar, copy_zeta, n)
         records.append(GeneratorRecord(k, window, defect, bound, dist))
-
-    result = _construct(target, source, pbar0, schedule, track)
     log = replace(
         result.log,
         generator=tuple(records),

@@ -35,7 +35,6 @@ from .systems import (
     RegularityCertificate,
     RegularityRefusal,
     Twist,
-    apply_speedup,
     check_extension_ergodic,
     cocycle_product,
     name_distribution,
@@ -202,26 +201,16 @@ def _regularity(
             "condition 2", "exponent %d exceeds the bound %d" % (k_seen, k_bound),
             Fraction(k_seen),
         ), None
-    group = ext.group
-    mul = group.mul
-    _, inc = speedup.step_table
-    # the orbit of (base, e) up every column; the fibre of e stands for
+    # the name of (base, e) up every column; the fibre of e stands for
     # all, since names from (x, h) are those from (x, e) right-translated
     # by h and the metric is bi-invariant
-    orbits = []
-    for column in columns:
-        w = group.identity
-        orbit = []
-        for z in column:
-            orbit.append((pbar[z], w))
-            w = mul[inc[z]][w]
-        orbits.append(tuple(orbit))
+    walk = speedup.walk(pbar)
+    names = {walk.name(column[0], height) for column in columns}
     # right translation is injective, so every fibre carries as many
     # distinct tower names as the fibre of e
-    names = len(set(orbits))
-    if names != 1:
+    if len(names) != 1:
         return RegularityRefusal(
-            "condition 3", "base fibers at 0 carry %d distinct tower names" % names
+            "condition 3", "base fibers at 0 carry %d distinct tower names" % len(names)
         ), None
     if height % n != 0:
         return RegularityRefusal(
@@ -229,23 +218,21 @@ def _regularity(
         ), None
     if full is None:
         full = speedup_name_distribution(speedup, pbar, n)
-    space = ext.name_space(n)
-    worst = Fraction(0)
-    for column, orbit in zip(columns, orbits):
-        # rungs read the orbit itself, so they carry the offset
-        # accumulated along the column
-        counts = Counter(orbit[i : i + n] for i in range(0, height, n))
-        dist = EmpiricalDistribution.from_weights(
-            space, {k: Fraction(v, height // n) for k, v in counts.items()}
-        )
-        gap = kantorovich(dist, full)
-        worst = max(worst, gap)
-        if not gap < delta:
-            return RegularityRefusal(
-                "condition 4",
-                "ladder distribution at base %d is %s away" % (column[0], gap),
-                gap,
-            ), full
+    # every column carries the one name, so one column's rungs serve all;
+    # rungs read the name itself, so they carry the offset accumulated
+    # along the column
+    (name,) = names
+    counts = Counter(name[i : i + n] for i in range(0, height, n))
+    dist = EmpiricalDistribution.from_weights(
+        ext.name_space(n), {k: Fraction(v, height // n) for k, v in counts.items()}
+    )
+    gap = kantorovich(dist, full)
+    if not gap < delta:
+        return RegularityRefusal(
+            "condition 4",
+            "ladder distribution at base %d is %s away" % (columns[0][0], gap),
+            gap,
+        ), full
     mass = speedup.domain_mass()
     if not mass > 1 - delta:
         return RegularityRefusal(
@@ -257,7 +244,7 @@ def _regularity(
         columns=columns,
         domain_mass=mass,
         max_exponent=k_seen,
-        ladder_distance=worst,
+        ladder_distance=gap,
     ), full
 
 
@@ -277,7 +264,6 @@ class ModelName:
 
     labels: tuple[int, ...]
     groups: tuple[int, ...]
-    n: int
     n1: int
     start: int
     window_distance: Fraction
@@ -404,7 +390,6 @@ def build_model_name(
     return ModelName(
         labels=labels,
         groups=groups,
-        n=n,
         n1=n1,
         start=x0,
         window_distance=window_distance,
@@ -485,17 +470,15 @@ def _good_rungs(
     (z, w*h) wherever the walk is at (z, w).
     """
     group = speedup.parent.group
+    walk = speedup.walk(range(speedup.size))  # each point's label is itself
     good = 0
     for s in starts:
         hits = [0] * group.order
-        z, w = s, group.identity
-        for i in range(n1):
+        for z, w in walk.name(s, n1):
             if z in a1:
                 for h in group.elements():
                     if group.mul[w][h] in a2:
                         hits[h] += 1
-            if i < n1 - 1:
-                z, w = apply_speedup(speedup, (z, w))
         good += sum(1 for c in hits if Fraction(c, n1) > bound)
     return good
 
@@ -649,13 +632,11 @@ def improve(
     twisted = twist(ext, alpha)
     speedup1t = PartialSpeedup(twisted, tuple(exponent), k_max)
 
-    # replication check: the twisted orbit equals the template exactly
-    z, g = chain[0], g0
-    for t in range(len(chain)):
-        if (labels1[z], g) != model.coordinate(t):
+    # replication check: the twisted orbit from (chain[0], g0), the name
+    # from (chain[0], e) right-translated by g0, equals the template exactly
+    for t, (a, w) in enumerate(speedup1t.walk(labels1).name(chain[0], len(chain))):
+        if (a, mul[w][g0]) != model.coordinate(t):
             raise Collision("orbit coordinate %d does not replicate the template" % t)
-        if t < len(chain) - 1:
-            z, g = apply_speedup(speedup1t, (z, g))
 
     drift = Fraction(sum(1 for x in range(ext.size) if pbar[x] != labels1[x]), ext.size)
     size_alpha = twist_size(alpha, group)
@@ -666,8 +647,8 @@ def improve(
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
-    lad1 = ladder(speedup1t, (chain,), n1)
-    starts = [block[0] for block in lad1.blocks]
+    # the output tower is the one chain; its rungs start every n1 points
+    starts = chain[::n1]
     good = _good_rungs(speedup1t, starts, n1, a1set, a2set, density - epsilon)
     good_fraction = Fraction(good, len(starts) * group.order)
 

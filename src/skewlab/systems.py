@@ -336,10 +336,6 @@ class RegularityCertificate:
             raise ValidationError("height incompatible with the domain mass bound")
 
     @property
-    def tower_base(self) -> tuple[int, ...]:
-        return tuple(column[0] for column in self.columns)
-
-    @property
     def height(self) -> int:
         """Levels of the tower, the top level outside the domain included."""
         return len(self.columns[0])

@@ -21,9 +21,13 @@ Two are the quadratic loops of the improvement step: the power domain
 walks m steps from every point, and rotation scoring compares every
 rotation slot by slot.
 
-The last two are the tower walks that the speedup's step table and
+Two are the tower walks that the speedup's step table and
 towers.tower replaced: the tower is walked from every base point with
 its exponent, and a ladder walks every block from its start.
+
+The last is the generator window search that names.Walk replaced: every
+centred (2m+1)-word is built as a tuple by stepping the total map back
+and forward from each point.
 """
 
 import heapq
@@ -569,3 +573,36 @@ def ladder_walked(speedup, base, height, n):
             block.append((block[-1] + speedup.exponent[block[-1]]) % size)
         blocks.append(tuple(block))
     return tuple(blocks)
+
+
+def majority_defect_centred(speedup, labels, target_set, bound):
+    """(window, defect) of the majority vote over centred label words, m upward.
+
+    The class of x at window m is its label word from m steps back to m
+    steps forward under the total map, built as a tuple; the search
+    stops once the defect is within the bound or m reaches the size.
+    """
+    size = speedup.parent.size
+    forward = {x: (x + speedup.exponent[x]) % size for x in range(size)}
+    backward = {y: x for x, y in forward.items()}
+    inside = set(target_set)
+    m = 0
+    while True:
+        words = {}
+        for x in range(size):
+            z = x
+            for _ in range(m):
+                z = backward[z]
+            word = []
+            for _ in range(2 * m + 1):
+                word.append(labels[z])
+                z = forward[z]
+            words.setdefault(tuple(word), []).append(x)
+        bad = 0
+        for points in words.values():
+            ins = len([x for x in points if x in inside])
+            bad += min(ins, len(points) - ins)
+        defect = Fraction(bad, size)
+        if defect <= bound or m >= size:
+            return m, defect
+        m += 1

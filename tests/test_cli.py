@@ -16,16 +16,15 @@ from skewlab import (
     IterationSchedule,
     ParseError,
     run_factor,
+    run_isomorphism,
     trivial,
 )
 from skewlab.cli import (
     GROUP_ORDER_LIMIT,
     _fraction_in,
-    group_to_dict,
     parse_group_spec,
     parse_system_spec,
     run_command,
-    system_to_dict,
 )
 from skewlab.groups import cyclic
 
@@ -113,25 +112,35 @@ def test_group_over_the_limit_exits_two(tmp_path):
     }
 
 
-def test_group_round_trip_through_dict():
-    g = cyclic(3)
-    back = parse_group_spec(group_to_dict(g))
-    assert back.mul == g.mul
-    assert back.metric == g.metric
+def test_parse_tables_group_with_fraction_metric():
+    # the Z/3 tables with the metric written out as "p/q" strings
+    g = parse_group_spec({
+        "type": "tables",
+        "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        "metric": [["0/1", "1/1", "1/1"], ["1/1", "0/1", "1/1"], ["1/1", "1/1", "0/1"]],
+        "name": "Z/3",
+    })
+    assert g.mul == cyclic(3).mul
+    assert g.metric == cyclic(3).metric
+    assert g.name == "Z/3"
+    half = parse_group_spec({
+        "type": "tables",
+        "mul": [[0, 1], [1, 0]],
+        "metric": [["0/1", "1/2"], ["1/2", 0]],
+    })
+    assert half.metric == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
-def test_system_round_trip_through_dict():
-    ext = ExtensionSystem(
-        size=6,
-        labels=(0, 1, 0, 1, 0, 1),
-        group=cyclic(2),
-        skew=(1, 0, 0, 1, 0, 0),
+def test_parse_system_spec_reads_every_field():
+    ext = parse_system_spec({
+        "size": 6,
+        "labels": [0, 1, 0, 1, 0, 1],
+        "group": {"type": "cyclic", "order": 2},
+        "skew": [1, 0, 0, 1, 0, 0],
+    })
+    assert ext == ExtensionSystem(
+        size=6, labels=(0, 1, 0, 1, 0, 1), group=cyclic(2), skew=(1, 0, 0, 1, 0, 0)
     )
-    back = parse_system_spec(system_to_dict(ext))
-    assert back.size == ext.size
-    assert back.labels == ext.labels
-    assert back.skew == ext.skew
-    assert back.group.mul == ext.group.mul
 
 
 def test_parse_system_rejects_malformed():
@@ -368,6 +377,39 @@ def test_iso_command_reports_generators(marker_pair, tmp_path):
     assert payload["command"] == "iso"
     assert len(payload["generator"]) == 1
     assert payload["separation_failure"]["exact"] == "0/1"
+
+
+@pytest.mark.parametrize("budget", [0, 2])
+@pytest.mark.parametrize("command, loop", [("factor", run_factor), ("iso", run_isomorphism)])
+def test_loop_commands_report_the_last_step(marker_pair, tmp_path, command, loop, budget):
+    t, s = marker_pair
+    out = tmp_path / "loop.json"
+    rc = run_command(
+        [command, "--target", t, "--source", s,
+         "--n", "4", "--delta", "3/10", "--n1", "8", "--delta1", "3/10",
+         "--epsilon", "3/10", "--budget", str(budget), "--epsilons", "1/10,1/20",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    target, source = (
+        ExtensionSystem(48, tuple(1 if x == m else 0 for x in range(48)), trivial(), (0,) * 48)
+        for m in (47, 20)
+    )
+    direct = loop(
+        target, source, source.labels,
+        IterationSchedule(
+            epsilon=Fraction(3, 10), epsilons=(Fraction(1, 10), Fraction(1, 20)),
+            steps=((4, Fraction(3, 10), 8, Fraction(3, 10)),),
+            rectangles=((tuple(range(48)), (0,)),), budget=budget,
+        ),
+    )
+    assert len(payload["reports"]) == len(direct.steps) == budget
+    if budget:
+        last = direct.steps[-1]
+        assert (payload["chain_start"], payload["model_start"]) == (last.chain[0], last.model.start)
+    else:
+        assert (payload["chain_start"], payload["model_start"]) == (None, 0)
 
 
 def test_seed_orbit_command(marker_pair, tmp_path):

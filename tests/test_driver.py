@@ -364,7 +364,19 @@ def test_factor_budget_zero_is_bootstrap():
     assert res.log.change_mass == 0
     assert res.log.change_bound == Fraction(1, 48)
     assert res.log.witness.ergodic and res.log.witness.cycle_length == 48
-    assert res.chain == ()
+    assert res.steps == ()
+
+
+def test_factor_returns_its_steps():
+    g2 = cyclic(2)
+    target = marker_system(48, 47, group=g2, flips=(0,))
+    source = marker_system(48, 47, group=g2, flips=(24,))
+    res = run_factor(target, source, source.labels, plain_schedule(48, 2))
+    assert len(res.steps) == 2
+    assert res.log.reports == tuple(s.report for s in res.steps)
+    assert res.labels == res.steps[-1].labels
+    assert res.speedup == complete_speedup(res.steps[-1].twisted)
+    assert res.beta == Twist.compose(res.steps[1].alpha, res.steps[0].alpha, g2)
 
 
 def test_factor_constant_self_pair_fixed_point():
@@ -384,8 +396,8 @@ def test_factor_marker_pair_converges():
     assert [r.name_distance for r in res.log.reports] == [Fraction(1, 6), Fraction(1, 6)]
     assert res.log.change_mass == 0
     assert res.log.witness.ergodic and res.log.witness.cycle_length == 48
-    assert len(res.chain) == 48
-    assert res.model_start == 0
+    assert len(res.steps[-1].chain) == 48
+    assert res.steps[-1].model.start == 0
     for rep, eps in zip(res.log.reports, (Fraction(1, 10), Fraction(1, 20))):
         assert rep.twist_size < eps
 
@@ -420,15 +432,15 @@ def test_isomorphism_tracks_generators():
 
 
 def test_isomorphism_hook_leaves_the_construction_alone():
-    # generator tracking only reads the loop's state: both loops build the
-    # same speedup and the same log apart from the tracking entries
+    # generator tracking only reads the loop's steps: both loops build the
+    # same steps and speedup and the same log apart from the tracking entries
     g2 = cyclic(2)
     target = marker_system(48, 47, group=g2, flips=(0,))
     source = marker_system(48, 47, group=g2, flips=(24,))
     plain = run_factor(target, source, source.labels, plain_schedule(48, 2))
     tracked = run_isomorphism(target, source, source.labels, plain_schedule(48, 2))
     assert len(tracked.log.generator) == 2
-    for field in ("speedup", "labels", "beta", "chain", "model_start"):
+    for field in ("speedup", "labels", "beta", "steps"):
         assert getattr(tracked, field) == getattr(plain, field)
     assert replace(tracked.log, generator=(), separation_failure=None) == plain.log
 

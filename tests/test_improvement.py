@@ -58,7 +58,7 @@ def test_regular_single_column_certificate():
     sp = trimmed(ext)
     cert = check_regular(sp, ext.labels, 4, Fraction(1, 4))
     assert isinstance(cert, RegularityCertificate)
-    assert cert.tower_base == (0,)
+    assert [c[0] for c in cert.columns] == [0]
     assert cert.height == 60
     assert cert.max_exponent == 1
     assert cert.domain_mass == Fraction(59, 60)
@@ -473,7 +473,7 @@ def test_rotation_scoring_matches_walked_chains(order, size, target_flips, sourc
             tuple(range(size)), (0,), Fraction(2, 5),
         )
         cert = check_regular(current, pbar, n, Fraction(3, 10))
-        blocks = oracles.ladder_walked(current, cert.tower_base, cert.height, n)
+        blocks = oracles.ladder_walked(current, [c[0] for c in cert.columns], cert.height, n)
         starts = [block[0] for block in blocks]
         rotation, mismatches = oracles.rotation_walked(current, pbar, starts, n, res.model)
         assert res.report.rotation == rotation

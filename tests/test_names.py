@@ -31,7 +31,7 @@ from skewlab import (
     speedup_name_distribution,
     tower,
 )
-from skewlab.driver import _separation_failure
+from skewlab.driver import _majority_defect_schedule, _separation_failure
 from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
 from skewlab.names import primitive_period
 
@@ -253,6 +253,19 @@ def test_separation_failure_matches_pairwise(sp, data):
     n = sp.size
     labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     assert _separation_failure(sp, labels) == oracles.separation_failure_pairwise(sp, labels)
+
+
+@given(speedups(total=True), st.data())
+def test_majority_defect_matches_centred_words(sp, data):
+    # bound 0 keeps the search going until the words separate the set,
+    # so windows past m = 0 are reached
+    n = sp.size
+    labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    target_set = data.draw(st.sets(st.integers(0, n - 1)))
+    bound = data.draw(st.one_of(st.just(Fraction(0)), st.fractions(Fraction(0), Fraction(1, 2))))
+    assert _majority_defect_schedule(sp, labels, target_set, bound) == (
+        oracles.majority_defect_centred(sp, labels, target_set, bound)
+    )
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=16))
