@@ -34,6 +34,7 @@ from .errors import (
     HypothesisDistance,
     Infeasible,
     InfeasibleTemplate,
+    NameWorkTooLarge,
     NoGoodOrbit,
     NotMultiple,
     NotReachable,
@@ -81,7 +82,6 @@ from .systems import (
     twist_size,
 )
 from .towers import (
-    Ladder,
     broken_fraction,
     ladder,
     tower,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -49,15 +49,28 @@ from .systems import (
 # system (de)serialization
 
 
+def _int_in(value: Any) -> int:
+    """A JSON integer, whose type is int: isinstance takes true and false too."""
+    if type(value) is not int:
+        raise ParseError("table entry %r is not an integer" % (value,))
+    return value
+
+
 def _fraction_in(value: Any) -> Fraction:
     try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
+        if type(value) is int or isinstance(value, str):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
     raise ParseError("cannot read %r as an exact fraction" % (value,))
+
+
+def _table_in(data: dict, key: str, read) -> list[list]:
+    """A nonempty list of rows, each a list of entries read by read."""
+    rows = data.get(key)
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ParseError("table group needs a %s matrix" % key)
+    return [[read(v) for v in row] for row in rows]
 
 
 # validating a group table is cubic in its order: 0.3 s at 256, 2.3 s at 512
@@ -77,18 +90,14 @@ def parse_group_spec(data: Any) -> FiniteGroup:
         return trivial()
     if kind == "cyclic":
         order = data.get("order")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ParseError("cyclic group needs a positive integer order")
         _order_within_limit(order)
         return cyclic(order)
     if kind == "tables":
-        mul = data.get("mul")
-        if not isinstance(mul, list) or not mul:
-            raise ParseError("table group needs a mul matrix")
+        mul = _table_in(data, "mul", _int_in)
         _order_within_limit(len(mul))
-        metric = None
-        if data.get("metric") is not None:
-            metric = [[_fraction_in(v) for v in row] for row in data["metric"]]
+        metric = None if data.get("metric") is None else _table_in(data, "metric", _fraction_in)
         try:
             return from_tables(mul, metric, name=data.get("name", "group"))
         except (ValidationError, TypeError, IndexError) as exc:
@@ -109,14 +118,14 @@ def parse_system_spec(data: Any, groups: dict | None = None) -> ExtensionSystem:
         if key not in data:
             raise ParseError("system description misses %r" % key)
     size = data["size"]
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise ParseError("size must be a positive integer")
     labels = data["labels"]
     skew = data["skew"]
     for name, seq in (("labels", labels), ("skew", skew)):
         if not isinstance(seq, list) or len(seq) != size:
             raise ParseError("%s must be a list of length %d" % (name, size))
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in seq):
+        if not all(type(v) is int for v in seq):
             raise ParseError("%s entries must be integers" % name)
     groups = {} if groups is None else groups
     spec = json.dumps(data["group"], sort_keys=True)
@@ -157,7 +166,7 @@ def _encode(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return {"exact": _fraction_str(obj), "value": float("%.12g" % float(obj))}
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _encode(asdict(obj))
+        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

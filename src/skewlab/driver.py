@@ -558,10 +558,10 @@ def seed_from_orbit(
     group = target.group
     if group.order != source.group.order or group.mul != source.group.mul:
         raise ValidationError("seeding needs matching groups")
-    reference = name_distribution(target, n)
     space = target.name_space(n)
     walk = target.walk()
     ids = walk.classes(n)
+    reference = walk.distribution(space, n, range(target.size), ids)
     windows = n_len - n + 1
     for x in range(target.size):
         # segment windows are target windows at x + t, right-translated

@@ -54,6 +54,10 @@ class Infeasible(SkewlabError):
     """A combinatorial construction has no solution under the given bounds."""
 
 
+class NameWorkTooLarge(SkewlabError):
+    """Name statistics would build more name entries than the work limit."""
+
+
 class NotMultiple(SkewlabError):
     """A height or length is not the required exact multiple."""
 

@@ -270,12 +270,6 @@ class ModelName:
     block_distance: Fraction
     reference: EmpiricalDistribution = field(compare=False, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def coordinate(self, t: int) -> tuple[int, int]:
-        return (self.labels[t], self.groups[t])
-
 
 def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: int) -> int:
     """First position whose template balances rung names against windows.
@@ -457,8 +451,8 @@ class ImproveResult:
 
 
 def _good_rungs(
-    speedup: PartialSpeedup,
-    starts: Sequence[int],
+    group: FiniteGroup,
+    track: Sequence[tuple[int, int]],
     n1: int,
     a1: frozenset,
     a2: frozenset,
@@ -466,15 +460,15 @@ def _good_rungs(
 ) -> int:
     """Count (rung, h) whose n1-orbit from (rung, h) sits in a1 x a2 above bound.
 
-    One walk from (s, e) serves every fibre: the orbit from (s, h) is at
-    (z, w*h) wherever the walk is at (z, w).
+    track is the (point, offset) walk of one orbit, and a rung starts
+    every n1 entries.  If a rung starts at (z_r, w_r), the orbit from
+    (z_r, w_r * h) is at (z, w * h) wherever the track is at (z, w), and
+    w_r * h runs over G as h does.
     """
-    group = speedup.parent.group
-    walk = speedup.walk(range(speedup.size))  # each point's label is itself
     good = 0
-    for s in starts:
+    for r in range(0, len(track), n1):
         hits = [0] * group.order
-        for z, w in walk.name(s, n1):
+        for z, w in track[r : r + n1]:
             if z in a1:
                 for h in group.elements():
                     if group.mul[w][h] in a2:
@@ -578,9 +572,9 @@ def improve(
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
-    lad = ladder(current, cert.columns, n)
+    blocks = ladder(cert.columns, n)
     unit = lcm(n, n1)
-    capacity = len(lad.blocks) * n
+    capacity = len(blocks) * n
     length = (capacity // unit) * unit
     if length < n1:
         raise ScheduleInfeasible(
@@ -591,7 +585,7 @@ def improve(
 
     # the ladder blocks in start order form one cyclic chain; each
     # block's last step is its seam to the next block
-    points = [z for block in lad.blocks for z in block]
+    points = [z for block in blocks for z in block]
     total = len(points)
     gaps = [current.exponent[z] for z in points]
     for j in range(n - 1, total, n):
@@ -602,55 +596,44 @@ def improve(
     score, start = _best_rotation(
         group, [pbar[z] for z in points], q, model.labels, model.groups, n
     )
-    rotation = start // n
     mul = group.mul
     chain = tuple((points * 2)[start : start + length])
-    gaps = (gaps * 2)[start : start + length - 1]
+    # the chain's last point is the open top of the one output column
+    gaps = (gaps * 2)[start : start + length - 1] + [0]
     back = group.inv[q[start]]
     offsets = [mul[g][back] for g in q[start : start + length]]
 
+    # template names start at e, so the twist moves each offset onto the template's
+    # group; points off the chain keep e and get a junk label outside the alphabet
     exponent = [0] * ext.size
-    for t, z in enumerate(chain[:-1]):
-        exponent[z] = gaps[t]
-    k_max = max(max(gaps), 1) if gaps else 1
-    speedup1 = PartialSpeedup(ext, tuple(exponent), k_max)
-
-    g0 = model.groups[0]
+    labels1 = [max(target.alphabet()) + 1] * ext.size
     alpha_values = [group.identity] * ext.size
-    for t, z in enumerate(chain):
-        alpha_values[z] = group.mul[model.groups[t]][group.inv[group.mul[offsets[t]][g0]]]
-    alpha = Twist(tuple(alpha_values))
-
-    junk = max(target.alphabet()) + 1
-    labels1 = [junk] * ext.size
-    for t, z in enumerate(chain):
-        labels1[z] = model.labels[t]
+    for z, k, w, a, g in zip(chain, gaps, offsets, model.labels, model.groups):
+        exponent[z], labels1[z], alpha_values[z] = k, a, mul[g][group.inv[w]]
+    k_max = max(max(gaps), 1)
+    speedup1 = PartialSpeedup(ext, tuple(exponent), k_max)
     labels1 = tuple(labels1)
+    alpha = Twist(tuple(alpha_values))
 
     # all output statistics are read off the twisted extension, which is
     # the system the next step consumes
     twisted = twist(ext, alpha)
     speedup1t = PartialSpeedup(twisted, tuple(exponent), k_max)
 
-    # replication check: the twisted orbit from (chain[0], g0), the name
-    # from (chain[0], e) right-translated by g0, equals the template exactly
-    for t, (a, w) in enumerate(speedup1t.walk(labels1).name(chain[0], len(chain))):
-        if (a, mul[w][g0]) != model.coordinate(t):
+    # one walk of the twisted orbit from (chain[0], e), labelled by the
+    # points themselves, serves the replication check and the good set
+    track = speedup1t.walk(range(ext.size)).name(chain[0], length)
+    for t, ((z, w), a, g) in enumerate(zip(track, model.labels, model.groups)):
+        if (labels1[z], w) != (a, g):
             raise Collision("orbit coordinate %d does not replicate the template" % t)
 
-    drift = Fraction(sum(1 for x in range(ext.size) if pbar[x] != labels1[x]), ext.size)
-    size_alpha = twist_size(alpha, group)
-    broken = broken_fraction(lad, speedup1)
     output_names = speedup_name_distribution(speedup1t, labels1, n1)
-    final = kantorovich(model.reference, output_names)
     cert1, _ = _regularity(speedup1t, labels1, n1, delta1, full=output_names)
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
     # the output tower is the one chain; its rungs start every n1 points
-    starts = chain[::n1]
-    good = _good_rungs(speedup1t, starts, n1, a1set, a2set, density - epsilon)
-    good_fraction = Fraction(good, len(starts) * group.order)
+    good = _good_rungs(group, track, n1, a1set, a2set, density - epsilon)
 
     report = ImprovementReport(
         n=n,
@@ -659,23 +642,23 @@ def improve(
         delta1=delta1,
         epsilon=epsilon,
         hypothesis_distance=hyp,
-        partition_drift=drift,
-        twist_size=size_alpha,
-        broken_mass=broken,
-        name_distance=final,
-        good_set_fraction=good_fraction,
+        partition_drift=Fraction(sum(1 for x, a in enumerate(labels1) if pbar[x] != a), ext.size),
+        twist_size=twist_size(alpha, group),
+        broken_mass=broken_fraction(blocks, current.exponent, exponent),
+        name_distance=kantorovich(model.reference, output_names),
+        good_set_fraction=Fraction(good, length // n1 * group.order),
         good_set_density=density,
         regular=regular,
         regularity_note="" if regular else "%s: %s" % (cert1.condition, cert1.detail),
         ladder_distance=cert1.ladder_distance if regular else cert1.measured,
         domain_mass=speedup1.domain_mass(),
         max_exponent=speedup1.max_exponent(),
-        ladder_blocks=len(lad.blocks),
+        ladder_blocks=len(blocks),
         model_window_distance=model.window_distance,
         model_block_distance=model.block_distance,
-        model_length=len(model),
+        model_length=length,
         model_start=model.start,
-        rotation=rotation,
+        rotation=start // n,
         rotation_mismatches=score,
     )
     return ImproveResult(

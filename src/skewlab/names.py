@@ -18,7 +18,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import BlockSpace, EmpiricalDistribution
+from .errors import NameWorkTooLarge
 from .groups import FiniteGroup
+
+# a distribution builds classes * |G| * length name entries; metrics at
+# the limit (n = 8192 on a 32-point Z/8 pair) takes 2 s and 324 MiB
+NAME_WORK_LIMIT = 2**21
 
 
 def prefix_products(group: FiniteGroup, skew: Sequence[int]) -> tuple[int, ...]:
@@ -110,13 +115,17 @@ class Walk:
         """Distribution over every fibre of the names from the given start points.
 
         One name tuple is built per class; ids are the classes of this
-        length when the caller already has them.
+        length when the caller already has them.  NameWorkTooLarge when
+        the names on every fibre exceed NAME_WORK_LIMIT entries.
         """
         if ids is None:
             ids = self.classes(length)
         seen: dict[int, list[int]] = {}  # class id -> [first start, count]
         for x in starts:
             seen.setdefault(ids[x], [x, 0])[1] += 1
+        work = len(seen) * self.group.order * length
+        if work > NAME_WORK_LIMIT:
+            raise NameWorkTooLarge("%d name entries exceed the limit %d" % (work, NAME_WORK_LIMIT))
         fibre = {self.name(x, length): k for x, k in seen.values()}
         total = len(starts) * self.group.order
         return EmpiricalDistribution.from_weights(

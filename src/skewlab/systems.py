@@ -141,10 +141,9 @@ def twist(ext: ExtensionSystem, alpha: Twist) -> ExtensionSystem:
 
 
 def twist_size(alpha: Twist, group: FiniteGroup) -> Fraction:
-    """Mean distance of the twist from the identity."""
-    e = group.identity
-    tot = sum((group.metric[g][e] for g in alpha.values), Fraction(0))
-    return tot / len(alpha.values)
+    """Mean distance of the twist from the identity, on the integer metric."""
+    unit, table = group.int_metric
+    return Fraction(sum(map(table[group.identity].__getitem__, alpha.values)), unit * alpha.size)
 
 
 @dataclass(frozen=True)

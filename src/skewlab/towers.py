@@ -2,14 +2,13 @@
 
 A regular speedup's domain is a tower of equal-height columns; tower
 walks them once off the speedup's step table.  A ladder slices the
-columns into consecutive blocks of a fixed length, which the
-improvement step threads its new orbit through.  broken_fraction
-measures the ladder mass on which a second speedup departs from it.
+columns into block tuples of a fixed length, which the improvement
+step threads its new orbit through.  broken_fraction measures the
+ladder mass on which a second exponent map departs from the first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,17 +48,8 @@ def tower(speedup: PartialSpeedup) -> tuple[tuple[tuple[int, ...], ...], str | N
     return tuple(columns), None
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """Constant-height speedup tower sliced into length-n blocks, in start order."""
-
-    speedup: PartialSpeedup
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def ladder(speedup: PartialSpeedup, columns: Sequence[Sequence[int]], n: int) -> Ladder:
-    """Slice every column into consecutive n-blocks.
+def ladder(columns: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Slice every column into consecutive n-blocks, in start order.
 
     The block at the top observes the tower's last level, whose points
     are outside the speedup domain; only the n-1 interior steps of each
@@ -72,18 +62,17 @@ def ladder(speedup: PartialSpeedup, columns: Sequence[Sequence[int]], n: int) ->
         if len(column) % n != 0:
             raise NotMultiple("height %d is not a multiple of %d" % (len(column), n))
         blocks.extend(tuple(column[i : i + n]) for i in range(0, len(column), n))
-    return Ladder(speedup, n, tuple(sorted(blocks)))
+    return tuple(sorted(blocks))
 
 
-def broken_fraction(lad: Ladder, other: PartialSpeedup) -> Fraction:
-    """Mass of ladder blocks on which the two speedups disagree.
+def broken_fraction(blocks: Sequence[tuple], mine: Sequence[int], other: Sequence[int]) -> Fraction:
+    """Mass of ladder blocks on which two exponent maps disagree.
 
-    A block is broken when any of its first n-1 points leaves the other
-    speedup's domain or moves by a different exponent; all n points of
-    a broken block count toward the mass.
+    A block is broken when any of its points but the last moves by a
+    different exponent under other than under mine; all points of a
+    broken block count toward the mass.
     """
-    if other.parent.size != lad.speedup.parent.size:
+    if len(other) != len(mine):
         raise ValidationError("speedups act on different bases")
-    mine, theirs = lad.speedup.exponent, other.exponent
-    broken = sum(1 for block in lad.blocks if any(mine[z] != theirs[z] for z in block[:-1]))
-    return Fraction(broken * lad.n, lad.speedup.size)
+    broken = sum(len(block) for block in blocks if any(mine[z] != other[z] for z in block[:-1]))
+    return Fraction(broken, len(mine))

@@ -151,14 +151,14 @@ def choose_start_bytes(target, length, n1):
 def model_distances_per_fibre(target, model):
     """(window, block) distances of a model name, every translate built."""
     n1 = model.n1
-    length = len(model)
+    length = len(model.labels)
     mul = target.group.mul
     reference = name_distribution_per_fibre(target, n1)
 
     def averaged(starts):
         names = []
         for t in starts:
-            base = [model.coordinate(t + i) for i in range(n1)]
+            base = list(zip(model.labels[t : t + n1], model.groups[t : t + n1]))
             for h in target.group.elements():
                 names.append(tuple((a, mul[g][h]) for a, g in base))
         return _distribution(target.name_space(n1), names)
@@ -454,9 +454,9 @@ def fraction_kantorovich(d1, d2):
 def rotation_walked(speedup, pbar, starts, n, model):
     """(rotation, mismatches) of the improvement step, every chain walked.
 
-    Rotation r runs through len(model) / n consecutive ladder blocks from
-    the r-th start, multiplying one cocycle loop per step; a seam jumps
-    from a block's last point to the next block's first.
+    Rotation r runs through len(model.labels) / n consecutive ladder
+    blocks from the r-th start, multiplying one cocycle loop per step; a
+    seam jumps from a block's last point to the next block's first.
     """
     ext = speedup.parent
     mul = ext.group.mul
@@ -468,7 +468,7 @@ def rotation_walked(speedup, pbar, starts, n, model):
         blocks.append(block)
     best = None
     for r in range(len(blocks)):
-        chain = [z for i in range(len(model) // n) for z in blocks[(r + i) % len(blocks)]]
+        chain = [z for i in range(len(model.labels) // n) for z in blocks[(r + i) % len(blocks)]]
         score = 0
         g = ext.group.identity
         for t, z in enumerate(chain):

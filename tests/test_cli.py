@@ -27,6 +27,7 @@ from skewlab.cli import (
     run_command,
 )
 from skewlab.groups import cyclic
+from skewlab.names import NAME_WORK_LIMIT
 
 
 def write_system(path, size, labels, group, skew):
@@ -89,7 +90,7 @@ def test_parse_group_refuses_orders_above_the_limit():
     largest = parse_group_spec({"type": "cyclic", "order": GROUP_ORDER_LIMIT})
     assert largest.order == GROUP_ORDER_LIMIT
     big = GROUP_ORDER_LIMIT + 1
-    # a table is refused on its size, before any of it is read
+    # a table is refused on its size, before the group axioms are checked
     for spec in (
         {"type": "cyclic", "order": 4096},
         {"type": "cyclic", "order": big},
@@ -164,6 +165,37 @@ def test_parse_system_rejects_malformed():
             parse_system_spec(bad)
     with pytest.raises(ParseError):
         parse_system_spec([1, 2, 3])
+
+
+TWO_POINTS = {"size": 2, "labels": [0, 1], "skew": [0, 0]}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"size": True, "labels": [0], "group": {"type": "trivial"}, "skew": [0]},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": True}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, True], [True, 0]]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1.9], [1.9, 0]]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, "1"], ["1", 0]]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": ["01", "10"]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, "x"], [1, 0]]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": 5}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": [5, 6]}},
+    ],
+    ids=[
+        "size_true", "order_true", "mul_true", "mul_float", "mul_digit_string",
+        "mul_row_string", "mul_letter", "metric_scalar", "metric_flat",
+    ],
+)
+def test_malformed_spec_exits_one_with_parse_error(tmp_path, spec):
+    # each of these once ran as a system, or raised a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    rc = run_command(["metrics", "--target", str(path), "--source", str(path), "--n", "1", "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text())["error"] == "ParseError"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +317,39 @@ def test_refusal_exits_two_and_writes_reason(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["error"] == "Infeasible"
     assert "condition 4" in payload["detail"]
+
+
+def test_block_longer_than_the_tower_exits_two(tmp_path):
+    const = write_system(tmp_path / "c.json", 16, [0] * 16, {"type": "trivial"}, [0] * 16)
+    out = tmp_path / "ref.json"
+    rc = run_command(
+        ["improve", "--target", const, "--source", const,
+         "--n", "4", "--delta", "1/2", "--n1", "32", "--delta1", "1/20",
+         "--epsilon", "1/2", "--out", str(out)]
+    )
+    assert rc == 2
+    assert json.loads(out.read_text()) == {
+        "error": "ScheduleInfeasible",
+        "detail": "tower holds 16 ladder points, below one block of 32",
+    }
+
+
+def test_name_work_over_the_limit_exits_two(tmp_path):
+    # the CI's Z/8 transport pair: 32 name classes on 8 fibres, 100,000 long
+    labels = [1 if x in (5, 6) else 0 for x in range(32)]
+    group = {"type": "cyclic", "order": 8}
+    skews = ({0: 1, 10: 2}, {0: 1, 25: 2, 7: 6})
+    t, s = (
+        write_system(tmp_path / name, 32, labels, group, [skew.get(x, 0) for x in range(32)])
+        for name, skew in zip(("t8.json", "s8.json"), skews)
+    )
+    out = tmp_path / "ref.json"
+    rc = run_command(["metrics", "--target", t, "--source", s, "--n", "100000", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text()) == {
+        "error": "NameWorkTooLarge",
+        "detail": "%d name entries exceed the limit %d" % (32 * 8 * 100000, NAME_WORK_LIMIT),
+    }
 
 
 # ---------------------------------------------------------------------------

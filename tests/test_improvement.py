@@ -14,6 +14,7 @@ from skewlab import (
     RegularityCertificate,
     RegularityRefusal,
     RegularityRejected,
+    ScheduleInfeasible,
     ValidationError,
     WindowSystem,
     apply_speedup,
@@ -243,7 +244,7 @@ def test_model_constant_target_exact():
     assert set(m.labels) == {0}
     assert m.window_distance == 0
     assert m.block_distance == 0
-    assert len(m) == 32
+    assert len(m.labels) == 32
 
 
 def test_model_periodic_target_repeats_fundamental():
@@ -270,7 +271,7 @@ def test_model_validation():
 def test_model_strict_budget():
     tg = trivial()
     mk = marker_system(48, 47)
-    with pytest.raises(Exception) as exc:
+    with pytest.raises(ScheduleInfeasible) as exc:
         build_model_name(mk, 4, 8, Fraction(1, 100), length=48, strict=True)
     assert "strict" in str(exc.value) or "budget" in str(exc.value)
 
@@ -298,6 +299,17 @@ def test_improve_small_marker_all_conclusions():
     assert r.twist_size == 0
     assert r.broken_mass == 0
     assert len(res.chain) == 48
+
+
+def test_improve_refuses_a_block_longer_than_the_tower():
+    c = ExtensionSystem(size=16, labels=(0,) * 16, group=trivial(), skew=(0,) * 16)
+    sp, _ = bootstrap_regular(c, c.labels, 4, Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ScheduleInfeasible) as exc:
+        improve(
+            c, sp, c.labels, 4, Fraction(1, 2), 32, Fraction(1, 20),
+            tuple(range(16)), (0,), Fraction(1, 2),
+        )
+    assert str(exc.value) == "tower holds 16 ladder points, below one block of 32"
 
 
 def test_improve_output_measured_on_twisted_system():

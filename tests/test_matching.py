@@ -10,6 +10,7 @@ from skewlab import (
     DiscreteSpace,
     DomainTooSmall,
     EmpiricalDistribution,
+    InfeasibleTemplate,
     PreconditionViolated,
     ValidationError,
     exhaust_samples,
@@ -180,6 +181,21 @@ def test_exhaust_disjointness_and_exact_counts():
             seen |= set(s)
             per = [sum(1 for z in s if atom_of[z] == i) for i in range(n_atoms)]
             assert per == counts
+
+
+def test_exhaust_template_names_an_empty_atom():
+    ground = range(10)
+    atom_of = {z: "u" for z in ground}
+    with pytest.raises(InfeasibleTemplate, match="empty atom 'v'"):
+        exhaust_samples(ground, atom_of, 4, Fraction(1, 2), {"u": 2, "v": 2}, check_bounds=False)
+
+
+def test_exhaust_template_exceeds_an_atom_on_the_first_sample():
+    # three "v" points cannot fill one sample that asks for four
+    ground = range(10)
+    atom_of = {z: ("u" if z < 7 else "v") for z in ground}
+    with pytest.raises(InfeasibleTemplate, match="first sample"):
+        exhaust_samples(ground, atom_of, 5, Fraction(1, 2), {"u": 1, "v": 4}, check_bounds=False)
 
 
 def test_exhaust_template_must_sum():

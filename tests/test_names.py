@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from skewlab import (
     ExtensionSystem,
+    NameWorkTooLarge,
     NoGoodOrbit,
     OutOfDomain,
     PartialSpeedup,
@@ -33,6 +34,7 @@ from skewlab import (
 )
 from skewlab.driver import _majority_defect_schedule, _separation_failure
 from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
+from skewlab import names
 from skewlab.names import primitive_period
 
 import oracles
@@ -211,6 +213,18 @@ def test_model_name_matches_per_fibre(target, n, per, rungs):
     )
 
 
+def test_name_work_limit_is_the_last_size_built(monkeypatch):
+    # 12 points over Z/3: the classes of the 5-names, times 3 fibres, times 5
+    ext = ExtensionSystem(12, (0, 1, 1) * 4, cyclic(3), (1,) + (0,) * 11)
+    work = len(set(ext.walk().classes(5))) * 3 * 5
+    monkeypatch.setattr(names, "NAME_WORK_LIMIT", work)
+    assert name_distribution(ext, 5) == oracles.name_distribution_per_fibre(ext, 5)
+    monkeypatch.setattr(names, "NAME_WORK_LIMIT", work - 1)
+    with pytest.raises(NameWorkTooLarge) as err:
+        name_distribution(ext, 5)
+    assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
+
+
 def test_model_name_past_the_byte_codec():
     # 129 labels times |Z/2| = 258 coordinates, more than a byte holds
     size = 129
@@ -218,7 +232,7 @@ def test_model_name_past_the_byte_codec():
         size, tuple(range(size)), cyclic(2), tuple(1 if x == 0 else 0 for x in range(size))
     )
     model = build_model_name(target, 1, 2, Fraction(1, 2), length=8)
-    assert len(model) == 8
+    assert len(model.labels) == 8
     assert model.labels == tuple((model.start + t) % size for t in range(8))
 
 
@@ -273,16 +287,32 @@ def test_primitive_period_counts_rotation_names(labels):
     assert len(labels) - primitive_period(labels) == oracles.unseparated_points(labels)
 
 
-@given(speedups(total=True), st.integers(1, 5), st.data())
-def test_good_rungs_matches_per_fibre(sp, n1, data):
+@given(speedups(total=True), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_good_rungs_matches_per_fibre(sp, n1, rungs, data):
+    # one walk of rungs * n1 points from (x, e); a rung starts every n1
+    # points, and past the first its track offset is no longer e, which
+    # only permutes the fibres the oracle walks from
     n, m = sp.size, sp.parent.group.order
-    starts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    x = data.draw(st.integers(0, n - 1))
+    track = sp.walk(range(n)).name(x, rungs * n1)
     a1 = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
     a2 = frozenset(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
     bound = data.draw(st.fractions(Fraction(-1, 2), Fraction(1)))
-    assert _good_rungs(sp, starts, n1, a1, a2, bound) == oracles.good_rungs_per_fibre(
-        sp, starts, n1, a1, a2, bound
+    starts = [z for z, _ in track[::n1]]
+    assert _good_rungs(sp.parent.group, track, n1, a1, a2, bound) == (
+        oracles.good_rungs_per_fibre(sp, starts, n1, a1, a2, bound)
     )
+
+
+def test_good_rungs_translates_the_window_on_the_right():
+    # in S3 the two-point track meets {0, 1, 4} as w * h on two fibres h,
+    # and as h * w on none, so a left translation would count 0
+    ext = ExtensionSystem(3, (0, 0, 0), s3(), (5, 3, 2))
+    sp = PartialSpeedup(ext, (1, 1, 1), 1)
+    track = sp.walk(range(3)).name(0, 2)
+    rect = (frozenset(range(3)), frozenset((0, 1, 4)), Fraction(1, 2))
+    assert _good_rungs(ext.group, track, 2, *rect) == 2
+    assert oracles.good_rungs_per_fibre(sp, [0], 2, *rect) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -360,4 +390,4 @@ def test_step_table_tower_and_ladders_match_walks(sp):
     if why is None:
         bases, height = [c[0] for c in columns], len(columns[0])
         for n in (d for d in range(1, height + 1) if height % d == 0):
-            assert ladder(sp, columns, n).blocks == oracles.ladder_walked(sp, bases, height, n)
+            assert ladder(columns, n) == oracles.ladder_walked(sp, bases, height, n)

@@ -1,4 +1,4 @@
-"""Towers, ladder slicing and broken-block mass."""
+"""Towers, ladder slicing into block tuples, and broken-block mass."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skewlab import (
     NotMultiple,
     PartialSpeedup,
+    ValidationError,
     broken_fraction,
     ladder,
     tower,
@@ -34,21 +35,18 @@ TWELVE = (tuple(range(12)),)
 
 
 def test_ladder_block_equals_height_is_base():
-    sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 12)
-    assert lad.blocks == (tuple(range(12)),)
+    blocks = ladder(TWELVE, 12)
+    assert blocks == (tuple(range(12)),)
 
 
 def test_ladder_unit_blocks_are_levels():
-    sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 1)
-    assert lad.blocks == tuple((x,) for x in range(12))
+    blocks = ladder(TWELVE, 1)
+    assert blocks == tuple((x,) for x in range(12))
 
 
 def test_ladder_twelve_by_four():
-    sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 4)
-    assert lad.blocks == (
+    blocks = ladder(TWELVE, 4)
+    assert blocks == (
         (0, 1, 2, 3),
         (4, 5, 6, 7),
         (8, 9, 10, 11),
@@ -60,7 +58,7 @@ def test_ladder_rejects_non_multiple():
     columns, _ = tower(sp)
     assert len(columns[0]) == 11
     with pytest.raises(NotMultiple):
-        ladder(sp, columns, 4)
+        ladder(columns, 4)
 
 
 def test_ladder_top_block_reaches_open_point():
@@ -68,8 +66,8 @@ def test_ladder_top_block_reaches_open_point():
     sp = trimmed_rotation(12, top=11)
     columns, _ = tower(sp)
     assert columns == (tuple(range(12)),)
-    lad = ladder(sp, columns, 4)
-    assert lad.blocks[-1] == (8, 9, 10, 11)
+    blocks = ladder(columns, 4)
+    assert blocks[-1] == (8, 9, 10, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -78,43 +76,47 @@ def test_ladder_top_block_reaches_open_point():
 
 def test_broken_zero_for_same_speedup():
     sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 4)
-    assert broken_fraction(lad, sp) == 0
+    blocks = ladder(TWELVE, 4)
+    assert broken_fraction(blocks, sp.exponent, sp.exponent) == 0
 
 
 def test_broken_everywhere():
     sp = trimmed_rotation(12, top=11)
-    lad = ladder(sp, TWELVE, 4)
+    blocks = ladder(TWELVE, 4)
     ext = sp.parent
     other = PartialSpeedup(ext, (2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0), 2)
-    assert broken_fraction(lad, other) == 1
+    assert broken_fraction(blocks, sp.exponent, other.exponent) == 1
 
 
 def test_broken_single_block():
     sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 4)
+    blocks = ladder(TWELVE, 4)
     ext = sp.parent
     # disagree at point 5 only: the middle block carries the mass
     exponent = tuple(0 if x in (12, 5) else 1 for x in range(13))
     other = PartialSpeedup(ext, exponent, 1)
-    assert broken_fraction(lad, other) == Fraction(4, 13)
+    assert broken_fraction(blocks, sp.exponent, other.exponent) == Fraction(4, 13)
 
 
 def test_broken_ignores_block_tops():
     sp = trimmed_rotation(13, top=12)
-    lad = ladder(sp, TWELVE, 4)
+    blocks = ladder(TWELVE, 4)
     ext = sp.parent
     # point 3 is the last level of the first block; no step starts there
     exponent = tuple(0 if x in (12, 3) else 1 for x in range(13))
     other = PartialSpeedup(ext, exponent, 1)
-    assert broken_fraction(lad, other) == 0
+    assert broken_fraction(blocks, sp.exponent, other.exponent) == 0
+
+
+def test_broken_rejects_other_bases():
+    sp = trimmed_rotation(13, top=12)
+    with pytest.raises(ValidationError):
+        broken_fraction(ladder(TWELVE, 4), sp.exponent, sp.exponent[:12])
 
 
 @given(st.integers(2, 6), st.integers(1, 4))
-def test_ladder_mass_formula(blocks, n):
-    # the blocks partition the sliced levels, so the ladder holds blocks * n points
-    size = blocks * n + 1
-    sp = trimmed_rotation(size, top=size - 1)
-    lad = ladder(sp, (tuple(range(blocks * n)),), n)
-    assert len(lad.blocks) == blocks
-    assert sorted(z for block in lad.blocks for z in block) == list(range(blocks * n))
+def test_ladder_mass_formula(count, n):
+    # the blocks partition the sliced levels, so the ladder holds count * n points
+    blocks = ladder((tuple(range(count * n)),), n)
+    assert len(blocks) == count
+    assert sorted(z for block in blocks for z in block) == list(range(count * n))
