@@ -2,8 +2,8 @@
 
 Everything downstream compares name statistics through the Kantorovich
 (earth mover) distance, so this module pins down the three ingredients:
-the finite metric spaces names live on, exact rational empirical
-distributions over them, and an exact transport solver.  The solver
+the finite metric spaces names live on, empirical distributions over
+them held as integer counts, and an exact transport solver.  The solver
 cancels common mass first (for metric ground costs the value depends only
 on the difference measure), takes a closed-form path under the discrete
 metric, and otherwise runs the primal-dual method on the spaces' integer
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import SpaceMismatch, ValidationError
@@ -115,63 +116,98 @@ class BlockSpace(_Scaled):
 # empirical distributions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EmpiricalDistribution:
-    """Finitely supported probability vector with exact rational weights.
+    """Finitely supported probability vector, held as integer counts.
 
-    Construct through from_weights; weights are stored sorted by key so
-    equal distributions compare (and serialize) identically.
+    counts pairs each key with a positive int, sorted by key and reduced
+    by the counts' gcd, so distributions with equal proportions are equal;
+    the weight of a key is its count over total.  The dataclass fields
+    are space and weights, the exact weights read off the counts on first
+    use, so reports serialize the weights.  Construct through from_counts
+    or from_weights.
     """
 
     space: object
     weights: tuple[tuple[object, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        total = Fraction(0)
-        for _, w in self.weights:
-            if w <= 0:
-                raise ValidationError("weights must be positive")
-            total += w
-        if total != 1:
-            raise ValidationError("weights must sum to 1")
+    def __init__(self, space, counts: tuple[tuple[object, int], ...], total: int) -> None:
+        if not counts:
+            raise ValidationError("distribution has no mass")
+        if any(type(c) is not int or c <= 0 for _, c in counts):
+            raise ValidationError("counts must be positive integers")
+        if math.gcd(*(c for _, c in counts)) != 1:
+            raise ValidationError("counts must be reduced by their gcd")
+        if total != sum(c for _, c in counts):
+            raise ValidationError("total must be the sum of the counts")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmpiricalDistribution):
+            return NotImplemented
+        return self.space == other.space and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.counts))
+
+    @staticmethod
+    def from_counts(space, mapping: Mapping) -> "EmpiricalDistribution":
+        """Distribution proportional to nonnegative integer counts."""
+        items = []
+        for key, c in mapping.items():
+            if c < 0:
+                raise ValidationError("negative count at %r" % (key,))
+            if c:
+                items.append((key, c))
+        items.sort(key=lambda kv: kv[0])
+        g = math.gcd(*(c for _, c in items))
+        if g > 1:
+            items = [(k, c // g) for k, c in items]
+        return EmpiricalDistribution(space, tuple(items), sum(c for _, c in items))
 
     @staticmethod
     def from_weights(space, mapping: Mapping) -> "EmpiricalDistribution":
-        total = Fraction(0)
-        items = []
+        """Distribution proportional to nonnegative rational weights."""
+        weights = {}
         for key, w in mapping.items():
             w = Fraction(w)
             if w < 0:
                 raise ValidationError("negative weight at %r" % (key,))
-            if w > 0:
-                items.append((key, w))
-                total += w
-        if total <= 0:
-            raise ValidationError("distribution has no mass")
-        items.sort(key=lambda kv: kv[0])
-        return EmpiricalDistribution(space, tuple((k, w / total) for k, w in items))
+            weights[key] = w
+        scale = math.lcm(*(w.denominator for w in weights.values()))
+        return EmpiricalDistribution.from_counts(
+            space, {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}
+        )
+
+    @cached_property
+    def weights(self) -> tuple[tuple[object, Fraction], ...]:
+        """(key, exact weight) pairs in key order."""
+        return tuple((k, Fraction(c, self.total)) for k, c in self.counts)
 
     def weight(self, key) -> Fraction:
-        for k, w in self.weights:
+        for k, c in self.counts:
             if k == key:
-                return w
+                return Fraction(c, self.total)
         return Fraction(0)
 
     def support(self) -> tuple:
-        return tuple(k for k, _ in self.weights)
+        return tuple(k for k, _ in self.counts)
 
     def as_dict(self) -> dict:
         return dict(self.weights)
 
 
 def _solve_transport(
-    supply: list[tuple[object, Fraction]],
-    demand: list[tuple[object, Fraction]],
+    supply: list[tuple[object, int]],
+    demand: list[tuple[object, int]],
+    scale: int,
     space,
 ) -> Fraction:
     """Exact min-cost transport by the primal-dual method (AMO 1993, 9.8).
 
-    Masses are scaled by the LCM D of their denominators and costs are the
+    Masses are integers over the common scale D and costs are the
     space's integer distances (unit L), so all work is on ints and the
     optimum is total / (D * L).  Nodes 0..ns-1 are the suppliers and
     ns..ns+nd-1 the consumers.
@@ -189,8 +225,7 @@ def _solve_transport(
     """
     ns = len(supply)
     nd = len(demand)
-    mass_scale = math.lcm(*(w.denominator for _, w in supply + demand))
-    mass = [w.numerator * (mass_scale // w.denominator) for _, w in supply + demand]
+    mass = [w for _, w in supply + demand]
     cost = [[space.int_dist(a, b) for b, _ in demand] for a, _ in supply]
     # flow on supplier->consumer arcs; the reverse arc is residual while it is positive
     flow = [[0] * nd for _ in range(ns)]
@@ -257,7 +292,7 @@ def _solve_transport(
             total += push * pot_t
     if any(mass[:ns]):
         raise ValidationError("transport needed more than L + 1 phases")  # pragma: no cover
-    return Fraction(total, mass_scale * space.unit)
+    return Fraction(total, scale * space.unit)
 
 
 def kantorovich(
@@ -270,25 +305,26 @@ def kantorovich(
 
     method="auto" cancels common mass and uses the discrete closed form
     when available; method="flow" forces the general solver (used by the
-    cross-checking tests).
+    cross-checking tests).  Both weigh the masses c1 * t2 and c2 * t1 of
+    each key over t1 * t2, on ints.
     """
+    if method not in ("auto", "flow"):
+        raise ValidationError("unknown transport method %r" % (method,))
     if d1.space != d2.space:
         raise SpaceMismatch("distributions live on different spaces")
-    if d1.weights == d2.weights:
+    if d1.counts == d2.counts:
         return Fraction(0)
-    a = d1.as_dict()
-    b = d2.as_dict()
+    t1, t2 = d1.total, d2.total
+    a = dict(d1.counts)
+    b = dict(d2.counts)
     supply = []
     demand = []
-    for k in sorted(set(a) | set(b)):
-        wa = a.get(k, Fraction(0))
-        wb = b.get(k, Fraction(0))
-        if wa > wb:
-            supply.append((k, wa - wb))
-        elif wb > wa:
-            demand.append((k, wb - wa))
-    if not supply:
-        return Fraction(0)
+    for k in sorted(a.keys() | b.keys()):
+        diff = a.get(k, 0) * t2 - b.get(k, 0) * t1
+        if diff > 0:
+            supply.append((k, diff))
+        elif diff < 0:
+            demand.append((k, -diff))
     if method == "auto" and d1.space.discrete:
-        return sum((w for _, w in supply), Fraction(0))
-    return _solve_transport(supply, demand, d1.space)
+        return Fraction(sum(w for _, w in supply), t1 * t2)
+    return _solve_transport(supply, demand, t1 * t2, d1.space)

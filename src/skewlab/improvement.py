@@ -223,9 +223,7 @@ def _regularity(
     # along the column
     (name,) = names
     counts = Counter(name[i : i + n] for i in range(0, height, n))
-    dist = EmpiricalDistribution.from_weights(
-        ext.name_space(n), {k: Fraction(v, height // n) for k, v in counts.items()}
-    )
+    dist = EmpiricalDistribution.from_counts(ext.name_space(n), counts)
     gap = kantorovich(dist, full)
     if not gap < delta:
         return RegularityRefusal(

@@ -14,7 +14,6 @@ built only once per class, where a distribution is handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import BlockSpace, EmpiricalDistribution
@@ -127,10 +126,7 @@ class Walk:
         if work > NAME_WORK_LIMIT:
             raise NameWorkTooLarge("%d name entries exceed the limit %d" % (work, NAME_WORK_LIMIT))
         fibre = {self.name(x, length): k for x, k in seen.values()}
-        total = len(starts) * self.group.order
-        return EmpiricalDistribution.from_weights(
-            space, {k: Fraction(v, total) for k, v in _all_fibres(fibre, self.group).items()}
-        )
+        return EmpiricalDistribution.from_counts(space, _all_fibres(fibre, self.group))
 
 
 def _all_fibres(counts: Mapping[tuple, int], group: FiniteGroup) -> dict[tuple, int]:

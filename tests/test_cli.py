@@ -4,12 +4,16 @@ subcommands end to end."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skewlab
 from skewlab import (
     ExtensionSystem,
     GroupTooLarge,
@@ -488,6 +492,42 @@ def test_seed_orbit_command(marker_pair, tmp_path):
     payload = json.loads(out.read_text())
     assert sum(payload["labels"]) == 1
     assert set(payload["alpha"]) == {0}
+
+
+STEP_ARGS = ["--n", "4", "--delta", "3/10", "--n1", "8", "--delta1", "3/10", "--epsilon", "3/10"]
+CONSTRUCTION = ("improvement", "driver", "towers", "matching")
+
+
+@pytest.mark.parametrize(
+    "command, args, absent",
+    [
+        ("metrics", ["--n", "4"], CONSTRUCTION),
+        ("improve", STEP_ARGS, ("matching",)),
+        ("factor", STEP_ARGS + ["--budget", "1", "--epsilons", "1/10"], ("matching",)),
+        ("iso", STEP_ARGS + ["--budget", "1", "--epsilons", "1/10"], ("matching",)),
+        ("seed-orbit", ["--nlen", "48", "--zeta", "1/10", "--n", "4"], ("matching",)),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(marker_pair, tmp_path, command, args, absent):
+    # a fresh interpreter, so no other test's imports count
+    t, s = marker_pair
+    probe = (
+        "import sys\n"
+        "from skewlab.cli import run_command\n"
+        "rc = run_command(sys.argv[1:])\n"
+        "print(rc, *sorted(m for m in sys.modules if m.startswith('skewlab.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, "--target", t, "--source", s, *args,
+         "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    rc, *loaded = done.stdout.split()
+    assert rc == "0"
+    assert "skewlab.systems" in loaded
+    assert not {"skewlab." + m for m in absent} & set(loaded), loaded
 
 
 def test_rect_arguments_parse(marker_pair, tmp_path):

@@ -153,6 +153,54 @@ def test_point_masses_cost_the_metric_distance():
             assert kantorovich(dx, dy) == g.metric[x][y]
 
 
+def test_counts_at_different_scales_compare_equal():
+    space = DiscreteSpace()
+    half = EmpiricalDistribution.from_counts(space, {1: 1, 0: 1})
+    assert EmpiricalDistribution.from_counts(space, {0: 2, 1: 2}) == half
+    assert EmpiricalDistribution.from_counts(space, {0: 6, 1: 6, 2: 0}) == half
+    assert EmpiricalDistribution.from_weights(space, {0: Fraction(1, 2), 1: Fraction(1, 2)}) == half
+    assert EmpiricalDistribution.from_weights(space, {0: 7, 1: 7}) == half
+    assert hash(EmpiricalDistribution.from_counts(space, {0: 2, 1: 2})) == hash(half)
+    assert (half.counts, half.total) == (((0, 1), (1, 1)), 2)
+    assert half.weights == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+    assert kantorovich(EmpiricalDistribution.from_counts(space, {0: 2, 1: 2}), half) == 0
+    third = EmpiricalDistribution.from_counts(space, {0: 3, 1: 6})
+    assert (third.counts, third.total) == (((0, 1), (1, 2)), 3)
+    assert third.weight(1) == Fraction(2, 3) and third.weight(5) == 0
+    assert third.as_dict() == {0: Fraction(1, 3), 1: Fraction(2, 3)}
+
+
+def test_counts_rejected():
+    space = DiscreteSpace()
+    with pytest.raises(ValidationError, match="negative count"):
+        EmpiricalDistribution.from_counts(space, {0: -1, 1: 2})
+    for empty in ({}, {0: 0, 1: 0}):
+        with pytest.raises(ValidationError, match="no mass"):
+            EmpiricalDistribution.from_counts(space, empty)
+    # the constructor holds the invariants from_counts establishes
+    for counts, total in ((((0, 2), (1, 2)), 4), (((0, 1), (1, 2)), 4), (((0, 1), (1, 0)), 1)):
+        with pytest.raises(ValidationError):
+            EmpiricalDistribution(space, counts, total)
+
+
+@pytest.mark.parametrize("space", [DiscreteSpace(), GroupSpace(cyclic(5)), LabelGroupSpace(cyclic(4))])
+def test_kantorovich_on_totals_three_and_seven(space):
+    keys = [0, 1, 2, 3] if not isinstance(space, LabelGroupSpace) else [(0, 1), (1, 1), (0, 3), (0, 0)]
+    d1 = EmpiricalDistribution.from_counts(space, {keys[0]: 1, keys[2]: 2})
+    d2 = EmpiricalDistribution.from_counts(space, {keys[0]: 2, keys[1]: 1, keys[3]: 4})
+    assert (d1.total, d2.total) == (3, 7)
+    expected = oracles.fraction_kantorovich(d1, d2)
+    assert expected > 0
+    assert kantorovich(d1, d2) == kantorovich(d1, d2, method="flow") == expected
+
+
+def test_kantorovich_rejects_unknown_method():
+    d = EmpiricalDistribution.from_counts(DiscreteSpace(), {0: 1})
+    for method in ("simplex", "", "AUTO"):
+        with pytest.raises(ValidationError, match="unknown transport method"):
+            kantorovich(d, d, method=method)
+
+
 def test_space_mismatch_rejected():
     d1 = EmpiricalDistribution.from_weights(DiscreteSpace(), {0: 1})
     d2 = EmpiricalDistribution.from_weights(GroupSpace(cyclic(2)), {0: 1})

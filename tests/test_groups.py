@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab import FiniteGroup, ValidationError, cyclic, from_tables, trivial
+from skewlab.groups import _generators
 
 import oracles
 from conftest import S3_PERMS, left_invariant_metric, s3_table, table_inverses
@@ -178,6 +179,30 @@ def test_validator_accepts_exactly_what_the_cubic_oracle_accepts():
         accepted += expected is None
         rejected += expected is not None
     assert accepted >= 100 and rejected >= 100
+
+
+def test_light_test_checks_a_generating_set():
+    assert _generators(cyclic(64).mul, 0) == [1]
+    assert _generators(KLEIN, 0) == [1, 2]
+    assert _generators(s3_table(), 0) == [1, 2]
+    assert _generators(trivial().mul, 0) == [0]
+    for mul in (KLEIN, s3_table()):
+        g = from_tables(mul)
+        assert g.order == len(mul)
+        assert oracles.cubic_group_check(g.order, g.mul, g.inv, g.identity, g.metric) is None
+
+
+def test_corruption_off_the_generator_row_rejected_like_the_cubic_check():
+    # Z/6 is generated by 1; corrupt row 2, keeping identity and inverse entries
+    mul = [list(row) for row in cyclic(6).mul]
+    mul[2][3] = 4
+    assert _generators(mul, 0) == [1]
+    inv = table_inverses(mul)
+    expected = oracles.cubic_group_check(6, mul, inv, 0, cyclic(6).metric)
+    assert expected.startswith("associativity fails at")
+    with pytest.raises(ValidationError) as exc:
+        FiniteGroup(6, mul, inv, 0, cyclic(6).metric)
+    assert str(exc.value) == expected
 
 
 def _rejection(mul, f, message, edit=None):
