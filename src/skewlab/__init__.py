@@ -12,10 +12,10 @@ _EXPORTS = {
         "LabelGroupSpace", "kantorovich",
     ),
     "driver": (
-        "ConstructionLog", "FactorMap", "FactorResult", "FullGroupWitness",
-        "GeneratorRecord", "IterationSchedule", "bootstrap_regular", "complete_speedup",
-        "copy_partition", "ergodicity_certificate", "run_factor", "run_isomorphism",
-        "seed_from_orbit", "total_extension_witness", "verify_factor_map",
+        "ConstructionLog", "FactorResult", "FullGroupWitness", "GeneratorRecord",
+        "IterationSchedule", "bootstrap_regular", "complete_speedup", "copy_partition",
+        "ergodicity_certificate", "run_factor", "run_isomorphism", "seed_from_orbit",
+        "total_extension_witness", "verify_factor_map",
     ),
     "errors": (
         "AtomTooSmall", "Collision", "DomainTooSmall", "GeneratorCheckFailed",

@@ -288,28 +288,17 @@ def _factor_payload(result) -> dict:
     return out
 
 
-def _cmd_factor(args: argparse.Namespace) -> dict:
-    from .driver import run_factor
+def _cmd_loop(args: argparse.Namespace) -> dict:
+    from .driver import run_factor, run_isomorphism
 
     target, source = _load_pair(args)
     schedule = _schedule_from(args, source)
-    result = run_factor(target, source, source.labels, schedule)
+    if args.command == "iso":
+        result = run_isomorphism(target, source, source.labels, schedule, copy_zeta=args.copy_zeta)
+    else:
+        result = run_factor(target, source, source.labels, schedule)
     payload = _factor_payload(result)
-    payload["command"] = "factor"
-    payload["seed"] = args.seed
-    return payload
-
-
-def _cmd_iso(args: argparse.Namespace) -> dict:
-    from .driver import run_isomorphism
-
-    target, source = _load_pair(args)
-    schedule = _schedule_from(args, source)
-    result = run_isomorphism(
-        target, source, source.labels, schedule, copy_zeta=args.copy_zeta
-    )
-    payload = _factor_payload(result)
-    payload["command"] = "iso"
+    payload["command"] = args.command
     payload["seed"] = args.seed
     return payload
 
@@ -374,20 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     tolerances(p)
     p.set_defaults(func=_cmd_improve)
 
-    p = sub.add_parser("factor", help="build a speedup factoring onto the target")
-    common(p)
-    tolerances(p)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--epsilons", default=None, help="comma list of iteration tolerances")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("iso", help="factor loop with generator tracking")
-    common(p)
-    tolerances(p)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--epsilons", default=None, help="comma list of iteration tolerances")
-    p.add_argument("--copy-zeta", type=_fraction_arg, default=Fraction(1, 10))
-    p.set_defaults(func=_cmd_iso)
+    for name, text in (
+        ("factor", "build a speedup factoring onto the target"),
+        ("iso", "factor loop with generator tracking"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        tolerances(p)
+        p.add_argument("--budget", type=int, required=True)
+        p.add_argument("--epsilons", default=None, help="comma list of iteration tolerances")
+        if name == "iso":
+            p.add_argument("--copy-zeta", type=_fraction_arg, default=Fraction(1, 10))
+        p.set_defaults(func=_cmd_loop)
 
     p = sub.add_parser("seed-orbit", help="copy one good target orbit onto the source")
     common(p)

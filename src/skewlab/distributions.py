@@ -116,41 +116,29 @@ class BlockSpace(_Scaled):
 # empirical distributions
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True)
 class EmpiricalDistribution:
     """Finitely supported probability vector, held as integer counts.
 
     counts pairs each key with a positive int, sorted by key and reduced
     by the counts' gcd, so distributions with equal proportions are equal;
-    the weight of a key is its count over total.  The dataclass fields
-    are space and weights, the exact weights read off the counts on first
-    use, so reports serialize the weights.  Construct through from_counts
-    or from_weights.
+    the weight of a key is its count over total.  Construct through
+    from_counts or from_weights.
     """
 
     space: object
-    weights: tuple[tuple[object, Fraction], ...]
+    counts: tuple[tuple[object, int], ...]
+    total: int
 
-    def __init__(self, space, counts: tuple[tuple[object, int], ...], total: int) -> None:
-        if not counts:
+    def __post_init__(self) -> None:
+        if not self.counts:
             raise ValidationError("distribution has no mass")
-        if any(type(c) is not int or c <= 0 for _, c in counts):
+        if any(type(c) is not int or c <= 0 for _, c in self.counts):
             raise ValidationError("counts must be positive integers")
-        if math.gcd(*(c for _, c in counts)) != 1:
+        if math.gcd(*(c for _, c in self.counts)) != 1:
             raise ValidationError("counts must be reduced by their gcd")
-        if total != sum(c for _, c in counts):
+        if self.total != sum(c for _, c in self.counts):
             raise ValidationError("total must be the sum of the counts")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmpiricalDistribution):
-            return NotImplemented
-        return self.space == other.space and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.counts))
 
     @staticmethod
     def from_counts(space, mapping: Mapping) -> "EmpiricalDistribution":
@@ -295,21 +283,13 @@ def _solve_transport(
     return Fraction(total, scale * space.unit)
 
 
-def kantorovich(
-    d1: EmpiricalDistribution,
-    d2: EmpiricalDistribution,
-    *,
-    method: str = "auto",
-) -> Fraction:
+def kantorovich(d1: EmpiricalDistribution, d2: EmpiricalDistribution) -> Fraction:
     """Exact Kantorovich distance between two distributions on one space.
 
-    method="auto" cancels common mass and uses the discrete closed form
-    when available; method="flow" forces the general solver (used by the
-    cross-checking tests).  Both weigh the masses c1 * t2 and c2 * t1 of
-    each key over t1 * t2, on ints.
+    Common mass cancels first: each key carries the masses c1 * t2 and
+    c2 * t1 over t1 * t2, on ints.  The discrete metric takes the closed
+    form, every other space the transport solver.
     """
-    if method not in ("auto", "flow"):
-        raise ValidationError("unknown transport method %r" % (method,))
     if d1.space != d2.space:
         raise SpaceMismatch("distributions live on different spaces")
     if d1.counts == d2.counts:
@@ -325,6 +305,6 @@ def kantorovich(
             supply.append((k, diff))
         elif diff < 0:
             demand.append((k, -diff))
-    if method == "auto" and d1.space.discrete:
+    if d1.space.discrete:
         return Fraction(sum(w for _, w in supply), t1 * t2)
     return _solve_transport(supply, demand, t1 * t2, d1.space)

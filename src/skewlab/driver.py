@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .distributions import kantorovich
@@ -343,60 +344,46 @@ def ergodicity_certificate(
 # partition copying
 
 
-@dataclass(frozen=True)
-class FactorMap:
-    """Partial base factor map from a chain onto a cyclic segment."""
-
-    big_size: int
-    small_size: int
-    chain: tuple[int, ...]
-    start: int
-
-
 def verify_factor_map(
-    fmap: FactorMap, big: PartialSpeedup, target: ExtensionSystem
+    big: PartialSpeedup, target: ExtensionSystem, chain: Sequence[int], start: int
 ) -> None:
-    """Check the chain's dynamics and skewing match the target's exactly."""
-    if big.parent.size != fmap.big_size or target.size != fmap.small_size:
-        raise ValidationError("factor map sizes do not match the systems")
+    """Check that the chain, read from the target's point start, matches its
+    dynamics and skewing exactly: a partial base factor map onto a segment."""
     nxt, inc = big.step_table
-    for t, z in enumerate(fmap.chain[:-1]):
-        if not big.exponent[z] or nxt[z] != fmap.chain[t + 1]:
+    for t, z in enumerate(chain[:-1]):
+        if not big.exponent[z] or nxt[z] != chain[t + 1]:
             raise ValidationError("chain breaks at position %d" % t)
-        x = (fmap.start + t) % target.size
+        x = (start + t) % target.size
         if inc[z] != target.skew[x]:
             raise ValidationError("skewing mismatch at position %d" % t)
 
 
 def copy_partition(
-    fmap: FactorMap,
     big: PartialSpeedup,
     pbar: Sequence[int],
     target: ExtensionSystem,
     qbar: Sequence[int],
-    zeta: Fraction,
+    chain: Sequence[int],
+    start: int,
     n: int,
 ) -> tuple[tuple[int, ...], Fraction]:
-    """Copy a partition of the big base down through the factor map.
+    """Copy a partition of the big base down through the chain's factor map.
 
     Each small point takes the atom of its first chain preimage;
     points without preimages take the largest atom.  Returns the copied
-    partition with the measured joint name distance.  zeta is only
-    range-checked: nothing here or in the isomorphism loop compares the
-    distance against it.
+    partition with the measured joint name distance.
     """
-    open_unit("zeta", zeta)
     if n > target.size:
         raise TowerInfeasible("block length %d exceeds the small cycle" % n)
-    verify_factor_map(fmap, big, target)
+    verify_factor_map(big, target, chain, start)
     counts: dict[int, int] = {}
     for q in qbar:
         counts[q] = counts.get(q, 0) + 1
     default = max(counts, key=lambda q: (counts[q], -q))
     small = [default] * target.size
     seen: set[int] = set()
-    for t, z in enumerate(fmap.chain):
-        x = (fmap.start + t) % target.size
+    for t, z in enumerate(chain):
+        x = (start + t) % target.size
         if x not in seen:
             seen.add(x)
             small[x] = qbar[z]
@@ -434,6 +421,17 @@ def _cylinder_sets(labels: Sequence[int], size: int, count: int) -> list[tuple[i
     return out
 
 
+def _power(perm: Sequence[int], m: int) -> list[int]:
+    """The m-th power of a permutation of range(len(perm)), by squaring."""
+    out, base = list(range(len(perm))), list(perm)
+    while m:
+        if m & 1:
+            out = [base[x] for x in out]
+        base = [base[x] for x in base]
+        m >>= 1
+    return out
+
+
 def _majority_defect_schedule(
     speedup: PartialSpeedup,
     labels: Sequence[int],
@@ -445,29 +443,34 @@ def _majority_defect_schedule(
     Classes are the (2m+1)-name atoms under the total speedup, the
     label word read from m steps back; the defect of a class is
     whichever of its inside/outside parts is smaller.  Classes only
-    refine as m grows, so the defect is monotone and the search walks m
-    upward.
+    refine as m grows, so the defect never rises: the search doubles m
+    until the bound holds, then bisects.  It stops at m = size.
     """
     size = speedup.parent.size
     inside = set(target_set)
     forward, _ = speedup.step_table
     walk = Walk(labels, forward, (0,) * size, trivial())
-    # the total map is a permutation, so the word from every y, centred
-    # m steps ahead of y, gives every point its class once
-    centre = list(range(size))
-    m = 0
-    while True:
+
+    @cache
+    def defect(m: int) -> Fraction:
+        # the total map is a permutation, so the word from every y, centred
+        # m steps ahead of y, gives every point its class once
         ids = walk.classes(2 * m + 1)
+        centre = _power(forward, m)
         split: dict[int, list[int]] = {}  # class -> [inside, total]
         for y in range(size):
             part = split.setdefault(ids[y], [0, 0])
             part[0] += centre[y] in inside
             part[1] += 1
-        d = Fraction(sum(min(ins, tot - ins) for ins, tot in split.values()), size)
-        if d <= bound or m >= size:
-            return m, d
-        m += 1
-        centre = [forward[x] for x in centre]
+        return Fraction(sum(min(ins, tot - ins) for ins, tot in split.values()), size)
+
+    lo, hi = -1, 0  # the bound fails at lo and holds at hi, unless hi = size
+    while hi < size and not defect(hi) <= bound:
+        lo, hi = hi, min(2 * hi or 1, size)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if defect(mid) <= bound else (mid, hi)
+    return hi, defect(hi)
 
 
 def _separation_failure(speedup: PartialSpeedup, labels: Sequence[int]) -> Fraction:
@@ -519,9 +522,10 @@ def run_isomorphism(
         bound = 2 * schedule.eps_for(k)
         window, defect = _majority_defect_schedule(total, res.labels, target_set, bound)
         qbar = tuple(1 if x in target_set else 0 for x in range(source.size))
-        fmap = FactorMap(source.size, target.size, res.chain, res.model.start)
         n = schedule.step_for(k)[0]
-        _, dist = copy_partition(fmap, res.twisted, res.labels, target, qbar, copy_zeta, n)
+        _, dist = copy_partition(
+            res.twisted, res.labels, target, qbar, res.chain, res.model.start, n
+        )
         records.append(GeneratorRecord(k, window, defect, bound, dist))
     log = replace(
         result.log,
@@ -558,14 +562,13 @@ def seed_from_orbit(
     group = target.group
     if group.order != source.group.order or group.mul != source.group.mul:
         raise ValidationError("seeding needs matching groups")
-    space = target.name_space(n)
     walk = target.walk()
     ids = walk.classes(n)
-    reference = walk.distribution(space, n, range(target.size), ids)
+    reference = walk.distribution(n, range(target.size), ids)
     windows = n_len - n + 1
     for x in range(target.size):
         # segment windows are target windows at x + t, right-translated
-        emp = walk.distribution(space, n, [(x + t) % target.size for t in range(windows)], ids)
+        emp = walk.distribution(n, [(x + t) % target.size for t in range(windows)], ids)
         if kantorovich(emp, reference) < zeta:
             break
     else:

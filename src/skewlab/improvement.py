@@ -133,25 +133,16 @@ def build_cycles(
                 if pos in used:
                     raise Collision("window %d position %d used twice" % (s, pos))
                 used.add(pos)
+    # windows are disjoint and ordered and each (window, position) pair is
+    # used once, so absolute positions are distinct and increase along a stage
     cycles = []
-    taken: set[int] = set()
     for t in range(rounds):
         stages = []
         for l in range(p):
             for j in range((w - l) // p):
                 pos = tuple(samples[j * p + l + i][t][i] for i in range(p))
                 stages.append(((l, j), pos))
-        cyc = Cycle(p, t, tuple(stages))
-        for (_, _), abs_pos in cyc.absolute(windows):
-            last = -1
-            for a in abs_pos:
-                if a <= last:
-                    raise Collision("stage positions not increasing")
-                last = a
-                if a in taken:
-                    raise Collision("absolute position %d used twice" % a)
-                taken.add(a)
-        cycles.append(cyc)
+        cycles.append(Cycle(p, t, tuple(stages)))
     return tuple(cycles)
 
 
@@ -360,12 +351,11 @@ def build_model_name(
     ids = walk.classes(n1)
     x0 = _choose_start(target, ids, length, n1)
     labels, groups = zip(*walk.name(x0, length))
-    space = target.name_space(n1)
-    reference = walk.distribution(space, n1, range(target.size), ids)
+    reference = walk.distribution(n1, range(target.size), ids)
 
     def averaged(starts) -> EmpiricalDistribution:
         # template windows are target windows at x0 + t, right-translated
-        return walk.distribution(space, n1, [(x0 + t) % target.size for t in starts], ids)
+        return walk.distribution(n1, [(x0 + t) % target.size for t in starts], ids)
 
     window_distance = kantorovich(averaged(range(length - n1 + 1)), reference)
     block_distance = kantorovich(averaged(range(0, length, n1)), reference)

@@ -288,7 +288,7 @@ def name_distribution(
     """Distribution of n-names over the whole extension [N] x G."""
     if n < 1:
         raise ValidationError("name length must be positive")
-    return ext.walk(labels).distribution(ext.name_space(n), n, range(ext.size))
+    return ext.walk(labels).distribution(n, range(ext.size))
 
 
 def speedup_name_distribution(
@@ -300,7 +300,7 @@ def speedup_name_distribution(
     starts = power_domain(speedup, n)
     if not starts:
         raise ValidationError("no start points for the name distribution")
-    return speedup.walk(labels).distribution(speedup.parent.name_space(n), n, starts)
+    return speedup.walk(labels).distribution(n, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -701,6 +701,20 @@ def test_usage_error_exits_one_with_json(argv, detail):
     assert payload["detail"].startswith(detail)
 
 
+def test_copy_zeta_is_an_iso_flag_only(marker_pair):
+    # factor and iso share one parser definition; only iso takes --copy-zeta
+    t, s = marker_pair
+    argv = ["--target", t, "--source", s, *STEP_ARGS, "--budget", "0", "--copy-zeta", "1/10"]
+    rc, text = _run_captured(["factor", *argv])
+    assert rc == 1
+    payload = json.loads(text)
+    assert payload["error"] == "ParseError"
+    assert payload["detail"] == "skewlab: unrecognized arguments: --copy-zeta 1/10"
+    rc, text = _run_captured(["iso", *argv])
+    assert rc == 0
+    assert json.loads(text)["command"] == "iso"
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as stop:
         run_command(["--help"])

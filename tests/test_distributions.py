@@ -59,7 +59,7 @@ def test_flow_solver_agrees_with_closed_form():
         d1 = EmpiricalDistribution.from_weights(space, random_weights(rng, atoms, 12))
         atoms2 = rng.sample(range(12), rng.randint(1, 6))
         d2 = EmpiricalDistribution.from_weights(space, random_weights(rng, atoms2, 12))
-        assert kantorovich(d1, d2, method="flow") == kantorovich(d1, d2)
+        assert kantorovich(d1, d2) == oracles.fraction_kantorovich(d1, d2)
 
 
 def test_flow_solver_against_assignment_oracle():
@@ -116,7 +116,6 @@ def test_integer_solver_matches_fraction_oracle(pair):
     d1, d2 = pair
     expected = oracles.fraction_kantorovich(d1, d2)
     assert kantorovich(d1, d2) == expected
-    assert kantorovich(d1, d2, method="flow") == expected
 
 
 @given(st.data())
@@ -191,14 +190,7 @@ def test_kantorovich_on_totals_three_and_seven(space):
     assert (d1.total, d2.total) == (3, 7)
     expected = oracles.fraction_kantorovich(d1, d2)
     assert expected > 0
-    assert kantorovich(d1, d2) == kantorovich(d1, d2, method="flow") == expected
-
-
-def test_kantorovich_rejects_unknown_method():
-    d = EmpiricalDistribution.from_counts(DiscreteSpace(), {0: 1})
-    for method in ("simplex", "", "AUTO"):
-        with pytest.raises(ValidationError, match="unknown transport method"):
-            kantorovich(d, d, method=method)
+    assert kantorovich(d1, d2) == expected
 
 
 def test_space_mismatch_rejected():

@@ -1,5 +1,5 @@
 """Iteration schedules, the factor and isomorphism loops, witnesses,
-factor maps, and orbit seeding."""
+factor map checks, partition copies, and orbit seeding."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 
 from skewlab import (
     ExtensionSystem,
-    FactorMap,
     GeneratorCheckFailed,
     Infeasible,
     IterationSchedule,
@@ -272,13 +271,13 @@ def eight_cycle():
 
 def test_verify_factor_map_identity(eight_cycle):
     ext, big = eight_cycle
-    verify_factor_map(FactorMap(8, 8, tuple(range(8)), 0), big, ext)
+    verify_factor_map(big, ext, tuple(range(8)), 0)
 
 
 def test_verify_factor_map_chain_break(eight_cycle):
     ext, big = eight_cycle
     with pytest.raises(ValidationError) as exc:
-        verify_factor_map(FactorMap(8, 8, (0, 2, 3), 0), big, ext)
+        verify_factor_map(big, ext, (0, 2, 3), 0)
     assert "position 0" in str(exc.value)
 
 
@@ -288,7 +287,7 @@ def test_verify_factor_map_off_domain_point():
     ext = marker_system(8, 7)
     big = PartialSpeedup(ext, (1, 1, 1, 0, 1, 1, 1, 1), 1)
     with pytest.raises(ValidationError) as exc:
-        verify_factor_map(FactorMap(8, 8, (3, 3), 0), big, ext)
+        verify_factor_map(big, ext, (3, 3), 0)
     assert "position 0" in str(exc.value)
 
 
@@ -300,50 +299,37 @@ def test_verify_factor_map_skew_mismatch():
     )
     big = PartialSpeedup(flat, (1,) * 8, 1)
     with pytest.raises(ValidationError) as exc:
-        verify_factor_map(FactorMap(8, 8, (0, 1, 2), 0), big, target)
+        verify_factor_map(big, target, (0, 1, 2), 0)
     assert "skewing mismatch" in str(exc.value)
-
-
-def test_verify_factor_map_size_check(eight_cycle):
-    ext, big = eight_cycle
-    with pytest.raises(ValidationError):
-        verify_factor_map(FactorMap(9, 8, (0, 1), 0), big, ext)
 
 
 def test_copy_constant_partition_is_exact(eight_cycle):
     ext, big = eight_cycle
-    fmap = FactorMap(8, 8, tuple(range(8)), 0)
-    copied, dist = copy_partition(fmap, big, ext.labels, ext, (0,) * 8, Fraction(1, 2), 4)
+    copied, dist = copy_partition(big, ext.labels, ext, (0,) * 8, tuple(range(8)), 0, 4)
     assert copied == (0,) * 8
     assert dist == 0
 
 
 def test_copy_pullback_round_trips(eight_cycle):
     ext, big = eight_cycle
-    fmap = FactorMap(8, 8, tuple(range(8)), 0)
     q = (0, 1, 1, 0, 2, 2, 0, 1)
-    copied, dist = copy_partition(fmap, big, ext.labels, ext, q, Fraction(1, 2), 4)
+    copied, dist = copy_partition(big, ext.labels, ext, q, tuple(range(8)), 0, 4)
     assert copied == q
     assert dist == 0
 
 
 def test_copy_fills_uncovered_points_with_largest_atom(eight_cycle):
     ext, big = eight_cycle
-    fmap = FactorMap(8, 8, tuple(range(6)), 0)
     copied, _ = copy_partition(
-        fmap, big, ext.labels, ext, (5, 5, 5, 5, 7, 7, 7, 7), Fraction(1, 2), 4
+        big, ext.labels, ext, (5, 5, 5, 5, 7, 7, 7, 7), tuple(range(6)), 0, 4
     )
     assert copied == (5, 5, 5, 5, 7, 7, 5, 5)
 
 
 def test_copy_validation(eight_cycle):
     ext, big = eight_cycle
-    fmap = FactorMap(8, 8, tuple(range(8)), 0)
-    q = (0,) * 8
-    with pytest.raises(ValidationError):
-        copy_partition(fmap, big, ext.labels, ext, q, Fraction(3, 2), 4)
     with pytest.raises(TowerInfeasible):
-        copy_partition(fmap, big, ext.labels, ext, q, Fraction(1, 2), 9)
+        copy_partition(big, ext.labels, ext, (0,) * 8, tuple(range(8)), 0, 9)
 
 
 def test_cylinder_sets_enumeration():

@@ -5,6 +5,7 @@ in oracles.py on small systems over Z/1 to Z/5 and the non-abelian S3,
 and asserts exact equality.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,7 @@ def test_speedup_name_distribution_matches_per_fibre(sp, n, data):
     )
     some = sorted(data.draw(st.sets(st.sampled_from(starts), min_size=1)))
     assert (
-        sp.walk(labels).distribution(sp.parent.name_space(n), n, some).weights
+        sp.walk(labels).distribution(n, some).weights
         == oracles.speedup_name_distribution_per_fibre(sp, labels, n, some).weights
     )
 
@@ -280,6 +281,41 @@ def test_majority_defect_matches_centred_words(sp, data):
     assert _majority_defect_schedule(sp, labels, target_set, bound) == (
         oracles.majority_defect_centred(sp, labels, target_set, bound)
     )
+
+
+def marked_rotation(size, marks):
+    """The unit speedup of a trivial-group cycle labelled 1 at the marks."""
+    labels = tuple(1 if x in marks else 0 for x in range(size))
+    return PartialSpeedup(ExtensionSystem(size, labels, cyclic(1), (0,) * size), (1,) * size, 1)
+
+
+@pytest.mark.parametrize(
+    "marks, expected",
+    [
+        # point 64 is 64 steps from the only mark: its word is all zeros
+        # until every other point's window holds the mark, at m = 63
+        ((0,), (63, Fraction(0))),
+        # marks 64 apart never separate 0 from 64, so the search runs
+        # past size/2 to its stop at m = size
+        ((0, 64), (128, Fraction(1, 128))),
+    ],
+)
+def test_majority_defect_search_on_128_points(marks, expected):
+    sp = marked_rotation(128, marks)
+    labels, target_set = sp.parent.labels, {64}
+    found = _majority_defect_schedule(sp, labels, target_set, Fraction(0))
+    assert found == expected
+    assert found == oracles.majority_defect_centred(sp, labels, target_set, Fraction(0))
+
+
+def test_majority_defect_search_stays_logarithmic_in_the_window():
+    # the window grows to 2047 here; walking m upward one class pass at a
+    # time took about a minute at this size
+    sp = marked_rotation(4096, (0,))
+    start = time.perf_counter()
+    found = _majority_defect_schedule(sp, sp.parent.labels, {2048}, Fraction(0))
+    assert time.perf_counter() - start < 5.0
+    assert found == (2047, Fraction(0))
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=16))

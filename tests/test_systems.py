@@ -290,7 +290,7 @@ def test_speedup_name_distribution_explicit_starts():
     ext = tiny_extension(size=6, flip_at=(0,))
     sp = PartialSpeedup(ext, (1,) * 6, 1)
     d_all = speedup_name_distribution(sp, ext.labels, 2)
-    d_some = sp.walk(ext.labels).distribution(ext.name_space(2), 2, (0, 1))
+    d_some = sp.walk(ext.labels).distribution(2, (0, 1))
     assert set(d_some.support()) <= set(d_all.support())
     # an empty domain leaves no start point
     with pytest.raises(ValidationError):
