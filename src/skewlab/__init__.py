@@ -8,8 +8,7 @@ import importlib
 
 _EXPORTS = {
     "distributions": (
-        "BlockSpace", "DiscreteSpace", "EmpiricalDistribution", "GroupSpace",
-        "LabelGroupSpace", "kantorovich",
+        "DiscreteSpace", "EmpiricalDistribution", "NameSpace", "kantorovich",
     ),
     "driver": (
         "ConstructionLog", "FactorResult", "FullGroupWitness", "GeneratorRecord",

@@ -143,8 +143,15 @@ def load_system(path: str, groups: dict) -> ExtensionSystem:
 
 
 def _load_pair(args: argparse.Namespace) -> tuple[ExtensionSystem, ExtensionSystem]:
+    """Target and source, which must share one group (compared by its tables)."""
     groups: dict = {}
-    return load_system(args.target, groups), load_system(args.source, groups)
+    target, source = load_system(args.target, groups), load_system(args.source, groups)
+    if target.group != source.group:
+        raise ParseError(
+            "target group %s (order %d) and source group %s (order %d) differ"
+            % (target.group.name, target.group.order, source.group.name, source.group.order)
+        )
+    return target, source
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +289,7 @@ def _factor_payload(result) -> dict:
         "witness": log.witness,
         "reports": list(log.reports),
     }
-    if log.generator:
+    if log.separation_failure is not None:
         out["generator"] = list(log.generator)
         out["separation_failure"] = log.separation_failure
     return out

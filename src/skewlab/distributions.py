@@ -2,13 +2,13 @@
 
 Everything downstream compares name statistics through the Kantorovich
 (earth mover) distance, so this module pins down the three ingredients:
-the finite metric spaces names live on, empirical distributions over
-them held as integer counts, and an exact transport solver.  The solver
-cancels common mass first (for metric ground costs the value depends only
-on the difference measure), takes a closed-form path under the discrete
-metric, and otherwise runs the primal-dual method on the spaces' integer
-distances (common denominator L, at most L + 1 phases).  Values are exact
-rationals; transport runs on integers.
+the two metric spaces (plain keys and names), empirical distributions
+over them held as integer counts, and an exact transport solver.  The
+solver cancels common mass first (for metric ground costs the value
+depends only on the difference measure), takes a closed-form path under
+the discrete metric, and otherwise runs the primal-dual method on the
+spaces' integer distances (common denominator L, at most L + 1 phases).
+Values are exact rationals; transport runs on integers.
 """
 
 from __future__ import annotations
@@ -52,63 +52,34 @@ class DiscreteSpace(_Scaled):
 
 
 @dataclass(frozen=True)
-class GroupSpace(_Scaled):
-    """Elements of a finite group under its bi-invariant metric."""
+class NameSpace(_Scaled):
+    """Names of one length: tuples of (label, group element) coordinates.
 
-    group: FiniteGroup
-
-    @property
-    def unit(self) -> int:
-        return self.group.int_metric[0]
-
-    def int_dist(self, a, b) -> int:
-        return self.group.int_metric[1][a][b]
-
-
-@dataclass(frozen=True)
-class LabelGroupSpace(_Scaled):
-    """Joint name coordinates (label, group element).
-
-    Coordinate metric: 1 when the labels differ, the group metric
-    otherwise.  Labels are open-ended ints so distributions from systems
-    with different alphabets stay comparable.
+    Two coordinates are 1 apart when their labels differ and at the group
+    distance otherwise; two names are as far apart as their farthest
+    coordinates.  Labels are open-ended ints so distributions from
+    systems with different alphabets stay comparable.
     """
 
     group: FiniteGroup
-
-    @property
-    def unit(self) -> int:
-        return self.group.int_metric[0]
-
-    def int_dist(self, a, b) -> int:
-        unit, table = self.group.int_metric
-        return unit if a[0] != b[0] else table[a[1]][b[1]]
-
-
-@dataclass(frozen=True)
-class BlockSpace(_Scaled):
-    """Fixed-length tuples over a coordinate space, max metric."""
-
-    coord: object
     length: int
 
     @property
     def unit(self) -> int:
-        return self.coord.unit
+        return self.group.int_metric[0]
 
     def int_dist(self, a, b) -> int:
         if len(a) != self.length or len(b) != self.length:
-            raise SpaceMismatch("block length mismatch")
-        top = self.coord.unit
-        cd = self.coord.int_dist
+            raise SpaceMismatch("name length mismatch")
+        unit, table = self.group.int_metric
         best = 0
-        for x, y in zip(a, b):
-            d = cd(x, y)
+        for (x, g), (y, h) in zip(a, b):
+            d = unit if x != y else table[g][h]
             if d > best:
-                best = d
                 # no coordinate is farther than distance 1 (= unit)
-                if best >= top:
-                    break
+                if d >= unit:
+                    return unit
+                best = d
         return best
 
 

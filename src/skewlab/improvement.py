@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .distributions import EmpiricalDistribution, kantorovich
+from .distributions import EmpiricalDistribution, NameSpace, kantorovich
 from .errors import (
     Collision,
     HypothesisDistance,
@@ -214,8 +214,7 @@ def _regularity(
     # along the column
     (name,) = names
     counts = Counter(name[i : i + n] for i in range(0, height, n))
-    dist = EmpiricalDistribution.from_counts(ext.name_space(n), counts)
-    gap = kantorovich(dist, full)
+    gap = kantorovich(EmpiricalDistribution.from_counts(NameSpace(ext.group, n), counts), full)
     if not gap < delta:
         return RegularityRefusal(
             "condition 4",

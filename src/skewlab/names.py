@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .distributions import BlockSpace, EmpiricalDistribution, LabelGroupSpace
+from .distributions import EmpiricalDistribution, NameSpace
 from .errors import NameWorkTooLarge
 from .groups import FiniteGroup
 
@@ -109,10 +109,10 @@ class Walk:
     ) -> EmpiricalDistribution:
         """Distribution over every fibre of the names from the given start points.
 
-        Names live on the (label, group) blocks of the given length.  One
-        name tuple is built per class; ids are the classes of this length
-        when the caller already has them.  NameWorkTooLarge when the
-        names on every fibre exceed NAME_WORK_LIMIT entries.
+        Names live on the NameSpace of the given length.  One name tuple
+        is built per class; ids are the classes of this length when the
+        caller already has them.  NameWorkTooLarge when the names on
+        every fibre exceed NAME_WORK_LIMIT entries.
         """
         if ids is None:
             ids = self.classes(length)
@@ -123,7 +123,7 @@ class Walk:
         if work > NAME_WORK_LIMIT:
             raise NameWorkTooLarge("%d name entries exceed the limit %d" % (work, NAME_WORK_LIMIT))
         fibre = {self.name(x, length): k for x, k in seen.values()}
-        space = BlockSpace(LabelGroupSpace(self.group), length)
+        space = NameSpace(self.group, length)
         return EmpiricalDistribution.from_counts(space, _all_fibres(fibre, self.group))
 
 

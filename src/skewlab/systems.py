@@ -15,11 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .distributions import (
-    BlockSpace,
-    EmpiricalDistribution,
-    LabelGroupSpace,
-)
+from .distributions import EmpiricalDistribution
 from .errors import OutOfDomain, ValidationError
 from .groups import FiniteGroup
 from .names import Walk, prefix_products
@@ -54,9 +50,6 @@ class ExtensionSystem:
 
     def alphabet(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.labels)))
-
-    def name_space(self, n: int) -> BlockSpace:
-        return BlockSpace(LabelGroupSpace(self.group), n)
 
     @cached_property
     def prefix(self) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ the systems themselves and share no counting code with the library.
 
 Three replaced the integer kernels for non-discrete groups: the Fraction
 successive-shortest-path transport solver, the space distances read from
-the Fraction metric tables with every block coordinate compared, and the
+the Fraction metric tables with every name coordinate compared, and the
 cubic group-table validator that checks invariance and the triangle
 inequality on every triple.
 
@@ -33,14 +33,7 @@ and forward from each point.
 import heapq
 from fractions import Fraction
 
-from skewlab import (
-    BlockSpace,
-    DiscreteSpace,
-    EmpiricalDistribution,
-    GroupSpace,
-    LabelGroupSpace,
-    kantorovich,
-)
+from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace, kantorovich
 from skewlab.towers import tower
 
 
@@ -89,7 +82,7 @@ def name_distribution_per_fibre(ext, n, labels=None):
                 nm.append((labels[y], h))
                 y, h = ext.step(y, h)
             names.append(tuple(nm))
-    return _distribution(ext.name_space(n), names)
+    return _distribution(NameSpace(ext.group, n), names)
 
 
 def speedup_name_distribution_per_fibre(speedup, labels, n, starts):
@@ -99,7 +92,7 @@ def speedup_name_distribution_per_fibre(speedup, labels, n, starts):
         for x in starts
         for g in ext.group.elements()
     ]
-    return _distribution(ext.name_space(n), names)
+    return _distribution(NameSpace(ext.group, n), names)
 
 
 def choose_start_bytes(target, length, n1):
@@ -161,7 +154,7 @@ def model_distances_per_fibre(target, model):
             base = list(zip(model.labels[t : t + n1], model.groups[t : t + n1]))
             for h in target.group.elements():
                 names.append(tuple((a, mul[g][h]) for a, g in base))
-        return _distribution(target.name_space(n1), names)
+        return _distribution(NameSpace(target.group, n1), names)
 
     return (
         kantorovich(averaged(range(length - n1 + 1)), reference),
@@ -199,7 +192,7 @@ def ladder_distances_per_fibre(speedup, pbar, n):
         per_h = []
         for h in group.elements():
             names = [_speedup_name(speedup, pbar, s, mul[w0][h], n) for s, w0 in rung_starts]
-            per_h.append(kantorovich(_distribution(ext.name_space(n), names), full))
+            per_h.append(kantorovich(_distribution(NameSpace(ext.group, n), names), full))
         out.append(per_h)
     return out
 
@@ -260,7 +253,7 @@ def seed_per_fibre(target, source, n_len, zeta, n):
             for t in range(n_len - n + 1)
             for h in group.elements()
         ]
-        if kantorovich(_distribution(target.name_space(n), names), reference) < zeta:
+        if kantorovich(_distribution(NameSpace(target.group, n), names), reference) < zeta:
             break
     else:
         return None
@@ -425,12 +418,9 @@ def fraction_dist(space, a, b):
     """Distance of a space read from the Fraction metric table, no early exit."""
     if isinstance(space, DiscreteSpace):
         return Fraction(int(a != b))
-    if isinstance(space, GroupSpace):
-        return space.group.metric[a][b]
-    if isinstance(space, LabelGroupSpace):
-        return Fraction(1) if a[0] != b[0] else space.group.metric[a[1]][b[1]]
-    assert isinstance(space, BlockSpace) and len(a) == len(b) == space.length
-    return max(fraction_dist(space.coord, x, y) for x, y in zip(a, b))
+    assert isinstance(space, NameSpace) and len(a) == len(b) == space.length
+    metric = space.group.metric
+    return max(Fraction(1) if x != y else metric[g][h] for (x, g), (y, h) in zip(a, b))
 
 
 def fraction_kantorovich(d1, d2):

@@ -25,6 +25,7 @@ from skewlab import (
 )
 from skewlab.cli import (
     GROUP_ORDER_LIMIT,
+    _encode,
     _fraction_in,
     parse_group_spec,
     parse_system_spec,
@@ -479,6 +480,72 @@ def test_loop_commands_report_the_last_step(marker_pair, tmp_path, command, loop
         assert (payload["chain_start"], payload["model_start"]) == (last.chain[0], last.model.start)
     else:
         assert (payload["chain_start"], payload["model_start"]) == (None, 0)
+    # iso reports its generators and separation check at every budget, 0 included
+    if command == "iso":
+        log = direct.log
+        assert payload["generator"] == json.loads(json.dumps(_encode(list(log.generator))))
+        assert len(payload["generator"]) == budget
+        assert payload["separation_failure"] == _encode(log.separation_failure)
+    else:
+        assert "generator" not in payload and "separation_failure" not in payload
+
+
+STEP_ARGS = ["--n", "4", "--delta", "3/10", "--n1", "8", "--delta1", "3/10", "--epsilon", "3/10"]
+PAIR_ARGS = {
+    "metrics": ["--n", "4"],
+    "improve": STEP_ARGS,
+    "factor": [*STEP_ARGS, "--budget", "1"],
+    "iso": [*STEP_ARGS, "--budget", "1"],
+    "seed-orbit": ["--nlen", "48", "--zeta", "1/10", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "target_group, source_group, detail",
+    [
+        (
+            {"type": "cyclic", "order": 2}, {"type": "cyclic", "order": 3},
+            "target group Z/2 (order 2) and source group Z/3 (order 3) differ",
+        ),
+        (
+            {"type": "trivial"}, {"type": "cyclic", "order": 2},
+            "target group trivial (order 1) and source group Z/2 (order 2) differ",
+        ),
+        # equal multiplication, different metric: Z/4's circle metric is not discrete
+        (
+            {"type": "cyclic", "order": 4},
+            {"type": "tables", "mul": [[(a + b) % 4 for b in range(4)] for a in range(4)]},
+            "target group Z/4 (order 4) and source group group (order 4) differ",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", list(PAIR_ARGS))
+def test_pair_of_different_groups_exits_one(tmp_path, command, target_group, source_group, detail):
+    # checked once on loading, before any construction
+    markers = [1 if x == 47 else 0 for x in range(48)]
+    t = write_system(tmp_path / "t.json", 48, markers, target_group, [0] * 48)
+    s = write_system(tmp_path / "s.json", 48, markers, source_group, [0] * 47 + [1])
+    out = tmp_path / "out.json"
+    rc = run_command([command, "--target", t, "--source", s, *PAIR_ARGS[command], "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text()) == {"error": "ParseError", "detail": detail}
+
+
+def test_groups_compare_by_tables_not_by_spec(tmp_path):
+    # a cyclic Z/2 and a Z/2 given by its multiplication table are one group
+    markers = [1 if x == 15 else 0 for x in range(16)]
+    t = write_system(
+        tmp_path / "t.json", 16, markers, {"type": "cyclic", "order": 2},
+        [1 if x == 0 else 0 for x in range(16)],
+    )
+    s = write_system(
+        tmp_path / "s.json", 16, markers, {"type": "tables", "mul": [[0, 1], [1, 0]]},
+        [1 if x == 8 else 0 for x in range(16)],
+    )
+    out = tmp_path / "m.json"
+    rc = run_command(["metrics", "--target", t, "--source", s, "--n", "3", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["name_distance"]["exact"] == "1/8"
 
 
 def test_seed_orbit_command(marker_pair, tmp_path):
@@ -494,7 +561,6 @@ def test_seed_orbit_command(marker_pair, tmp_path):
     assert set(payload["alpha"]) == {0}
 
 
-STEP_ARGS = ["--n", "4", "--delta", "3/10", "--n1", "8", "--delta1", "3/10", "--epsilon", "3/10"]
 CONSTRUCTION = ("improvement", "driver", "towers", "matching")
 
 

@@ -10,11 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab import (
-    BlockSpace,
     DiscreteSpace,
     EmpiricalDistribution,
-    GroupSpace,
-    LabelGroupSpace,
+    NameSpace,
     SpaceMismatch,
     ValidationError,
     cyclic,
@@ -24,6 +22,11 @@ from skewlab import (
 
 import oracles
 from conftest import brute_transport, half_l1, left_invariant_metric, s3_class_metric, s3_table
+
+
+def one(g):
+    """The length-1 name of group element g under label 0."""
+    return ((0, g),)
 
 
 def random_weights(rng, atoms, denom=60):
@@ -66,10 +69,10 @@ def test_flow_solver_against_assignment_oracle():
     # non-discrete metric: exhaustive unit assignment is the authority
     rng = random.Random(13)
     g = cyclic(6)
-    space = GroupSpace(g)
+    space = NameSpace(g, 1)
     for _ in range(40):
-        units1 = [rng.randrange(6) for _ in range(6)]
-        units2 = [rng.randrange(6) for _ in range(6)]
+        units1 = [one(rng.randrange(6)) for _ in range(6)]
+        units2 = [one(rng.randrange(6)) for _ in range(6)]
         d1 = EmpiricalDistribution.from_weights(space, Counter(units1))
         d2 = EmpiricalDistribution.from_weights(space, Counter(units2))
         assert kantorovich(d1, d2) == brute_transport(d1, d2, space)
@@ -77,7 +80,7 @@ def test_flow_solver_against_assignment_oracle():
 
 @st.composite
 def metric_space(draw):
-    """(space, point strategy, point count): cyclic orders up to 64, labels, blocks up to 4."""
+    """(space, point strategy, point count): names over cyclic orders 3-64 or S3, lengths 1-4."""
     kind = draw(st.sampled_from(["discrete", "group", "label", "block", "s3"]))
     if kind == "discrete":
         return DiscreteSpace(), st.integers(min_value=0, max_value=5), 6
@@ -85,15 +88,15 @@ def metric_space(draw):
         group = from_tables(s3_table(), left_invariant_metric(s3_table(), s3_class_metric()))
     else:
         group = cyclic(draw(st.integers(min_value=3, max_value=64)))
-    elements = st.integers(min_value=0, max_value=group.order - 1)
-    if kind in ("group", "s3"):
-        return GroupSpace(group), elements, group.order
-    space = LabelGroupSpace(group)
-    points = st.tuples(st.integers(min_value=0, max_value=2), elements)
-    if kind == "label":
-        return space, points, 3 * group.order
-    length = draw(st.integers(min_value=2, max_value=4))
-    return BlockSpace(space, length), st.tuples(*[points] * length), (3 * group.order) ** length
+    # under one label the group metric alone decides
+    labels = 1 if kind in ("group", "s3") else 3
+    length = draw(st.integers(min_value=2, max_value=4)) if kind == "block" else 1
+    coord = st.tuples(
+        st.integers(min_value=0, max_value=labels - 1),
+        st.integers(min_value=0, max_value=group.order - 1),
+    )
+    count = (labels * group.order) ** length
+    return NameSpace(group, length), st.tuples(*[coord] * length), count
 
 
 @st.composite
@@ -120,16 +123,15 @@ def test_integer_solver_matches_fraction_oracle(pair):
 
 @given(st.data())
 def test_integer_distance_is_unit_times_fraction_distance(data):
-    # unit is the common denominator of the metric; BlockSpace stops at it
+    # unit is the common denominator of the metric; NameSpace stops at it
     space, points, _ = data.draw(metric_space())
-    coord = space.coord if isinstance(space, BlockSpace) else space
-    table = coord.group.metric if hasattr(coord, "group") else [[0, 1]]
+    table = space.group.metric if isinstance(space, NameSpace) else [[0, 1]]
     assert space.unit == math.lcm(*(v.denominator for row in table for v in row))
     for a, b in data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=20)):
         expected = oracles.fraction_dist(space, a, b)
         assert space.int_dist(a, b) == space.unit * expected
         assert space.dist(a, b) == expected
-        # the block maximum does not depend on which coordinate comes first
+        # the name maximum does not depend on which coordinate comes first
         for r in range(1, getattr(space, "length", 1)):
             assert space.int_dist(a[r:] + a[:r], b[r:] + b[:r]) == space.unit * expected
 
@@ -144,11 +146,11 @@ def test_kantorovich_frozen_values():
 
 def test_point_masses_cost_the_metric_distance():
     g = cyclic(8)
-    space = GroupSpace(g)
+    space = NameSpace(g, 1)
     for x in range(8):
         for y in range(8):
-            dx = EmpiricalDistribution.from_weights(space, {x: 1})
-            dy = EmpiricalDistribution.from_weights(space, {y: 1})
+            dx = EmpiricalDistribution.from_weights(space, {one(x): 1})
+            dy = EmpiricalDistribution.from_weights(space, {one(y): 1})
             assert kantorovich(dx, dy) == g.metric[x][y]
 
 
@@ -182,9 +184,18 @@ def test_counts_rejected():
             EmpiricalDistribution(space, counts, total)
 
 
-@pytest.mark.parametrize("space", [DiscreteSpace(), GroupSpace(cyclic(5)), LabelGroupSpace(cyclic(4))])
+TOTALS_KEYS = {
+    DiscreteSpace(): [0, 1, 2, 3],
+    # names that differ in the group coordinate only
+    NameSpace(cyclic(5), 1): [one(0), one(1), one(2), one(3)],
+    # and names under two labels
+    NameSpace(cyclic(4), 1): [((0, 1),), ((1, 1),), ((0, 3),), ((0, 0),)],
+}
+
+
+@pytest.mark.parametrize("space", list(TOTALS_KEYS))
 def test_kantorovich_on_totals_three_and_seven(space):
-    keys = [0, 1, 2, 3] if not isinstance(space, LabelGroupSpace) else [(0, 1), (1, 1), (0, 3), (0, 0)]
+    keys = TOTALS_KEYS[space]
     d1 = EmpiricalDistribution.from_counts(space, {keys[0]: 1, keys[2]: 2})
     d2 = EmpiricalDistribution.from_counts(space, {keys[0]: 2, keys[1]: 1, keys[3]: 4})
     assert (d1.total, d2.total) == (3, 7)
@@ -195,18 +206,34 @@ def test_kantorovich_on_totals_three_and_seven(space):
 
 def test_space_mismatch_rejected():
     d1 = EmpiricalDistribution.from_weights(DiscreteSpace(), {0: 1})
-    d2 = EmpiricalDistribution.from_weights(GroupSpace(cyclic(2)), {0: 1})
+    d2 = EmpiricalDistribution.from_weights(NameSpace(cyclic(2), 1), {one(0): 1})
     with pytest.raises(SpaceMismatch):
         kantorovich(d1, d2)
+    d3 = EmpiricalDistribution.from_weights(NameSpace(cyclic(2), 2), {one(0) * 2: 1})
+    with pytest.raises(SpaceMismatch):
+        kantorovich(d2, d3)
+    d4 = EmpiricalDistribution.from_weights(NameSpace(cyclic(3), 1), {one(0): 1})
+    with pytest.raises(SpaceMismatch):
+        kantorovich(d2, d4)
+
+
+def test_name_spaces_compare_by_group_tables_and_length():
+    # a group's name is not part of its identity; its tables are
+    tables = from_tables([[0, 1], [1, 0]], name="flip")
+    assert NameSpace(tables, 3) == NameSpace(cyclic(2), 3)
+    assert NameSpace(tables, 3) != NameSpace(cyclic(2), 2)
+    d1 = EmpiricalDistribution.from_weights(NameSpace(tables, 1), {one(0): 1})
+    d2 = EmpiricalDistribution.from_weights(NameSpace(cyclic(2), 1), {one(1): 1})
+    assert kantorovich(d1, d2) == 1
 
 
 @given(st.data())
 def test_metric_axioms(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    space = GroupSpace(cyclic(5))
+    space = NameSpace(cyclic(5), 1)
     ds = []
     for _ in range(3):
-        atoms = rng.sample(range(5), rng.randint(1, 5))
+        atoms = [one(g) for g in rng.sample(range(5), rng.randint(1, 5))]
         ds.append(EmpiricalDistribution.from_weights(space, random_weights(rng, atoms, 20)))
     a, b, c = ds
     assert kantorovich(a, a) == 0
@@ -221,10 +248,10 @@ def test_convex_mix_identity(data):
     # v_Q = (1-e)v1 + e v2 forces |v2-vQ| = ((1-e)/e)|v1-vQ| exactly
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     discrete = data.draw(st.booleans())
-    space = DiscreteSpace() if discrete else GroupSpace(cyclic(7))
-    atoms = rng.sample(range(7), rng.randint(1, 7))
+    space = DiscreteSpace() if discrete else NameSpace(cyclic(7), 1)
+    atoms = [one(g) for g in rng.sample(range(7), rng.randint(1, 7))]
     v1 = EmpiricalDistribution.from_weights(space, random_weights(rng, atoms, 24))
-    atoms2 = rng.sample(range(7), rng.randint(1, 7))
+    atoms2 = [one(g) for g in rng.sample(range(7), rng.randint(1, 7))]
     v2 = EmpiricalDistribution.from_weights(space, random_weights(rng, atoms2, 24))
     eps = Fraction(data.draw(st.integers(1, 9)), 10)
     mix = {}
@@ -255,14 +282,23 @@ def test_convex_mix_bound():
 
 
 # ---------------------------------------------------------------------------
-# block spaces
+# name spaces
 
 
-def test_block_space_metric_is_normalized_hamming_max():
-    bs = BlockSpace(DiscreteSpace(), 4)
-    assert bs.dist(("a", "a", "a", "a"), ("a", "a", "a", "a")) == 0
-    assert bs.dist(("a", "b", "a", "a"), ("a", "a", "a", "a")) > 0
-    assert bs.dist(("a", "b", "a", "a"), ("a", "a", "a", "a")) <= 1
+def test_name_space_metric_is_the_largest_coordinate_distance():
+    space = NameSpace(cyclic(4), 4)
+    base = ((0, 0), (1, 0), (0, 2), (1, 3))
+    assert space.dist(base, base) == 0
+    # Z/4: neighbours sit 1/2 apart, opposite elements 1
+    assert space.dist(base, ((0, 1), (1, 0), (0, 2), (1, 3))) == Fraction(1, 2)
+    assert space.dist(base, ((0, 1), (1, 1), (0, 3), (1, 0))) == Fraction(1, 2)
+    assert space.dist(base, ((0, 1), (1, 0), (0, 0), (1, 3))) == 1
+    # a differing label is distance 1, whatever the group coordinates
+    assert space.dist(base, ((0, 0), (1, 0), (0, 2), (2, 3))) == 1
+    assert space.int_dist(base, ((0, 0), (1, 0), (0, 2), (2, 3))) == space.unit == 2
+    for short in (base[:3], base + base[:1]):
+        with pytest.raises(SpaceMismatch, match="name length"):
+            space.int_dist(base, short)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +310,10 @@ def test_pushforward_contracts_by_separation():
     # atom-index pushforward distance is at most the original over the gap
     rng = random.Random(31)
     g = cyclic(8)
-    space = GroupSpace(g)
-    cells = [(2 * i, 2 * i + 1) for i in range(4)]  # the arcs {2i, 2i+1} of Z/8
+    space = NameSpace(g, 1)
+    cells = [(one(2 * i), one(2 * i + 1)) for i in range(4)]  # the arcs {2i, 2i+1} of Z/8
     sep = min(
-        g.metric[a][b]
+        space.dist(a, b)
         for ca in cells
         for cb in cells
         if ca != cb
@@ -286,7 +322,7 @@ def test_pushforward_contracts_by_separation():
     )
     for _ in range(50):
         d1, d2 = (
-            EmpiricalDistribution.from_weights(space, Counter(rng.randrange(8) for _ in range(10)))
+            EmpiricalDistribution.from_weights(space, Counter(one(rng.randrange(8)) for _ in range(10)))
             for _ in range(2)
         )
         p1 = EmpiricalDistribution.from_weights(
@@ -318,16 +354,16 @@ def test_translation_stability_two_eta(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     m = data.draw(st.integers(2, 6))
     g = cyclic(m)
-    space = GroupSpace(g)
+    space = NameSpace(g, 1)
     length = m * data.draw(st.integers(2, 5))
     gamma = [rng.randrange(m) for _ in range(length)]
-    haar = EmpiricalDistribution.from_weights(space, dict.fromkeys(g.elements(), 1))
-    eta = kantorovich(EmpiricalDistribution.from_weights(space, Counter(gamma)), haar)
+    haar = EmpiricalDistribution.from_weights(space, dict.fromkeys(map(one, g.elements()), 1))
+    eta = kantorovich(EmpiricalDistribution.from_weights(space, Counter(map(one, gamma))), haar)
     # shifts within eta of the identity; include the identity itself
     near = [h for h in g.elements() if g.metric[h][g.identity] <= eta]
     alpha = [near[rng.randrange(len(near))] for _ in range(length)]
     shifted = [g.mul[alpha[i]][gamma[i]] for i in range(length)]
-    moved = kantorovich(EmpiricalDistribution.from_weights(space, Counter(shifted)), haar)
+    moved = kantorovich(EmpiricalDistribution.from_weights(space, Counter(map(one, shifted))), haar)
     assert moved <= 2 * eta
 
 

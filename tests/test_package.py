@@ -5,12 +5,12 @@ import pytest
 import skewlab
 
 PUBLIC = [
-    "AtomTooSmall", "BlockSpace", "Collision", "ConstructionLog", "Cycle",
+    "AtomTooSmall", "Collision", "ConstructionLog", "Cycle",
     "DiscreteSpace", "DomainTooSmall", "EmpiricalDistribution", "ErgodicityWitness",
     "ExtensionSystem", "FactorResult", "FiniteGroup", "FullGroupWitness",
-    "GeneratorCheckFailed", "GeneratorRecord", "GroupSpace", "GroupTooLarge",
+    "GeneratorCheckFailed", "GeneratorRecord", "GroupTooLarge",
     "HypothesisDistance", "ImproveResult", "ImprovementReport", "Infeasible",
-    "InfeasibleTemplate", "IterationSchedule", "LabelGroupSpace", "ModelName",
+    "InfeasibleTemplate", "IterationSchedule", "ModelName", "NameSpace",
     "NameWorkTooLarge", "NoGoodOrbit", "NotMultiple", "NotReachable", "OutOfDomain",
     "ParseError", "PartialSpeedup", "PreconditionViolated", "RegularityCertificate",
     "RegularityRefusal", "RegularityRejected", "SampleFamily", "ScheduleInfeasible",
@@ -27,7 +27,7 @@ PUBLIC = [
 
 
 def test_public_names_are_listed_and_resolve():
-    assert len(PUBLIC) == 74
+    assert len(PUBLIC) == 72
     assert sorted(skewlab.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(skewlab))
     for name in PUBLIC:
