@@ -7,14 +7,16 @@ runs are deterministic; the --seed flag is recorded in the output for
 bookkeeping but no randomness is consumed anywhere.
 
 Exit codes: 0 on success, 2 when a construction refuses with a
-structured reason, 1 on malformed input or misuse (a usage error
-included); every exit but --help writes a JSON body.
+structured reason, 1 on malformed or unreadable input, misuse (a usage
+error included) or an --out that cannot be written.  Every exit but
+--help writes one JSON body, on stdout when --out cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -48,9 +50,15 @@ def _int_in(value: Any) -> int:
     return value
 
 
+# Fraction's exponent and decimal forms are refused unread: Fraction("1e-100000000")
+# spends 15 s building 10**100000000, and a 3 MB decimal 2.3 s before it fails
+_FRACTION_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction_in(value: Any) -> Fraction:
+    """The one reader of outside fractions: a JSON integer, or text such as "-3/10"."""
     try:
-        if type(value) is int or isinstance(value, str):
+        if type(value) is int or (isinstance(value, str) and _FRACTION_TEXT.fullmatch(value)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -137,7 +145,8 @@ def load_system(path: str, groups: dict) -> ExtensionSystem:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    # not UTF-8, not JSON, an integer past 4,300 digits, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError("%s is not JSON: %s" % (path, exc)) from exc
     return parse_system_spec(data, groups)
 
@@ -184,18 +193,15 @@ def _emit(payload: Any, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the loaded pair and returns its own report fields
 
 
-def _cmd_metrics(args: argparse.Namespace) -> dict:
-    target, source = _load_pair(args)
+def _cmd_metrics(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
     dist = kantorovich(
         name_distribution(target, args.n), name_distribution(source, args.n)
     )
     return {
-        "command": "metrics",
         "n": args.n,
-        "seed": args.seed,
         "target": check_extension_ergodic(target),
         "source": check_extension_ergodic(source),
         "name_distance": dist,
@@ -208,7 +214,7 @@ def _list_arg(text: str, flag: str, read) -> tuple:
     for entry in text.split(","):
         try:
             values.append(read(entry))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ParseError) as exc:
             raise ParseError("%s: cannot read %r" % (flag, entry)) from exc
     return tuple(values)
 
@@ -230,11 +236,10 @@ def _rect_for(args: argparse.Namespace, source: ExtensionSystem):
     )
 
 
-def _cmd_improve(args: argparse.Namespace) -> dict:
+def _cmd_improve(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
     from .driver import bootstrap_regular
     from .improvement import improve
 
-    target, source = _load_pair(args)
     pbar = source.labels
     a1, a2 = _rect_for(args, source)
     current, cert = bootstrap_regular(source, pbar, args.n, args.delta, args.epsilon)
@@ -243,8 +248,6 @@ def _cmd_improve(args: argparse.Namespace) -> dict:
         a1, a2, args.epsilon, strict=args.strict_schedule,
     )
     return {
-        "command": "improve",
-        "seed": args.seed,
         "bootstrap": {"height": cert.height, "domain_mass": cert.domain_mass},
         "report": res.report,
         "labels": list(res.labels),
@@ -260,7 +263,7 @@ def _schedule_from(args: argparse.Namespace, source: ExtensionSystem):
 
     epsilon = args.epsilon
     if args.epsilons:
-        eps = _list_arg(args.epsilons, "--epsilons", Fraction)
+        eps = _list_arg(args.epsilons, "--epsilons", _fraction_in)
     else:
         eps = tuple(epsilon / Fraction(4 * 2 ** k) for k in range(max(args.budget, 1)))
     steps = ((args.n, args.delta, args.n1, args.delta1),)
@@ -275,7 +278,14 @@ def _schedule_from(args: argparse.Namespace, source: ExtensionSystem):
     )
 
 
-def _factor_payload(result) -> dict:
+def _cmd_loop(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
+    from .driver import run_factor, run_isomorphism
+
+    schedule = _schedule_from(args, source)
+    if args.command == "iso":
+        result = run_isomorphism(target, source, source.labels, schedule, copy_zeta=args.copy_zeta)
+    else:
+        result = run_factor(target, source, source.labels, schedule)
     log = result.log
     last = result.steps[-1] if result.steps else None
     out = {
@@ -295,38 +305,18 @@ def _factor_payload(result) -> dict:
     return out
 
 
-def _cmd_loop(args: argparse.Namespace) -> dict:
-    from .driver import run_factor, run_isomorphism
-
-    target, source = _load_pair(args)
-    schedule = _schedule_from(args, source)
-    if args.command == "iso":
-        result = run_isomorphism(target, source, source.labels, schedule, copy_zeta=args.copy_zeta)
-    else:
-        result = run_factor(target, source, source.labels, schedule)
-    payload = _factor_payload(result)
-    payload["command"] = args.command
-    payload["seed"] = args.seed
-    return payload
-
-
-def _cmd_seed_orbit(args: argparse.Namespace) -> dict:
+def _cmd_seed_orbit(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
     from .driver import seed_from_orbit
 
-    target, source = _load_pair(args)
     labels, alpha = seed_from_orbit(target, source, args.nlen, args.zeta, n=args.n)
-    return {
-        "command": "seed-orbit",
-        "seed": args.seed,
-        "labels": list(labels),
-        "alpha": list(alpha.values),
-    }
+    return {"labels": list(labels), "alpha": list(alpha.values)}
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """A tolerance flag's value; argparse puts the flag's name before the message."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return _fraction_in(text)
+    except ParseError as exc:
         raise argparse.ArgumentTypeError("%r is not a fraction" % text) from exc
 
 
@@ -394,23 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    """Parse argv, load the pair, run the command, emit one JSON body and
+    return the exit code; errors give {"error", "detail"} with exit 1 or 2."""
+    out = None
     try:
-        args = parser.parse_args(list(argv))
-    except ParseError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, None)
-        return 1
-    out = getattr(args, "out", None)
-    try:
-        payload = args.func(args)
-    except (ParseError, ValidationError, SpaceMismatch, OutOfDomain) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, out)
-        return 1
+        args = build_parser().parse_args(list(argv))
+        out = args.out
+        target, source = _load_pair(args)
+        payload = {**args.func(args, target, source), "command": args.command, "seed": args.seed}
+        code = 0
     except SkewlabError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, out)
-        return 2
-    _emit(payload, out)
-    return 0
+        payload = {"error": type(exc).__name__, "detail": str(exc)}
+        code = 1 if isinstance(exc, (ParseError, ValidationError, SpaceMismatch, OutOfDomain)) else 2
+    try:
+        # --out is opened only now, after the run: it may name an input file
+        _emit(payload, out)
+        return code
+    except OSError as exc:
+        payload = {"error": "ParseError", "detail": "cannot write %s: %s" % (out, exc)}
+    _emit(payload, None)
+    return 1
 
 
 def main() -> None:

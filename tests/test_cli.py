@@ -59,10 +59,16 @@ def marker_pair(tmp_path):
 # parsing
 
 
+# Fraction builds 10**3000000 before its digit limit refuses this: 2.3 s
+LONG_DECIMAL = "0." + "5" * 3_000_000
+
+
 def test_fraction_in_accepts_ints_and_strings():
     assert _fraction_in(3) == 3
     assert _fraction_in("3/4") == Fraction(3, 4)
-    for bad in (True, 1.5, "x", "1/0", None):
+    assert _fraction_in("-3/4") == Fraction(-3, 4)
+    # exponent and decimal forms are refused unread: Fraction spends 15 s on the first
+    for bad in (True, 1.5, "x", "1/0", None, "1e-100000000", "0.5", LONG_DECIMAL, " 1/2"):
         with pytest.raises(ParseError):
             _fraction_in(bad)
 
@@ -187,10 +193,15 @@ TWO_POINTS = {"size": 2, "labels": [0, 1], "skew": [0, 0]}
         {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, "x"], [1, 0]]}},
         {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": 5}},
         {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": [5, 6]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]],
+                                 "metric": [[0, "0.5"], ["0.5", 0]]}},
+        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]],
+                                 "metric": [[0, LONG_DECIMAL], ["1/2", 0]]}},
     ],
     ids=[
         "size_true", "order_true", "mul_true", "mul_float", "mul_digit_string",
         "mul_row_string", "mul_letter", "metric_scalar", "metric_flat",
+        "metric_decimal", "metric_long_decimal",
     ],
 )
 def test_malformed_spec_exits_one_with_parse_error(tmp_path, spec):
@@ -285,12 +296,38 @@ def test_missing_file_exits_one(marker_pair, tmp_path):
     assert json.loads(out.read_text())["error"] == "ParseError"
 
 
-def test_not_json_exits_one(marker_pair, tmp_path):
+# files json cannot read: garbled text, bytes that are not UTF-8, an integer
+# past Python's 4,300-digit limit and arrays nested past the recursion limit
+UNREADABLE = {
+    "garbled": b"{not json",
+    "not_utf8": b'{"size": 1, "labels": [0], "group": {"type": "trivial"}, "skew": [0], "x": "\xff"}',
+    "long_integer": b'{"size": ' + b"1" * 5000 + b"}",
+    "deep_array": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_not_json_exits_one(marker_pair, tmp_path, name):
     _, s = marker_pair
     garbled = tmp_path / "g.json"
-    garbled.write_text("{not json")
-    rc = run_command(["metrics", "--target", str(garbled), "--source", s, "--n", "4"])
+    garbled.write_bytes(UNREADABLE[name])
+    rc, text = _run_captured(["metrics", "--target", str(garbled), "--source", s, "--n", "4"])
     assert rc == 1
+    payload = json.loads(text)
+    assert payload["error"] == "ParseError"
+    assert payload["detail"].startswith("%s is not JSON: " % garbled)
+
+
+@pytest.mark.parametrize("n", ["4", "0"])
+def test_unwritable_out_exits_one_on_stdout(marker_pair, tmp_path, n):
+    # whether the run succeeds (n = 4) or fails (n = 0), the report cannot be written
+    t, s = marker_pair
+    out = tmp_path / "missing" / "r.json"
+    rc, text = _run_captured(["metrics", "--target", t, "--source", s, "--n", n, "--out", str(out)])
+    assert rc == 1
+    payload = json.loads(text)
+    assert payload["error"] == "ParseError"
+    assert payload["detail"].startswith("cannot write %s: " % out)
 
 
 def test_validation_error_exits_one(marker_pair, tmp_path):
@@ -548,6 +585,18 @@ def test_groups_compare_by_tables_not_by_spec(tmp_path):
     assert json.loads(out.read_text())["name_distance"]["exact"] == "1/8"
 
 
+@pytest.mark.parametrize("command", list(PAIR_ARGS))
+def test_every_command_stamps_command_and_seed(marker_pair, tmp_path, command):
+    t, s = marker_pair
+    out = tmp_path / "r.json"
+    rc = run_command(
+        [command, "--target", t, "--source", s, *PAIR_ARGS[command], "--seed", "7", "--out", str(out)]
+    )
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert (payload["command"], payload["seed"]) == (command, 7)
+
+
 def test_seed_orbit_command(marker_pair, tmp_path):
     t, s = marker_pair
     out = tmp_path / "so.json"
@@ -660,13 +709,13 @@ def test_rect_base_not_an_integer(marker_pair, tmp_path):
 
 def test_epsilons_not_fractions(marker_pair, tmp_path):
     t, s = marker_pair
-    payload = _rejected(
-        ["iso", "--target", t, "--source", s, *STEP, "--budget", "2",
-         "--epsilons", "1/10,abc"],
-        tmp_path,
-    )
-    assert payload["error"] == "ParseError"
-    assert "--epsilons" in payload["detail"]
+    for entry in ("abc", "1e-100000000"):
+        payload = _rejected(
+            ["iso", "--target", t, "--source", s, *STEP, "--budget", "2",
+             "--epsilons", "1/10," + entry],
+            tmp_path,
+        )
+        assert payload == {"error": "ParseError", "detail": "--epsilons: cannot read %r" % entry}
 
 
 def test_rect_base_outside_the_base(z4_pair, tmp_path):
@@ -804,8 +853,8 @@ def argv_files(tmp_path_factory):
         )
 
     z2 = {"type": "cyclic", "order": 2}
-    garbled = root / "garbled.json"
-    garbled.write_text("{not json")
+    for name, text in UNREADABLE.items():
+        (root / (name + ".json")).write_bytes(text)
     good = [
         marker("t16.json", 16, z2, 0),
         marker("s16.json", 16, z2, 8),
@@ -816,7 +865,7 @@ def argv_files(tmp_path_factory):
     bad = [
         marker("flat.json", 16, z2, -1),
         write_system(root / "big.json", 2, [0, 0], {"type": "cyclic", "order": 999}, [0, 0]),
-        str(garbled),
+        *(str(root / (name + ".json")) for name in UNREADABLE),
         str(root / "missing.json"),
     ]
     return good, bad
@@ -824,7 +873,7 @@ def argv_files(tmp_path_factory):
 
 # (working values on the 16-point pair, broken values) per flag
 BAD_INTS = ["0", "-1", "99", "x", ""]
-BAD_FRACTIONS = ["0", "1", "7", "-1/2", "abc", "1/0"]
+BAD_FRACTIONS = ["0", "1", "7", "-1/2", "abc", "1/0", "1e-100000000", "0.5"]
 BAD_LISTS = ["x", "99", "-1", ","]
 FLAG_VALUES = {
     "--n": (["1", "2"], BAD_INTS),
@@ -837,7 +886,7 @@ FLAG_VALUES = {
     "--epsilon": (["2/5", "1/2"], BAD_FRACTIONS),
     "--zeta": (["2/5", "1/2"], BAD_FRACTIONS),
     "--copy-zeta": (["1/10", "1/2"], BAD_FRACTIONS),
-    "--epsilons": (["1/4,1/8", "1/4"], ["x", "0", "1/4,"]),
+    "--epsilons": (["1/4,1/8", "1/4"], ["x", "0", "1/4,", "1/4,1e-100000000"]),
     "--rect-base": (["0,2,4,6", "1,3,5"], BAD_LISTS),
     "--rect-group": (["0", "0,1"], BAD_LISTS),
 }
@@ -855,6 +904,7 @@ COMMAND_FLAGS = {
 def argvs(draw, files):
     """A working command line with up to three things broken in it."""
     good, bad = files
+    unwritable = os.path.join(os.path.dirname(good[0]), "missing", "r.json")
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv = {"--target": good[0], "--source": draw(st.sampled_from(good))}
     for flag in COMMAND_FLAGS[command] + ["--seed"]:
@@ -870,7 +920,9 @@ def argvs(draw, files):
         elif how == "file":
             argv[draw(st.sampled_from(["--target", "--source"]))] = draw(st.sampled_from(bad))
         else:
-            extra.append(draw(st.sampled_from(["--strict-schedule", "--bogus", "stray", "--n"])))
+            extra += draw(st.sampled_from(
+                [["--strict-schedule"], ["--bogus"], ["stray"], ["--n"], ["--out", unwritable]]
+            ))
     command = draw(st.sampled_from([command] * 9 + ["nope"]))
     return [command] + [v for pair in argv.items() for v in pair] + extra
 
@@ -880,4 +932,8 @@ def test_any_argv_exits_with_a_json_object(argv_files, data):
     argv = data.draw(argvs(argv_files))
     rc, text = _run_captured(argv)
     assert rc in (0, 1, 2)
-    assert isinstance(json.loads(text), dict)
+    payload = json.loads(text)
+    assert isinstance(payload, dict)
+    # a report that cannot be written is an error on stdout, whatever the run did
+    if "--out" in argv:
+        assert rc == 1 and payload["error"] == "ParseError", payload
