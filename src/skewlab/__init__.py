@@ -12,7 +12,7 @@ _EXPORTS = {
     ),
     "driver": (
         "ConstructionLog", "FactorResult", "FullGroupWitness", "GeneratorRecord",
-        "IterationSchedule", "bootstrap_regular", "complete_speedup", "copy_partition",
+        "IterationSchedule", "complete_speedup", "copy_partition",
         "ergodicity_certificate", "run_factor", "run_isomorphism", "seed_from_orbit",
         "total_extension_witness", "verify_factor_map",
     ),
@@ -26,7 +26,7 @@ _EXPORTS = {
     "groups": ("FiniteGroup", "cyclic", "from_tables", "trivial"),
     "improvement": (
         "Cycle", "ImproveResult", "ImprovementReport", "ModelName", "WindowSystem",
-        "build_cycles", "build_model_name", "check_regular", "improve",
+        "bootstrap_regular", "build_cycles", "build_model_name", "check_regular", "improve",
     ),
     "matching": ("SampleFamily", "exhaust_samples", "sample_onto"),
     "systems": (

@@ -43,10 +43,23 @@ from .systems import (
 # system (de)serialization
 
 
+# a rejected value is echoed whole up to this many characters of its repr: a 3 MB
+# decimal in a file would otherwise make a 3 MB error body
+ECHO_LIMIT = 64
+
+
+def _echo(value: Any) -> str:
+    """The repr of an outside value, or its first ECHO_LIMIT characters and its length."""
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+
+
 def _int_in(value: Any) -> int:
     """A JSON integer, whose type is int: isinstance takes true and false too."""
     if type(value) is not int:
-        raise ParseError("table entry %r is not an integer" % (value,))
+        raise ParseError("table entry %s is not an integer" % _echo(value))
     return value
 
 
@@ -62,7 +75,7 @@ def _fraction_in(value: Any) -> Fraction:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError("cannot read %r as an exact fraction" % (value,))
+    raise ParseError("cannot read %s as an exact fraction" % _echo(value))
 
 
 def _table_in(data: dict, key: str, read) -> list[list]:
@@ -103,7 +116,7 @@ def parse_group_spec(data: Any) -> FiniteGroup:
             return from_tables(mul, metric, name=data.get("name", "group"))
         except (ValidationError, TypeError, IndexError) as exc:
             raise ParseError("bad group tables: %s" % exc) from exc
-    raise ParseError("unknown group type %r" % (kind,))
+    raise ParseError("unknown group type %s" % _echo(kind))
 
 
 def parse_system_spec(data: Any, groups: dict | None = None) -> ExtensionSystem:
@@ -215,7 +228,7 @@ def _list_arg(text: str, flag: str, read) -> tuple:
         try:
             values.append(read(entry))
         except (ValueError, ParseError) as exc:
-            raise ParseError("%s: cannot read %r" % (flag, entry)) from exc
+            raise ParseError("%s: cannot read %s" % (flag, _echo(entry))) from exc
     return tuple(values)
 
 
@@ -237,8 +250,7 @@ def _rect_for(args: argparse.Namespace, source: ExtensionSystem):
 
 
 def _cmd_improve(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
-    from .driver import bootstrap_regular
-    from .improvement import improve
+    from .improvement import bootstrap_regular, improve
 
     pbar = source.labels
     a1, a2 = _rect_for(args, source)
@@ -317,7 +329,7 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return _fraction_in(text)
     except ParseError as exc:
-        raise argparse.ArgumentTypeError("%r is not a fraction" % text) from exc
+        raise argparse.ArgumentTypeError("%s is not a fraction" % _echo(text)) from exc
 
 
 class _Parser(argparse.ArgumentParser):

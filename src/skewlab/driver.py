@@ -18,7 +18,6 @@ from typing import Sequence
 from .distributions import kantorovich
 from .errors import (
     GeneratorCheckFailed,
-    Infeasible,
     NoGoodOrbit,
     NotReachable,
     TowerInfeasible,
@@ -26,14 +25,12 @@ from .errors import (
     open_unit,
 )
 from .groups import trivial
-from .improvement import ImprovementReport, ImproveResult, check_regular, improve
+from .improvement import ImprovementReport, ImproveResult, bootstrap_regular, improve
 from .names import Walk, primitive_period
 from .systems import (
     ErgodicityWitness,
     ExtensionSystem,
     PartialSpeedup,
-    RegularityCertificate,
-    RegularityRefusal,
     Twist,
     name_distribution,
     speedup_name_distribution,
@@ -134,41 +131,7 @@ class FactorResult:
 
 
 # ---------------------------------------------------------------------------
-# bootstrap and completion
-
-
-def bootstrap_regular(
-    source: ExtensionSystem,
-    pbar: Sequence[int],
-    n: int,
-    delta: Fraction,
-    epsilon: Fraction,
-) -> tuple[PartialSpeedup, RegularityCertificate]:
-    """Initial regular speedup: the rotation trimmed to a constant height.
-
-    The whole cycle is one orbit block, so grouping into n-blocks only
-    trims the top partial block; the change against the full rotation
-    is the trimmed mass plus the single open top point.
-    """
-    if n < 1:
-        raise ValidationError("block length must be positive")
-    delta = open_unit("delta", delta)
-    epsilon = open_unit("epsilon", epsilon)
-    size = source.size
-    height = n * (size // n)
-    if height < n:
-        raise Infeasible("cycle of %d points cannot host blocks of %d" % (size, n))
-    exponent = tuple(1 if x < height - 1 else 0 for x in range(size))
-    speedup = PartialSpeedup(source, exponent, 1)
-    change = Fraction(size - height + 1, size)
-    if not change < epsilon / 2:
-        raise Infeasible(
-            "trim changes mass %s, not below epsilon/2 = %s" % (change, epsilon / 2)
-        )
-    cert = check_regular(speedup, pbar, n, delta)
-    if isinstance(cert, RegularityRefusal):
-        raise Infeasible("bootstrap failed %s: %s" % (cert.condition, cert.detail))
-    return speedup, cert
+# completion
 
 
 def complete_speedup(speedup: PartialSpeedup) -> PartialSpeedup:

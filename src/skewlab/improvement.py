@@ -22,6 +22,7 @@ from .distributions import EmpiricalDistribution, NameSpace, kantorovich
 from .errors import (
     Collision,
     HypothesisDistance,
+    Infeasible,
     RegularityRejected,
     ScheduleInfeasible,
     ValidationError,
@@ -175,13 +176,35 @@ def _regularity(
     delta: Fraction,
     *,
     k_bound: int | None = None,
+) -> tuple[RegularityCertificate | RegularityRefusal, EmpiricalDistribution | None]:
+    """check_regular and the n-name distribution over Dom(S^n).
+
+    The outcome is kept on the speedup, so the first improvement step reads
+    the certificate the bootstrap issued instead of measuring it again.
+    """
+    delta = Fraction(delta)
+    if len(pbar) != speedup.size:
+        raise ValidationError("partition must cover the base")
+    key = (tuple(pbar), n, delta, k_bound)
+    if key not in speedup.regularity:
+        speedup.regularity[key] = _measure_regularity(speedup, *key)
+    return speedup.regularity[key]
+
+
+def _measure_regularity(
+    speedup: PartialSpeedup,
+    pbar: tuple[int, ...],
+    n: int,
+    delta: Fraction,
+    k_bound: int | None = None,
     full: EmpiricalDistribution | None = None,
 ) -> tuple[RegularityCertificate | RegularityRefusal, EmpiricalDistribution | None]:
-    """check_regular and the n-name distribution over Dom(S^n), given as full or computed."""
-    delta = Fraction(delta)
+    """The five conditions, on the n-name distribution full when it is given.
+
+    The improvement step's output check hands its own in and keeps no
+    outcome: no later call repeats it, and a kept one lives with its step.
+    """
     ext = speedup.parent
-    if len(pbar) != ext.size:
-        raise ValidationError("partition must cover the base")
     columns, why = tower(speedup)
     if why is not None:
         return RegularityRefusal("condition 1", why), None
@@ -234,6 +257,43 @@ def _regularity(
         max_exponent=k_seen,
         ladder_distance=gap,
     ), full
+
+
+def bootstrap_regular(
+    source: ExtensionSystem,
+    pbar: Sequence[int],
+    n: int,
+    delta: Fraction,
+    epsilon: Fraction,
+) -> tuple[PartialSpeedup, RegularityCertificate]:
+    """Initial regular speedup: the rotation trimmed to a constant height.
+
+    The whole cycle is one orbit block, so grouping into n-blocks only
+    trims the top partial block; the change against the full rotation
+    is the trimmed mass plus the single open top point.
+    """
+    if n < 1:
+        raise ValidationError("block length must be positive")
+    delta = open_unit("delta", delta)
+    epsilon = open_unit("epsilon", epsilon)
+    size = source.size
+    height = n * (size // n)
+    if height < n:
+        raise Infeasible("cycle of %d points cannot host blocks of %d" % (size, n))
+    if height == n:
+        # the top point is open, so no point of the one block has n steps left
+        raise Infeasible("bootstrap height %d equals n = %d, so Dom(S^n) is empty" % (height, n))
+    exponent = tuple(1 if x < height - 1 else 0 for x in range(size))
+    speedup = PartialSpeedup(source, exponent, 1)
+    change = Fraction(size - height + 1, size)
+    if not change < epsilon / 2:
+        raise Infeasible(
+            "trim changes mass %s, not below epsilon/2 = %s" % (change, epsilon / 2)
+        )
+    cert = check_regular(speedup, pbar, n, delta)
+    if isinstance(cert, RegularityRefusal):
+        raise Infeasible("bootstrap failed %s: %s" % (cert.condition, cert.detail))
+    return speedup, cert
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +397,13 @@ def build_model_name(
     chosen to balance rung names against window names.  Window and
     disjoint-block distances are measured against the target's
     stationary n1-distribution and enforced at delta1/100 only under
-    the strict preset.
+    the strict preset.  Each result is kept on the target under all its
+    arguments, so the steps of a loop build one model name.
     """
     delta1 = Fraction(delta1)
+    key = (n, n1, delta1, length, strict)
+    if key in target.model_names:
+        return target.model_names[key]
     if n1 % n != 0:
         raise ValidationError("n1 must be a multiple of n")
     if length < n1 or length % n1 != 0:
@@ -368,7 +432,7 @@ def build_model_name(
             raise ScheduleInfeasible(
                 "block distance %s misses the strict budget %s" % (block_distance, budget)
             )
-    return ModelName(
+    target.model_names[key] = ModelName(
         labels=labels,
         groups=groups,
         n1=n1,
@@ -377,6 +441,7 @@ def build_model_name(
         block_distance=block_distance,
         reference=reference,
     )
+    return target.model_names[key]
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +632,12 @@ def improve(
         raise ScheduleInfeasible(
             "tower holds %d ladder points, below one block of %d" % (capacity, n1)
         )
+    if length == n1:
+        # the output chain's last point is open, so no point has n1 steps left
+        raise ScheduleInfeasible(
+            "tower holds %d ladder points, one block of %d: the output has no %d-name start"
+            % (capacity, n1, n1)
+        )
 
     model = build_model_name(target, n, n1, delta1, length=length, strict=strict)
 
@@ -615,7 +686,7 @@ def improve(
             raise Collision("orbit coordinate %d does not replicate the template" % t)
 
     output_names = speedup_name_distribution(speedup1t, labels1, n1)
-    cert1, _ = _regularity(speedup1t, labels1, n1, delta1, full=output_names)
+    cert1, _ = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)

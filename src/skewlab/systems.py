@@ -56,6 +56,12 @@ class ExtensionSystem:
         """Cocycle prefix table P: P[0] = e, P[t+1] = skew(t mod N) * P[t]."""
         return prefix_products(self.group, self.skew)
 
+    @cached_property
+    def model_names(self) -> dict:
+        """improvement.build_model_name's results with this system as target,
+        keyed by (n, n1, delta1, length, strict); a loop's steps share them."""
+        return {}
+
     def walk(self, labels: Sequence[int] | None = None) -> Walk:
         """The unit-step walk x -> x+1 reading the given labels (default: own)."""
         n = self.size
@@ -232,6 +238,13 @@ class PartialSpeedup:
             tuple((x + k) % n for x, k in enumerate(self.exponent)),
             tuple(cocycle_product(ext, x, k) if k else e for x, k in enumerate(self.exponent)),
         )
+
+    @cached_property
+    def regularity(self) -> dict:
+        """improvement._regularity's outcomes on this speedup, keyed by
+        (pbar, n, delta, k_bound): the certificate or refusal with the
+        Dom(S^n) n-name distribution, so a certificate is measured once."""
+        return {}
 
     def walk(self, labels: Sequence[int]) -> Walk:
         """The speedup walk reading the given labels; points off the domain stay put."""

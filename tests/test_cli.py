@@ -24,6 +24,7 @@ from skewlab import (
     trivial,
 )
 from skewlab.cli import (
+    ECHO_LIMIT,
     GROUP_ORDER_LIMIT,
     _encode,
     _fraction_in,
@@ -214,6 +215,23 @@ def test_malformed_spec_exits_one_with_parse_error(tmp_path, spec):
     assert json.loads(out.read_text())["error"] == "ParseError"
 
 
+def test_a_long_rejected_entry_is_echoed_in_part(tmp_path):
+    # echoed whole, this 3 MB entry made a 3,000,081-byte error body
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**TWO_POINTS, "group": {
+        "type": "tables", "mul": [[0, 1], [1, 0]], "metric": [[0, LONG_DECIMAL], ["1/2", 0]]}}))
+    out = tmp_path / "out.json"
+    rc = run_command(["metrics", "--target", str(path), "--source", str(path), "--n", "1", "--out", str(out)])
+    assert rc == 1
+    body = out.read_bytes()
+    assert len(body) < 1024
+    assert json.loads(body) == {
+        "error": "ParseError",
+        "detail": "cannot read %s... (3000004 characters) as an exact fraction"
+        % repr(LONG_DECIMAL)[:ECHO_LIMIT],
+    }
+
+
 # ---------------------------------------------------------------------------
 # exit codes and report files
 
@@ -374,6 +392,32 @@ def test_block_longer_than_the_tower_exits_two(tmp_path):
         "error": "ScheduleInfeasible",
         "detail": "tower holds 16 ladder points, below one block of 32",
     }
+
+
+@pytest.mark.parametrize(
+    "size, step, error, detail",
+    [
+        # the bootstrap tower is one block of n, so no point has n steps left
+        (12, ["--n", "8", "--delta", "1/2", "--n1", "8", "--delta1", "1/2", "--epsilon", "9/10"],
+         "Infeasible", "bootstrap height 8 equals n = 8, so Dom(S^n) is empty"),
+        # the ladder holds one n1-block, so the output chain has no n1-name start
+        (8, ["--n", "1", "--delta", "1/2", "--n1", "8", "--delta1", "1/2", "--epsilon", "1/2"],
+         "ScheduleInfeasible", "tower holds 8 ladder points, one block of 8: the output has no 8-name start"),
+    ],
+    ids=["bootstrap_height_is_n", "one_output_block"],
+)
+def test_a_tower_without_name_starts_exits_two(tmp_path, size, step, error, detail):
+    # the two-flip Z/2 marker pair: target flip at 0, source flip at size/2
+    labels = [1 if x == size - 1 else 0 for x in range(size)]
+    t, s = (
+        write_system(tmp_path / name, size, labels, {"type": "cyclic", "order": 2},
+                     [1 if x == flip else 0 for x in range(size)])
+        for name, flip in (("t.json", 0), ("s.json", size // 2))
+    )
+    out = tmp_path / "ref.json"
+    rc = run_command(["improve", "--target", t, "--source", s, *step, "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text()) == {"error": error, "detail": detail}
 
 
 def test_name_work_over_the_limit_exits_two(tmp_path):
@@ -617,7 +661,7 @@ CONSTRUCTION = ("improvement", "driver", "towers", "matching")
     "command, args, absent",
     [
         ("metrics", ["--n", "4"], CONSTRUCTION),
-        ("improve", STEP_ARGS, ("matching",)),
+        ("improve", STEP_ARGS, ("matching", "driver")),
         ("factor", STEP_ARGS + ["--budget", "1", "--epsilons", "1/10"], ("matching",)),
         ("iso", STEP_ARGS + ["--budget", "1", "--epsilons", "1/10"], ("matching",)),
         ("seed-orbit", ["--nlen", "48", "--zeta", "1/10", "--n", "4"], ("matching",)),

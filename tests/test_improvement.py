@@ -10,6 +10,7 @@ from skewlab import (
     Collision,
     ExtensionSystem,
     HypothesisDistance,
+    IterationSchedule,
     PartialSpeedup,
     RegularityCertificate,
     RegularityRefusal,
@@ -25,10 +26,12 @@ from skewlab import (
     improve,
     kantorovich,
     name_distribution,
+    run_factor,
     speedup_name_distribution,
     trivial,
     twist,
 )
+from skewlab import improvement
 from skewlab.driver import bootstrap_regular
 
 import oracles
@@ -493,3 +496,70 @@ def test_rotation_scoring_matches_walked_chains(order, size, target_flips, sourc
         assert res.report.ladder_blocks == len(blocks)
         current = res.twisted
         pbar = res.labels
+
+
+# ---------------------------------------------------------------------------
+# results kept on the target and on the speedup
+
+
+def test_factor_builds_one_model_name_and_measures_the_bootstrap_once(monkeypatch):
+    # the iso_z2 benchmark pair and schedule: every step copies the same model name
+    g2 = cyclic(2)
+    target = marker_system(1024, 1023, group=g2, flips=(0,))
+    source = marker_system(1024, 1023, group=g2, flips=(512,))
+    n, delta, n1, delta1 = 8, Fraction(1, 10), 32, Fraction(1, 20)
+    boot, _ = bootstrap_regular(source, source.labels, n, delta, Fraction(3, 10))
+    starts, measured = [], []
+    choose_start, measure = improvement._choose_start, improvement._measure_regularity
+
+    def counted_start(*args):
+        starts.append(choose_start(*args))
+        return starts[-1]
+
+    def counted_measure(speedup, *args, **kwargs):
+        measured.append(speedup)
+        return measure(speedup, *args, **kwargs)
+
+    monkeypatch.setattr(improvement, "_choose_start", counted_start)
+    monkeypatch.setattr(improvement, "_measure_regularity", counted_measure)
+    schedule = IterationSchedule(
+        epsilon=Fraction(3, 10),
+        epsilons=(Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)),
+        steps=((n, delta, n1, delta1),),
+        rectangles=((tuple(range(1024)), (0, 1)),),
+        budget=3,
+    )
+    res = run_factor(target, source, source.labels, schedule)
+    assert len(res.steps) == 3
+    assert starts == [481]
+    assert [step.model.start for step in res.steps] == [481] * 3
+    assert sum(1 for speedup in measured if speedup == boot) == 1
+
+
+def test_model_names_stay_with_their_target():
+    # equal arguments, different skews: each target keeps its own start
+    g2 = cyclic(2)
+    first = marker_system(48, 47, group=g2, flips=(0,))
+    second = marker_system(48, 47, group=g2, flips=(24,))
+    for target in (first, second, first):
+        model = build_model_name(target, 4, 8, Fraction(1, 2), length=32)
+        assert model.start == oracles.choose_start_bytes(target, 32, 8)
+    assert build_model_name(first, 4, 8, Fraction(1, 2), length=32).start == 25
+    assert build_model_name(second, 4, 8, Fraction(1, 2), length=32).start == 9
+
+
+def test_a_kept_refusal_comes_back_unchanged(monkeypatch):
+    bad = marker_system(64, 63, group=cyclic(2), flips=(0,))
+    sp = trimmed(bad)
+    first = check_regular(sp, bad.labels, 4, Fraction(3, 10))
+    monkeypatch.setattr(improvement, "_measure_regularity", None)
+    again = check_regular(sp, list(bad.labels), 4, Fraction(3, 10))
+    assert isinstance(again, RegularityRefusal)
+    assert (again.condition, again.detail) == (first.condition, first.detail)
+    assert again.detail == "ladder distribution at base 0 is 1/2 away"
+    with pytest.raises(RegularityRejected) as exc:
+        improve(
+            bad, sp, bad.labels, 4, Fraction(3, 10), 8, Fraction(3, 10),
+            tuple(range(64)), (0,), Fraction(2, 5),
+        )
+    assert str(exc.value) == "input speedup failed condition 4: " + first.detail
