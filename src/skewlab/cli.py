@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -32,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, cyclic, from_tables, trivial
+from .records import Record
 from .systems import (
     ExtensionSystem,
     check_extension_ergodic,
@@ -43,14 +43,13 @@ from .systems import (
 # system (de)serialization
 
 
-# a rejected value is echoed whole up to this many characters of its repr: a 3 MB
-# decimal in a file would otherwise make a 3 MB error body
+# a rejected value (its repr) or a group name is echoed whole up to this many
+# characters: a 3 MB decimal or name in a file would otherwise make a 3 MB error body
 ECHO_LIMIT = 64
 
 
-def _echo(value: Any) -> str:
-    """The repr of an outside value, or its first ECHO_LIMIT characters and its length."""
-    text = repr(value)
+def _echo(text: str) -> str:
+    """text whole, or its first ECHO_LIMIT characters and its length."""
     if len(text) <= ECHO_LIMIT:
         return text
     return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
@@ -59,7 +58,7 @@ def _echo(value: Any) -> str:
 def _int_in(value: Any) -> int:
     """A JSON integer, whose type is int: isinstance takes true and false too."""
     if type(value) is not int:
-        raise ParseError("table entry %s is not an integer" % _echo(value))
+        raise ParseError("table entry %s is not an integer" % _echo(repr(value)))
     return value
 
 
@@ -75,7 +74,7 @@ def _fraction_in(value: Any) -> Fraction:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError("cannot read %s as an exact fraction" % _echo(value))
+    raise ParseError("cannot read %s as an exact fraction" % _echo(repr(value)))
 
 
 def _table_in(data: dict, key: str, read) -> list[list]:
@@ -116,7 +115,7 @@ def parse_group_spec(data: Any) -> FiniteGroup:
             return from_tables(mul, metric, name=data.get("name", "group"))
         except (ValidationError, TypeError, IndexError) as exc:
             raise ParseError("bad group tables: %s" % exc) from exc
-    raise ParseError("unknown group type %s" % _echo(kind))
+    raise ParseError("unknown group type %s" % _echo(repr(kind)))
 
 
 def parse_system_spec(data: Any, groups: dict | None = None) -> ExtensionSystem:
@@ -171,7 +170,8 @@ def _load_pair(args: argparse.Namespace) -> tuple[ExtensionSystem, ExtensionSyst
     if target.group != source.group:
         raise ParseError(
             "target group %s (order %d) and source group %s (order %d) differ"
-            % (target.group.name, target.group.order, source.group.name, source.group.order)
+            % (_echo(str(target.group.name)), target.group.order,
+               _echo(str(source.group.name)), source.group.order)
         )
     return target, source
 
@@ -187,12 +187,13 @@ def _fraction_str(f: Fraction) -> str:
 def _encode(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return {"exact": _fraction_str(obj), "value": float("%.12g" % float(obj))}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):
+        return {name: _encode(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
+        # labels, exponents and twists are plain ints, which json writes as they are
+        return obj if set(map(type, obj)) <= {int} else [_encode(v) for v in obj]
     return obj
 
 
@@ -228,7 +229,7 @@ def _list_arg(text: str, flag: str, read) -> tuple:
         try:
             values.append(read(entry))
         except (ValueError, ParseError) as exc:
-            raise ParseError("%s: cannot read %s" % (flag, _echo(entry))) from exc
+            raise ParseError("%s: cannot read %s" % (flag, _echo(repr(entry)))) from exc
     return tuple(values)
 
 
@@ -329,7 +330,7 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return _fraction_in(text)
     except ParseError as exc:
-        raise argparse.ArgumentTypeError("%s is not a fraction" % _echo(text)) from exc
+        raise argparse.ArgumentTypeError("%s is not a fraction" % _echo(repr(text))) from exc
 
 
 class _Parser(argparse.ArgumentParser):

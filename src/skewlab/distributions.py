@@ -14,13 +14,13 @@ Values are exact rationals; transport runs on integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
 from .errors import SpaceMismatch, ValidationError
 from .groups import FiniteGroup
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ from .groups import FiniteGroup
 # int_dist / unit.
 
 
-class _Scaled:
+class _Scaled(Record):
     def dist(self, a, b) -> Fraction:
         return Fraction(self.int_dist(a, b), self.unit)
 
@@ -41,7 +41,6 @@ class _Scaled:
         return self.unit == 1
 
 
-@dataclass(frozen=True)
 class DiscreteSpace(_Scaled):
     """Any hashables, distance 0/1."""
 
@@ -51,7 +50,6 @@ class DiscreteSpace(_Scaled):
         return 0 if a == b else 1
 
 
-@dataclass(frozen=True)
 class NameSpace(_Scaled):
     """Names of one length: tuples of (label, group element) coordinates.
 
@@ -87,8 +85,7 @@ class NameSpace(_Scaled):
 # empirical distributions
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(Record):
     """Finitely supported probability vector, held as integer counts.
 
     counts pairs each key with a positive int, sorted by key and reduced

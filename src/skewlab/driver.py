@@ -10,7 +10,6 @@ quantities are recomputed from outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -27,6 +26,7 @@ from .errors import (
 from .groups import trivial
 from .improvement import ImprovementReport, ImproveResult, bootstrap_regular, improve
 from .names import Walk, primitive_period
+from .records import Record, replace
 from .systems import (
     ErgodicityWitness,
     ExtensionSystem,
@@ -41,8 +41,7 @@ from .systems import (
 # schedules and logs
 
 
-@dataclass(frozen=True)
-class IterationSchedule:
+class IterationSchedule(Record):
     """Per-iteration tolerances, target rectangles, and the budget.
 
     steps holds (n, delta, n1, delta1) per iteration; iterations beyond
@@ -99,8 +98,7 @@ class IterationSchedule:
         return self.rectangles[k % len(self.rectangles)]
 
 
-@dataclass(frozen=True)
-class GeneratorRecord:
+class GeneratorRecord(Record):
     stage: int
     window: int
     defect: Fraction
@@ -108,8 +106,7 @@ class GeneratorRecord:
     copy_distance: Fraction
 
 
-@dataclass(frozen=True)
-class ConstructionLog:
+class ConstructionLog(Record):
     reports: tuple[ImprovementReport, ...]
     change_mass: Fraction
     change_bound: Fraction
@@ -118,8 +115,7 @@ class ConstructionLog:
     separation_failure: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(Record):
     """The completed speedup, the last labels, the accumulated twist, the
     log, and every improvement step in order."""
 
@@ -250,8 +246,7 @@ def run_factor(
 # ergodicity certificates
 
 
-@dataclass(frozen=True)
-class FullGroupWitness:
+class FullGroupWitness(Record):
     """Piecewise powers carrying most of one set into another."""
 
     pieces: tuple[tuple[int, int, int], ...]

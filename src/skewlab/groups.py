@@ -13,11 +13,12 @@ several downstream routines take a cheaper path in that case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
+
+from .records import Record
 
 
 def _gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -62,14 +63,14 @@ def _associative_at(mul: Sequence[Sequence[int]], b: int) -> bool:
     return all(mul[row[b]] == through(row) for row in mul)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     order: int
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     identity: int
     metric: tuple[tuple[Fraction, ...], ...]
-    name: str = field(default="group", compare=False)
+    name: str = "group"
+    _uncompared = ("name",)
 
     def __post_init__(self) -> None:
         from .errors import ValidationError

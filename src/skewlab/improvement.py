@@ -13,7 +13,6 @@ coordinate on the constructed orbit.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .names import prefix_products
+from .records import Record
 from .systems import (
     ExtensionSystem,
     PartialSpeedup,
@@ -50,8 +50,7 @@ from .towers import broken_fraction, ladder, tower
 # window systems and cycles
 
 
-@dataclass(frozen=True)
-class WindowSystem:
+class WindowSystem(Record):
     """Ordered equal-length windows inside a long segment.
 
     Window s occupies positions starts[s] .. starts[s]+length-1; the
@@ -83,8 +82,7 @@ class WindowSystem:
         return self.starts[s] + j
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """One weave through the windows: p-term stages at every pass offset.
 
     stages maps (l, j) to the chosen in-window positions for phases
@@ -300,8 +298,7 @@ def bootstrap_regular(
 # model names
 
 
-@dataclass(frozen=True)
-class ModelName:
+class ModelName(Record):
     """Long template name read off the target with measured certificates.
 
     labels and groups give the (P, c)-coordinates of the template;
@@ -316,7 +313,8 @@ class ModelName:
     start: int
     window_distance: Fraction
     block_distance: Fraction
-    reference: EmpiricalDistribution = field(compare=False, repr=False)
+    reference: EmpiricalDistribution
+    _uncompared = ("reference",)
 
 
 def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: int) -> int:
@@ -448,8 +446,7 @@ def build_model_name(
 # the improvement step
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
+class ImprovementReport(Record):
     """Measured outcome of one improvement step, recomputed from outputs."""
 
     n: int
@@ -488,8 +485,7 @@ class ImprovementReport:
         }
 
 
-@dataclass(frozen=True)
-class ImproveResult:
+class ImproveResult(Record):
     """speedup is the output map on the input's extension; twisted is the
     same map on the twisted extension, the speedup the next step consumes."""
 

@@ -9,7 +9,6 @@ ties break at the lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
+from .records import Record
 
 
 def sample_onto(
@@ -76,8 +76,7 @@ def sample_onto(
     return out
 
 
-@dataclass(frozen=True)
-class SampleFamily:
+class SampleFamily(Record):
     """Disjoint equal-size subsets of a ground set sharing exact atom counts."""
 
     ground: tuple

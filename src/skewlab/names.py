@@ -13,12 +13,12 @@ built only once per class, where a distribution is handed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import EmpiricalDistribution, NameSpace
 from .errors import NameWorkTooLarge
 from .groups import FiniteGroup
+from .records import Record
 
 # a distribution builds classes * |G| * length name entries; metrics at
 # the limit (n = 8192 on a 32-point Z/8 pair) takes 2 s and 324 MiB
@@ -42,8 +42,7 @@ def _rank(keys: Iterable) -> tuple[list[int], int]:
     return ids, len(rank)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(Record):
     """Labels, successor map and per-step group increments of a walk.
 
     Point x carries labels[x] and moves (x, g) to (nxt[x], inc[x] * g).

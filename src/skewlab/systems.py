@@ -10,7 +10,6 @@ the free right group action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -19,10 +18,10 @@ from .distributions import EmpiricalDistribution
 from .errors import OutOfDomain, ValidationError
 from .groups import FiniteGroup
 from .names import Walk, prefix_products
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ExtensionSystem:
+class ExtensionSystem(Record):
     """Base cycle of given size with labels and a group-valued skewing map."""
 
     size: int
@@ -98,8 +97,7 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     """Total reassignment of fiber offsets, one group element per base point."""
 
     values: tuple[int, ...]
@@ -145,8 +143,7 @@ def twist_size(alpha: Twist, group: FiniteGroup) -> Fraction:
     return Fraction(sum(map(table[group.identity].__getitem__, alpha.values)), unit * alpha.size)
 
 
-@dataclass(frozen=True)
-class ErgodicityWitness:
+class ErgodicityWitness(Record):
     ergodic: bool
     cycle_length: int
     splitting_point: tuple[int, int] | None
@@ -181,8 +178,7 @@ def check_extension_ergodic(ext: ExtensionSystem) -> ErgodicityWitness:
 # partial speedups
 
 
-@dataclass(frozen=True)
-class PartialSpeedup:
+class PartialSpeedup(Record):
     """Base-measurable exponent map; 0 marks points outside the domain.
 
     The induced base map x -> x + k(x) mod N must be injective on the
@@ -313,8 +309,7 @@ def speedup_name_distribution(
 # regularity certificates
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(Record):
     """Measured outcome of the five regularity conditions at (n, delta).
 
     Issued only when all conditions hold.  It carries the tower's
@@ -346,8 +341,7 @@ class RegularityCertificate:
         return len(self.columns[0])
 
 
-@dataclass(frozen=True)
-class RegularityRefusal:
+class RegularityRefusal(Record):
     """Names the first regularity condition that failed, with a measurement."""
 
     condition: str

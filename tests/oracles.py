@@ -25,15 +25,20 @@ Two are the tower walks that the speedup's step table and
 towers.tower replaced: the tower is walked from every base point with
 its exponent, and a ladder walks every block from its start.
 
-The last is the generator window search that names.Walk replaced: every
+One is the generator window search that names.Walk replaced: every
 centred (2m+1)-word is built as a tuple by stepping the total map back
 and forward from each point.
+
+The last is the report encoder that dispatches on every element of
+every list, where the CLI's encoder hands a list of plain ints to json
+as it is.
 """
 
 import heapq
 from fractions import Fraction
 
 from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace, kantorovich
+from skewlab.records import Record
 from skewlab.towers import tower
 
 
@@ -596,3 +601,16 @@ def majority_defect_centred(speedup, labels, target_set, bound):
         if defect <= bound or m >= size:
             return m, defect
         m += 1
+
+
+def encode_each(obj):
+    """A report payload as JSON-ready values, every list element dispatched."""
+    if isinstance(obj, Fraction):
+        return {"exact": "%d/%d" % (obj.numerator, obj.denominator), "value": float("%.12g" % float(obj))}
+    if isinstance(obj, Record):
+        return {name: encode_each(getattr(obj, name)) for name in obj._fields}
+    if isinstance(obj, dict):
+        return {str(k): encode_each(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_each(v) for v in obj]
+    return obj

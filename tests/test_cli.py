@@ -28,12 +28,16 @@ from skewlab.cli import (
     GROUP_ORDER_LIMIT,
     _encode,
     _fraction_in,
+    _load_pair,
+    build_parser,
     parse_group_spec,
     parse_system_spec,
     run_command,
 )
 from skewlab.groups import cyclic
 from skewlab.names import NAME_WORK_LIMIT
+
+import oracles
 
 
 def write_system(path, size, labels, group, skew):
@@ -581,6 +585,17 @@ PAIR_ARGS = {
 }
 
 
+@pytest.mark.parametrize("command", ["improve", "factor", "iso"])
+def test_encoder_writes_what_the_recursive_oracle_writes(marker_pair, command):
+    # the encoder hands lists of plain ints to json whole; the oracle dispatches every element
+    t, s = marker_pair
+    args = build_parser().parse_args([command, "--target", t, "--source", s, *PAIR_ARGS[command]])
+    payload = args.func(args, *_load_pair(args))
+    assert json.dumps(_encode(payload), indent=2, sort_keys=True) == json.dumps(
+        oracles.encode_each(payload), indent=2, sort_keys=True
+    )
+
+
 @pytest.mark.parametrize(
     "target_group, source_group, detail",
     [
@@ -610,6 +625,24 @@ def test_pair_of_different_groups_exits_one(tmp_path, command, target_group, sou
     rc = run_command([command, "--target", t, "--source", s, *PAIR_ARGS[command], "--out", str(out)])
     assert rc == 1
     assert json.loads(out.read_text()) == {"error": "ParseError", "detail": detail}
+
+
+def test_a_long_group_name_is_echoed_in_part(tmp_path):
+    # echoed whole, this 3 MB name made a 3,000,105-byte error body
+    name = "x" * 3_000_000
+    markers = [1 if x == 47 else 0 for x in range(48)]
+    t = write_system(tmp_path / "t.json", 48, markers,
+                     {"type": "tables", "mul": [[0, 1], [1, 0]], "name": name}, [0] * 48)
+    s = write_system(tmp_path / "s.json", 48, markers, {"type": "cyclic", "order": 3}, [0] * 48)
+    out = tmp_path / "out.json"
+    rc = run_command(["metrics", "--target", t, "--source", s, "--n", "4", "--out", str(out)])
+    assert rc == 1
+    body = out.read_bytes()
+    assert len(body) < 1024
+    assert json.loads(body)["detail"] == (
+        "target group %s... (3000000 characters) (order 2) and source group Z/3 (order 3) differ"
+        % name[:ECHO_LIMIT]
+    )
 
 
 def test_groups_compare_by_tables_not_by_spec(tmp_path):

@@ -1,7 +1,6 @@
 """Iteration schedules, the factor and isomorphism loops, witnesses,
 factor map checks, partition copies, and orbit seeding."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ from skewlab import (
     verify_factor_map,
 )
 from skewlab.driver import _cylinder_sets
+from skewlab.records import replace
 
 
 def marker_system(size, marker, group=None, flips=()):
@@ -501,3 +501,13 @@ def test_seed_validation():
     z2 = marker_system(16, 15, group=cyclic(2))
     with pytest.raises(ValidationError):
         seed_from_orbit(z2, m, 16, Fraction(1, 10), n=4)
+
+
+def test_replace_builds_through_the_checks():
+    schedule = plain_schedule(16, 1)
+    assert replace(schedule, strict=False) == schedule
+    assert replace(schedule, budget=2).budget == 2
+    with pytest.raises(ValidationError, match="budget must be nonnegative"):
+        replace(schedule, budget=-1)
+    with pytest.raises(TypeError, match="steps_per_lap"):
+        replace(schedule, steps_per_lap=2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skewlab import FiniteGroup, ValidationError, cyclic, from_tables, trivial
 from skewlab.groups import _generators
+from skewlab.records import replace
 
 import oracles
 from conftest import S3_PERMS, left_invariant_metric, s3_table, table_inverses
@@ -243,3 +244,12 @@ def test_cyclic_128_builds_under_one_second():
     g = cyclic(128)
     assert time.perf_counter() - start < 1.0
     assert g.metric[3][67] == 1 and g.metric[0][127] == Fraction(1, 64)
+
+
+def test_a_group_name_is_neither_compared_nor_hashed():
+    z4 = cyclic(4)
+    named = replace(z4, name="another")
+    assert (named.name, z4.name) == ("another", "Z/4")
+    assert named == z4 and hash(named) == hash(z4)
+    # the tables are compared: the discrete metric on Z/4 is not the circle metric
+    assert named != replace(z4, metric=from_tables(z4.mul).metric)

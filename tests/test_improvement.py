@@ -8,9 +8,12 @@ import pytest
 
 from skewlab import (
     Collision,
+    DiscreteSpace,
+    EmpiricalDistribution,
     ExtensionSystem,
     HypothesisDistance,
     IterationSchedule,
+    ModelName,
     PartialSpeedup,
     RegularityCertificate,
     RegularityRefusal,
@@ -33,6 +36,7 @@ from skewlab import (
 )
 from skewlab import improvement
 from skewlab.driver import bootstrap_regular
+from skewlab.records import replace
 
 import oracles
 
@@ -563,3 +567,14 @@ def test_a_kept_refusal_comes_back_unchanged(monkeypatch):
             tuple(range(64)), (0,), Fraction(2, 5),
         )
     assert str(exc.value) == "input speedup failed condition 4: " + first.detail
+
+
+def test_model_names_compare_without_their_reference():
+    space = DiscreteSpace()
+    one = EmpiricalDistribution.from_counts(space, {0: 1})
+    two = EmpiricalDistribution.from_counts(space, {0: 1, 1: 2})
+    a = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), Fraction(1, 4), one)
+    b = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), Fraction(1, 4), reference=two)
+    assert a.reference != b.reference
+    assert a == b and hash(a) == hash(b)
+    assert a != replace(a, start=1)

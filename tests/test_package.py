@@ -1,4 +1,8 @@
-"""The package's public names, resolved on first access."""
+"""The package's public names, resolved on first access, and what loading it imports."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,19 @@ def test_submodules_resolve_and_unknown_names_raise():
     assert skewlab.groups.cyclic is skewlab.cyclic
     with pytest.raises(AttributeError, match="no_such_name"):
         skewlab.no_such_name
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # a fresh interpreter: records are defined without generated code, and
+    # dataclasses (with inspect, ast, dis and tokenize) cost 10-13 ms to import
+    probe = (
+        "import sys\n"
+        "import skewlab.cli, skewlab.improvement, skewlab.driver, skewlab.matching\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

@@ -11,6 +11,7 @@ from skewlab import (
     ExtensionSystem,
     OutOfDomain,
     PartialSpeedup,
+    RegularityRefusal,
     Twist,
     ValidationError,
     apply_speedup,
@@ -305,3 +306,32 @@ def test_unit_speedup_names_match_extension_names():
         speedup_name_distribution(sp, ext.labels, 4).as_dict()
         == name_distribution(ext, 4).as_dict()
     )
+
+
+def test_records_are_frozen_and_keep_their_cached_state():
+    ext = tiny_extension()
+    with pytest.raises(AttributeError, match="'size'"):
+        ext.size = 5
+    with pytest.raises(AttributeError, match="'labels'"):
+        del ext.labels
+    with pytest.raises(AttributeError, match="'colour'"):
+        ext.colour = 1
+    assert ext.size == 12
+    # a cached property writes the instance dict, past the frozen __setattr__
+    assert ext.prefix is ext.prefix and "prefix" in vars(ext)
+
+
+def test_record_arguments_are_checked_like_a_signature():
+    g = trivial()
+    assert ExtensionSystem(2, (0, 1), g, (0, 0)) == ExtensionSystem(
+        skew=(0, 0), group=g, labels=(0, 1), size=2
+    )
+    assert RegularityRefusal("c", "d") == RegularityRefusal("c", detail="d", measured=None)
+    with pytest.raises(TypeError, match="missing skew"):
+        ExtensionSystem(2, (0, 1), g)
+    with pytest.raises(TypeError, match="colour"):
+        ExtensionSystem(2, (0, 1), g, (0, 0), colour=1)
+    with pytest.raises(TypeError, match="size"):
+        ExtensionSystem(2, (0, 1), g, (0, 0), size=2)
+    with pytest.raises(TypeError, match="not 5 positional"):
+        ExtensionSystem(2, (0, 1), g, (0, 0), 1)
