@@ -23,7 +23,7 @@ _EXPORTS = {
         "ParseError", "PreconditionViolated", "RegularityRejected", "ScheduleInfeasible",
         "SkewlabError", "SpaceMismatch", "TowerInfeasible", "ValidationError",
     ),
-    "groups": ("FiniteGroup", "cyclic", "from_tables", "trivial"),
+    "groups": ("FiniteGroup", "cyclic", "trivial"),
     "improvement": (
         "Cycle", "ImproveResult", "ImprovementReport", "ModelName", "WindowSystem",
         "bootstrap_regular", "build_cycles", "build_model_name", "check_regular", "improve",

@@ -26,15 +26,17 @@ from .errors import (
     GroupTooLarge,
     OutOfDomain,
     ParseError,
+    PreconditionViolated,
     SkewlabError,
     SpaceMismatch,
     ValidationError,
 )
-from .groups import FiniteGroup, cyclic, from_tables, trivial
+from .groups import FiniteGroup, cyclic, trivial
 from .records import Record
 from .systems import (
     ExtensionSystem,
     check_extension_ergodic,
+    cocycle_product,
     name_distribution,
 )
 
@@ -44,7 +46,7 @@ from .systems import (
 
 
 # a rejected value (its repr) or a group name is echoed whole up to this many
-# characters: a 3 MB decimal or name in a file would otherwise make a 3 MB error body
+# characters: a 3 MB decimal or a long metric row would otherwise fill the error body
 ECHO_LIMIT = 64
 
 
@@ -53,13 +55,6 @@ def _echo(text: str) -> str:
     if len(text) <= ECHO_LIMIT:
         return text
     return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
-
-
-def _int_in(value: Any) -> int:
-    """A JSON integer, whose type is int: isinstance takes true and false too."""
-    if type(value) is not int:
-        raise ParseError("table entry %s is not an integer" % _echo(repr(value)))
-    return value
 
 
 # Fraction's exponent and decimal forms are refused unread: Fraction("1e-100000000")
@@ -77,22 +72,10 @@ def _fraction_in(value: Any) -> Fraction:
     raise ParseError("cannot read %s as an exact fraction" % _echo(repr(value)))
 
 
-def _table_in(data: dict, key: str, read) -> list[list]:
-    """A nonempty list of rows, each a list of entries read by read."""
-    rows = data.get(key)
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ParseError("table group needs a %s matrix" % key)
-    return [[read(v) for v in row] for row in rows]
-
-
-# a group is checked on its generators (cyclic(256) in 18 ms), but a table that
-# fails associativity costs a cubic scan: 0.34 s at order 256, 2.9 s at 512
+# a group's tables (mul, metric, int_metric) hold order**2 entries each, and its
+# triangle check is quadratic: cyclic(256) with its tables takes 7 ms and 2 MiB,
+# cyclic(2048) 0.4-0.7 s and 100 MiB (2 cores, Python 3.11.7)
 GROUP_ORDER_LIMIT = 256
-
-
-def _order_within_limit(order: int) -> None:
-    if order > GROUP_ORDER_LIMIT:
-        raise GroupTooLarge("group order %d exceeds the limit %d" % (order, GROUP_ORDER_LIMIT))
 
 
 def parse_group_spec(data: Any) -> FiniteGroup:
@@ -105,16 +88,18 @@ def parse_group_spec(data: Any) -> FiniteGroup:
         order = data.get("order")
         if type(order) is not int or order < 1:
             raise ParseError("cyclic group needs a positive integer order")
-        _order_within_limit(order)
-        return cyclic(order)
-    if kind == "tables":
-        mul = _table_in(data, "mul", _int_in)
-        _order_within_limit(len(mul))
-        metric = None if data.get("metric") is None else _table_in(data, "metric", _fraction_in)
+        if order > GROUP_ORDER_LIMIT:
+            raise GroupTooLarge("group order %d exceeds the limit %d" % (order, GROUP_ORDER_LIMIT))
+        row = data.get("metric")
+        if row is None:
+            return cyclic(order)
+        # the length first: a long row is refused before its entries are read
+        if not isinstance(row, list) or len(row) != order:
+            raise ParseError("cyclic group metric must be a list of %d entries" % order)
         try:
-            return from_tables(mul, metric, name=data.get("name", "group"))
-        except (ValidationError, TypeError, IndexError) as exc:
-            raise ParseError("bad group tables: %s" % exc) from exc
+            return cyclic(order, [_fraction_in(v) for v in row])
+        except ValidationError as exc:
+            raise ParseError("bad group metric: %s" % exc) from exc
     raise ParseError("unknown group type %s" % _echo(repr(kind)))
 
 
@@ -164,7 +149,8 @@ def load_system(path: str, groups: dict) -> ExtensionSystem:
 
 
 def _load_pair(args: argparse.Namespace) -> tuple[ExtensionSystem, ExtensionSystem]:
-    """Target and source, which must share one group (compared by its tables)."""
+    """Target and source, which must share one group (compared by order and
+    metric row); every command but metrics also needs both ergodic."""
     groups: dict = {}
     target, source = load_system(args.target, groups), load_system(args.source, groups)
     if target.group != source.group:
@@ -173,6 +159,13 @@ def _load_pair(args: argparse.Namespace) -> tuple[ExtensionSystem, ExtensionSyst
             % (_echo(str(target.group.name)), target.group.order,
                _echo(str(source.group.name)), source.group.order)
         )
+    if args.command != "metrics":
+        for role, ext in (("target", target), ("source", source)):
+            if not check_extension_ergodic(ext).ergodic:
+                raise PreconditionViolated(
+                    "%s extension is not ergodic: its lap %d does not generate Z/%d"
+                    % (role, cocycle_product(ext, 0, ext.size), ext.group.order)
+                )
     return target, source
 
 

@@ -518,7 +518,7 @@ def seed_from_orbit(
     if n_len < n or n_len > source.size:
         raise ValidationError("segment length must satisfy n <= n_len <= source size")
     group = target.group
-    if group.order != source.group.order or group.mul != source.group.mul:
+    if group.order != source.group.order:
         raise ValidationError("seeding needs matching groups")
     walk = target.walk()
     ids = walk.classes(n)

@@ -23,7 +23,7 @@ class ParseError(SkewlabError):
 
 
 class GroupTooLarge(SkewlabError):
-    """A group spec exceeds the order limit of exact table validation."""
+    """A group spec exceeds the order limit that bounds its quadratic tables."""
 
 
 class SpaceMismatch(SkewlabError):

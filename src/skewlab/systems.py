@@ -10,6 +10,7 @@ the free right group action.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -150,23 +151,17 @@ class ErgodicityWitness(Record):
 
     @staticmethod
     def of_lap(group: FiniteGroup, lap: int, steps: int) -> "ErgodicityWitness":
-        """Witness for the orbit of (0, e) that returns to base 0 after steps base steps.
+        """Witness for the orbit of (0, 0) that returns to base 0 after steps base steps.
 
-        Each return multiplies the group coordinate by lap, so the orbit
-        meets the fibre over 0 in the cyclic subgroup lap generates: one
-        cycle of steps times the order of lap, splitting off the first
-        element it misses.
+        Each return adds lap, so the orbit meets the fibre over 0 in the
+        subgroup of Z/m that lap generates, the multiples of gcd(lap, m):
+        one cycle of steps * m / gcd, splitting off 1 unless gcd = 1.
         """
-        reached = {group.identity}
-        g = lap
-        while g != group.identity:
-            reached.add(g)
-            g = group.mul[lap][g]
-        cycle = steps * len(reached)
-        if len(reached) == group.order:
-            return ErgodicityWitness(True, cycle, None)
-        missing = min(h for h in group.elements() if h not in reached)
-        return ErgodicityWitness(False, cycle, (0, missing))
+        m = group.order
+        common = math.gcd(lap, m)
+        if common == 1:
+            return ErgodicityWitness(True, steps * m, None)
+        return ErgodicityWitness(False, steps * m // common, (0, 1))
 
 
 def check_extension_ergodic(ext: ExtensionSystem) -> ErgodicityWitness:

@@ -273,6 +273,18 @@ def seed_per_fibre(target, source, n_len, zeta, n):
     return tuple(labels), tuple(alpha)
 
 
+def subgroup_walk(m, lap, steps):
+    """(ergodic, cycle length, splitting point) of a lap on Z/m, by walking
+    lap, 2 lap, ... back to 0 and splitting off the least element missed."""
+    reached = [0]
+    g = lap % m
+    while g != 0:
+        reached.append(g)
+        g = (g + lap) % m
+    missed = [h for h in range(m) if h not in reached]
+    return not missed, steps * len(reached), (0, missed[0]) if missed else None
+
+
 def cubic_group_check(order, mul, inv, identity, metric):
     """First violated group or metric axiom, checked on every triple; None if valid."""
     m = order

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,11 +82,12 @@ def test_fraction_in_accepts_ints_and_strings():
 def test_parse_group_specs():
     assert parse_group_spec({"type": "trivial"}).order == 1
     assert parse_group_spec({"type": "cyclic", "order": 5}).order == 5
-    klein = parse_group_spec(
-        {"type": "tables", "mul": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
-    )
-    assert klein.order == 4
-    assert all(klein.mul[g][g] == 0 for g in range(4))
+    assert parse_group_spec({"type": "trivial"}) == parse_group_spec({"type": "cyclic", "order": 1})
+    discrete = parse_group_spec({"type": "cyclic", "order": 4, "metric": [0, 1, "1/1", 1]})
+    assert (discrete.order, discrete.row) == (4, (0, 1, 1, 1))
+    assert discrete.name == "Z/4, metric 0/1,1/1,1/1,1/1"
+    assert all(discrete.mul[g][-g % 4] == 0 for g in range(4))
+    assert parse_group_spec({"type": "cyclic", "order": 2, "metric": [0, 1]}) == cyclic(2)
 
 
 def test_parse_group_rejects_malformed():
@@ -95,8 +97,11 @@ def test_parse_group_rejects_malformed():
         {"type": "nope"},
         {"type": "cyclic", "order": 0},
         {"type": "cyclic", "order": "2"},
-        {"type": "tables", "mul": []},
-        {"type": "tables", "mul": [[0, 0], [0, 0]]},
+        # a group of any other type, its tables included, is malformed
+        {"type": "tables", "mul": [[0, 1], [1, 0]]},
+        {"type": "cyclic", "order": 2, "metric": [0]},
+        {"type": "cyclic", "order": 2, "metric": [1, 1]},
+        {"type": "cyclic", "order": 3, "metric": [0, "1/2", 1]},
     ):
         with pytest.raises(ParseError):
             parse_group_spec(bad)
@@ -106,16 +111,23 @@ def test_parse_group_refuses_orders_above_the_limit():
     largest = parse_group_spec({"type": "cyclic", "order": GROUP_ORDER_LIMIT})
     assert largest.order == GROUP_ORDER_LIMIT
     big = GROUP_ORDER_LIMIT + 1
-    # a table is refused on its size, before the group axioms are checked
+    # a row is refused on the order, before its length or entries are read
     for spec in (
         {"type": "cyclic", "order": 4096},
         {"type": "cyclic", "order": big},
-        {"type": "tables", "mul": [[0]] * big},
+        {"type": "cyclic", "order": big, "metric": "not a row"},
     ):
         with pytest.raises(GroupTooLarge) as err:
             parse_group_spec(spec)
-        order = spec.get("order", big)
-        assert str(err.value) == "group order %d exceeds the limit %d" % (order, GROUP_ORDER_LIMIT)
+        assert str(err.value) == "group order %d exceeds the limit %d" % (spec["order"], GROUP_ORDER_LIMIT)
+
+
+def test_a_long_row_is_refused_on_its_length():
+    # three million entries at order 2: refused before one entry is read
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="metric must be a list of 2 entries"):
+        parse_group_spec({"type": "cyclic", "order": 2, "metric": [LONG_DECIMAL] * 3_000_000})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_group_over_the_limit_exits_two(tmp_path):
@@ -129,22 +141,13 @@ def test_group_over_the_limit_exits_two(tmp_path):
     }
 
 
-def test_parse_tables_group_with_fraction_metric():
-    # the Z/3 tables with the metric written out as "p/q" strings
-    g = parse_group_spec({
-        "type": "tables",
-        "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
-        "metric": [["0/1", "1/1", "1/1"], ["1/1", "0/1", "1/1"], ["1/1", "1/1", "0/1"]],
-        "name": "Z/3",
-    })
-    assert g.mul == cyclic(3).mul
+def test_parse_cyclic_group_with_fraction_metric():
+    # Z/3's circle metric written out as "p/q" strings is Z/3
+    g = parse_group_spec({"type": "cyclic", "order": 3, "metric": ["0/1", "1/1", "1/1"]})
+    assert g == cyclic(3)
     assert g.metric == cyclic(3).metric
-    assert g.name == "Z/3"
-    half = parse_group_spec({
-        "type": "tables",
-        "mul": [[0, 1], [1, 0]],
-        "metric": [["0/1", "1/2"], ["1/2", 0]],
-    })
+    assert g.name == "Z/3, metric 0/1,1/1,1/1"
+    half = parse_group_spec({"type": "cyclic", "order": 2, "metric": ["0/1", "1/2"]})
     assert half.metric == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
@@ -196,21 +199,21 @@ TWO_POINTS = {"size": 2, "labels": [0, 1], "skew": [0, 0]}
         {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, "1"], ["1", 0]]}},
         {**TWO_POINTS, "group": {"type": "tables", "mul": ["01", "10"]}},
         {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, "x"], [1, 0]]}},
-        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": 5}},
-        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]], "metric": [5, 6]}},
-        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]],
-                                 "metric": [[0, "0.5"], ["0.5", 0]]}},
-        {**TWO_POINTS, "group": {"type": "tables", "mul": [[0, 1], [1, 0]],
-                                 "metric": [[0, LONG_DECIMAL], ["1/2", 0]]}},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": 2, "metric": 5}},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": 2, "metric": [5, 6]}},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": 2, "metric": [[0, 1], [1, 0]]}},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": 2, "metric": [0, "0.5"]}},
+        {**TWO_POINTS, "group": {"type": "cyclic", "order": 2, "metric": [0, LONG_DECIMAL]}},
     ],
     ids=[
         "size_true", "order_true", "mul_true", "mul_float", "mul_digit_string",
-        "mul_row_string", "mul_letter", "metric_scalar", "metric_flat",
+        "mul_row_string", "mul_letter", "metric_scalar", "metric_flat", "metric_nested",
         "metric_decimal", "metric_long_decimal",
     ],
 )
 def test_malformed_spec_exits_one_with_parse_error(tmp_path, spec):
-    # each of these once ran as a system, or raised a traceback
+    # each of these once ran as a system, or raised a traceback; the mul
+    # cases are groups given by their tables, which no longer describe a group
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out.json"
@@ -223,7 +226,7 @@ def test_a_long_rejected_entry_is_echoed_in_part(tmp_path):
     # echoed whole, this 3 MB entry made a 3,000,081-byte error body
     path = tmp_path / "long.json"
     path.write_text(json.dumps({**TWO_POINTS, "group": {
-        "type": "tables", "mul": [[0, 1], [1, 0]], "metric": [[0, LONG_DECIMAL], ["1/2", 0]]}}))
+        "type": "cyclic", "order": 2, "metric": [0, LONG_DECIMAL]}}))
     out = tmp_path / "out.json"
     rc = run_command(["metrics", "--target", str(path), "--source", str(path), "--n", "1", "--out", str(out)])
     assert rc == 1
@@ -607,11 +610,11 @@ def test_encoder_writes_what_the_recursive_oracle_writes(marker_pair, command):
             {"type": "trivial"}, {"type": "cyclic", "order": 2},
             "target group trivial (order 1) and source group Z/2 (order 2) differ",
         ),
-        # equal multiplication, different metric: Z/4's circle metric is not discrete
+        # equal order, different metric: Z/4's circle metric is not discrete
         (
             {"type": "cyclic", "order": 4},
-            {"type": "tables", "mul": [[(a + b) % 4 for b in range(4)] for a in range(4)]},
-            "target group Z/4 (order 4) and source group group (order 4) differ",
+            {"type": "cyclic", "order": 4, "metric": [0, 1, 1, 1]},
+            "target group Z/4 (order 4) and source group Z/4, metric 0/1,1/1,1/1,1/1 (order 4) differ",
         ),
     ],
 )
@@ -627,12 +630,47 @@ def test_pair_of_different_groups_exits_one(tmp_path, command, target_group, sou
     assert json.loads(out.read_text()) == {"error": "ParseError", "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "order, size, flips, lap",
+    [(2, 1024, (), 0), (4, 64, (0, 32), 2)],
+    ids=["z2_no_flip", "z4_lap_2"],
+)
+@pytest.mark.parametrize("role", ["target", "source"])
+@pytest.mark.parametrize("command", [c for c in PAIR_ARGS if c != "metrics"])
+def test_a_non_ergodic_system_is_refused_at_the_door(tmp_path, command, role, order, size, flips, lap):
+    # over one base cycle the orbit of (0, 0) meets the fibre over 0 in the
+    # subgroup the lap generates, so a lap that misses Z/m splits the extension
+    markers = [1 if x == size - 1 else 0 for x in range(size)]
+    group = {"type": "cyclic", "order": order}
+    split = [1 if x in flips else 0 for x in range(size)]
+    ergodic = [1 if x == size // 2 else 0 for x in range(size)]
+    skews = {"target": ergodic, "source": ergodic, role: split}
+    t = write_system(tmp_path / "t.json", size, markers, group, skews["target"])
+    s = write_system(tmp_path / "s.json", size, markers, group, skews["source"])
+    out = tmp_path / "out.json"
+    rc = run_command([command, "--target", t, "--source", s, *PAIR_ARGS[command], "--out", str(out)])
+    assert rc == 2
+    assert json.loads(out.read_text()) == {
+        "error": "PreconditionViolated",
+        "detail": "%s extension is not ergodic: its lap %d does not generate Z/%d" % (role, lap, order),
+    }
+    # metrics reports the split instead
+    rc = run_command(["metrics", "--target", t, "--source", s, "--n", "2", "--out", str(out)])
+    assert rc == 0
+    witness = json.loads(out.read_text())[role]
+    assert (witness["ergodic"], witness["splitting_point"]) == (False, [0, 1])
+
+
 def test_a_long_group_name_is_echoed_in_part(tmp_path):
-    # echoed whole, this 3 MB name made a 3,000,105-byte error body
-    name = "x" * 3_000_000
+    # a group's name shows its metric row: 256 entries of 40-digit fractions
+    # name it in about 20,000 characters, which the error body cuts
+    big = 10 ** 40
+    row = [0] + ["%d/%d" % (big + min(g, 256 - g), big + 256) for g in range(1, 256)]
+    name = cyclic(256, [Fraction(v) for v in row]).name
+    assert len(name) > 20_000
     markers = [1 if x == 47 else 0 for x in range(48)]
     t = write_system(tmp_path / "t.json", 48, markers,
-                     {"type": "tables", "mul": [[0, 1], [1, 0]], "name": name}, [0] * 48)
+                     {"type": "cyclic", "order": 256, "metric": row}, [1] + [0] * 47)
     s = write_system(tmp_path / "s.json", 48, markers, {"type": "cyclic", "order": 3}, [0] * 48)
     out = tmp_path / "out.json"
     rc = run_command(["metrics", "--target", t, "--source", s, "--n", "4", "--out", str(out)])
@@ -640,20 +678,21 @@ def test_a_long_group_name_is_echoed_in_part(tmp_path):
     body = out.read_bytes()
     assert len(body) < 1024
     assert json.loads(body)["detail"] == (
-        "target group %s... (3000000 characters) (order 2) and source group Z/3 (order 3) differ"
-        % name[:ECHO_LIMIT]
+        "target group %s... (%d characters) (order 256) and source group Z/3 (order 3) differ"
+        % (name[:ECHO_LIMIT], len(name))
     )
 
 
 def test_groups_compare_by_tables_not_by_spec(tmp_path):
-    # a cyclic Z/2 and a Z/2 given by its multiplication table are one group
+    # a cyclic Z/2 and a Z/2 with its metric row written out have the same
+    # tables, being equal in order and row, so they are one group
     markers = [1 if x == 15 else 0 for x in range(16)]
     t = write_system(
         tmp_path / "t.json", 16, markers, {"type": "cyclic", "order": 2},
         [1 if x == 0 else 0 for x in range(16)],
     )
     s = write_system(
-        tmp_path / "s.json", 16, markers, {"type": "tables", "mul": [[0, 1], [1, 0]]},
+        tmp_path / "s.json", 16, markers, {"type": "cyclic", "order": 2, "metric": [0, 1]},
         [1 if x == 8 else 0 for x in range(16)],
     )
     out = tmp_path / "m.json"

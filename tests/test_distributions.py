@@ -15,13 +15,13 @@ from skewlab import (
     NameSpace,
     SpaceMismatch,
     ValidationError,
+    FiniteGroup,
     cyclic,
-    from_tables,
     kantorovich,
 )
 
 import oracles
-from conftest import brute_transport, half_l1, left_invariant_metric, s3_class_metric, s3_table
+from conftest import brute_transport, half_l1
 
 
 def one(g):
@@ -80,16 +80,21 @@ def test_flow_solver_against_assignment_oracle():
 
 @st.composite
 def metric_space(draw):
-    """(space, point strategy, point count): names over cyclic orders 3-64 or S3, lengths 1-4."""
-    kind = draw(st.sampled_from(["discrete", "group", "label", "block", "s3"]))
+    """(space, point strategy, point count): names over Z/3-Z/64 with the circle
+    metric or Z/3-Z/12 with a drawn row, lengths 1-4."""
+    kind = draw(st.sampled_from(["discrete", "group", "label", "block", "row"]))
     if kind == "discrete":
         return DiscreteSpace(), st.integers(min_value=0, max_value=5), 6
-    if kind == "s3":
-        group = from_tables(s3_table(), left_invariant_metric(s3_table(), s3_class_metric()))
+    if kind == "row":
+        # symmetric values in [1/2, 1] always satisfy the triangle inequality
+        m = draw(st.integers(min_value=3, max_value=12))
+        levels = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1)])
+        half = draw(st.lists(levels, min_size=m // 2, max_size=m // 2))
+        group = cyclic(m, [0] + [half[min(g, m - g) - 1] for g in range(1, m)])
     else:
         group = cyclic(draw(st.integers(min_value=3, max_value=64)))
     # under one label the group metric alone decides
-    labels = 1 if kind in ("group", "s3") else 3
+    labels = 1 if kind in ("group", "row") else 3
     length = draw(st.integers(min_value=2, max_value=4)) if kind == "block" else 1
     coord = st.tuples(
         st.integers(min_value=0, max_value=labels - 1),
@@ -218,8 +223,8 @@ def test_space_mismatch_rejected():
 
 
 def test_name_spaces_compare_by_group_tables_and_length():
-    # a group's name is not part of its identity; its tables are
-    tables = from_tables([[0, 1], [1, 0]], name="flip")
+    # a group's name is not part of its identity; its order and row, and so its tables, are
+    tables = FiniteGroup(2, (Fraction(0), Fraction(1)), name="flip")
     assert NameSpace(tables, 3) == NameSpace(cyclic(2), 3)
     assert NameSpace(tables, 3) != NameSpace(cyclic(2), 2)
     d1 = EmpiricalDistribution.from_weights(NameSpace(tables, 1), {one(0): 1})

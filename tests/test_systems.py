@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab import (
+    ErgodicityWitness,
     ExtensionSystem,
     OutOfDomain,
     PartialSpeedup,
@@ -26,6 +27,7 @@ from skewlab import (
     twist_size,
 )
 
+import oracles
 from conftest import tiny_extension
 
 
@@ -169,6 +171,14 @@ def test_odd_flip_count_is_ergodic():
 def test_even_flip_count_splits():
     ext = tiny_extension(size=6, flip_at=(0, 3))
     assert not check_extension_ergodic(ext).ergodic
+
+
+def test_lap_witness_matches_the_subgroup_walk():
+    for m in range(1, 17):
+        group = cyclic(m)
+        for lap in range(m):
+            w = ErgodicityWitness.of_lap(group, lap, 5)
+            assert (w.ergodic, w.cycle_length, w.splitting_point) == oracles.subgroup_walk(m, lap, 5)
 
 
 # ---------------------------------------------------------------------------
