@@ -31,7 +31,11 @@ def test_cyclic_tables():
     assert g.mul[1][3] == 0
     assert g.inv[3] == 1
     assert g.identity == 0
+
+
+def test_cyclic_custom_metric():
     custom = cyclic(2, [0, Fraction(1, 3)])
+    assert custom.metric[0][1] == Fraction(1, 3)
     assert custom.metric == ((0, Fraction(1, 3)), (Fraction(1, 3), 0))
     assert custom.name == "Z/2, metric 0/1,1/3"
 
