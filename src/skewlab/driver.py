@@ -10,6 +10,7 @@ quantities are recomputed from outputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -138,15 +139,13 @@ def complete_speedup(speedup: PartialSpeedup) -> PartialSpeedup:
     for a single full-length chain this reproduces the plain rotation.
     """
     size = speedup.parent.size
-    dom = set(speedup.domain())
-    nxt, _ = speedup.step_table
-    images = {nxt[x] for x in dom}
-    missing = [v for v in range(size) if v not in dom]
+    missing = [v for v, k in enumerate(speedup.exponent) if not k]
     if not missing:
         return speedup
+    nxt, _ = speedup.step_table
+    images = {nxt[x] for x in speedup.domain()}
     unused = set(range(size)) - images
-    tops = sorted(v for v in missing if v in images)
-    anchor = tops[0] if tops else min(missing)
+    anchor = min((v for v in missing if v in images), default=missing[0])
     order = sorted(missing, key=lambda v: (v - anchor) % size)
     exponent = list(speedup.exponent)
     k_max = speedup.k_max
@@ -334,9 +333,7 @@ def copy_partition(
     if n > target.size:
         raise TowerInfeasible("block length %d exceeds the small cycle" % n)
     verify_factor_map(big, target, chain, start)
-    counts: dict[int, int] = {}
-    for q in qbar:
-        counts[q] = counts.get(q, 0) + 1
+    counts = Counter(qbar)
     default = max(counts, key=lambda q: (counts[q], -q))
     small = [default] * target.size
     seen: set[int] = set()
@@ -415,12 +412,8 @@ def _majority_defect_schedule(
         # m steps ahead of y, gives every point its class once
         ids = walk.classes(2 * m + 1)
         centre = _power(forward, m)
-        split: dict[int, list[int]] = {}  # class -> [inside, total]
-        for y in range(size):
-            part = split.setdefault(ids[y], [0, 0])
-            part[0] += centre[y] in inside
-            part[1] += 1
-        return Fraction(sum(min(ins, tot - ins) for ins, tot in split.values()), size)
+        ins = Counter(ids[y] for y in range(size) if centre[y] in inside)
+        return Fraction(sum(min(ins[c], tot - ins[c]) for c, tot in Counter(ids).items()), size)
 
     lo, hi = -1, 0  # the bound fails at lo and holds at hi, unless hi = size
     while hi < size and not defect(hi) <= bound:
@@ -435,10 +428,7 @@ def _separation_failure(speedup: PartialSpeedup, labels: Sequence[int]) -> Fract
     """Share of base points whose full-length label name another point shares."""
     size = speedup.parent.size
     walk = Walk(labels, speedup.step_table[0], (0,) * size, trivial())
-    sizes: dict[int, int] = {}
-    for c in walk.classes(size):
-        sizes[c] = sizes.get(c, 0) + 1
-    clashes = sum(c for c in sizes.values() if c > 1)
+    clashes = sum(c for c in Counter(walk.classes(size)).values() if c > 1)
     return Fraction(clashes, size)
 
 
@@ -531,13 +521,11 @@ def seed_from_orbit(
             break
     else:
         raise NoGoodOrbit("no segment of length %d sits within %s" % (n_len, zeta))
-    word = walk.name(x, n_len)
     junk = max(target.alphabet()) + 1
     labels = [junk] * source.size
     alpha = [group.identity] * source.size
-    src_acc = group.identity
-    for i in range(n_len):
-        labels[i] = word[i][0]
-        alpha[i] = group.mul[word[i][1]][group.inv[src_acc]]
-        src_acc = group.mul[source.skew[i]][src_acc]
+    for i, (label, g) in enumerate(walk.name(x, n_len)):
+        # level i of the source tower carries the offset source.prefix[i]
+        labels[i] = label
+        alpha[i] = group.mul[g][group.inv[source.prefix[i]]]
     return tuple(labels), Twist(tuple(alpha))

@@ -23,7 +23,8 @@ class ParseError(SkewlabError):
 
 
 class GroupTooLarge(SkewlabError):
-    """A group spec exceeds the order limit that bounds its quadratic tables."""
+    """A group spec exceeds a limit on its tables: the order, which sizes
+    them, or its metric row's common denominator, which sizes their ints."""
 
 
 class SpaceMismatch(SkewlabError):

@@ -410,9 +410,10 @@ def build_model_name(
         raise ValidationError("target extension is not ergodic")
     walk = target.walk()
     ids = walk.classes(n1)
+    # the widest n1-distribution of the model name: its NameWorkTooLarge precedes the start search
+    reference = walk.distribution(n1, range(target.size), ids)
     x0 = _choose_start(target, ids, length, n1)
     labels, groups = zip(*walk.name(x0, length))
-    reference = walk.distribution(n1, range(target.size), ids)
 
     def averaged(starts) -> EmpiricalDistribution:
         # template windows are target windows at x0 + t, right-translated

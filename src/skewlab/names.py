@@ -138,15 +138,7 @@ def _all_fibres(counts: Mapping[tuple, int], group: FiniteGroup) -> dict[tuple, 
 
 
 def primitive_period(word: Sequence[int]) -> int:
-    """Number of distinct rotations of the cyclic word (KMP failure function)."""
+    """Number of distinct rotations of the cyclic word: the least divisor p
+    of its length whose rotation by p gives the word back."""
     n = len(word)
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = fail[k]
-        if word[i] == word[k]:
-            k += 1
-        fail[i + 1] = k
-    period = n - fail[n]
-    return period if n % period == 0 else n
+    return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] + word[:p] == word)

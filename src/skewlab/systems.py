@@ -78,8 +78,9 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
 
     Newest factor multiplies on the left, so the composition identity
     holds: the product over a+b steps equals (product over b steps from
-    the a-th image) times (product over a steps).  Read off the prefix
-    table as P[x+k] * P[x]^-1 for k <= N; longer products add whole laps.
+    the a-th image) times (product over a steps).  With k = laps * N +
+    rest it is P[x+rest] * P[x]^-1, read off the prefix table, times the
+    lap's power, which on Z/m is laps * lap mod m.
     """
     if k < 1:
         raise ValidationError("k must be positive")
@@ -88,14 +89,9 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
     n = ext.size
     p = ext.prefix
     x %= n
-    if k <= n:
-        return mul[p[x + k]][inv[p[x]]]
     laps, rest = divmod(k, n)
     lap = mul[p[x + n]][inv[p[x]]]
-    acc = mul[p[x + rest]][inv[p[x]]]
-    for _ in range(laps):
-        acc = mul[acc][lap]
-    return acc
+    return mul[mul[p[x + rest]][inv[p[x]]]][laps * lap % ext.group.order]
 
 
 class Twist(Record):

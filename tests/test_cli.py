@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab
@@ -25,6 +26,7 @@ from skewlab import (
     trivial,
 )
 from skewlab.cli import (
+    DENOMINATOR_LIMIT,
     ECHO_LIMIT,
     GROUP_ORDER_LIMIT,
     _encode,
@@ -128,6 +130,37 @@ def test_a_long_row_is_refused_on_its_length():
     with pytest.raises(ParseError, match="metric must be a list of 2 entries"):
         parse_group_spec({"type": "cyclic", "order": 2, "metric": [LONG_DECIMAL] * 3_000_000})
     assert time.perf_counter() - start < 1.0
+
+
+def test_parse_group_refuses_a_common_denominator_past_the_limit():
+    # the limit itself is read; an entry that takes the common denominator past it
+    # is refused at once, before the entries after it are read
+    at = parse_group_spec({"type": "cyclic", "order": 2, "metric": [0, "1/%d" % DENOMINATOR_LIMIT]})
+    assert at.int_metric[0] == DENOMINATOR_LIMIT
+    two, three = 2**200, 3**200
+    row = [0, "%d/%d" % (two // 2 + 1, two), "%d/%d" % (three // 2 + 1, three), "not a fraction"]
+    with pytest.raises(GroupTooLarge) as err:
+        parse_group_spec({"type": "cyclic", "order": 4, "metric": row})
+    assert str(err.value) == (
+        "metric entry 2 (%s... (%d characters)) takes the common denominator past the limit 2**256"
+        % (repr(row[2])[:ECHO_LIMIT], len(repr(row[2])))
+    )
+
+
+def test_a_row_of_long_denominators_exits_two_at_once(tmp_path):
+    # 128 distinct 1,000-digit denominators in a Z/256 row (0.5 MB): a common
+    # denominator of 425,000 bits, on which the triangle check alone took 3.3 s
+    half = ["%d/%d" % (10**999 + g + 1, 2 * 10**999 + 2 * g + 1) for g in range(1, 129)]
+    row = [0] + half + half[:127][::-1]
+    big = write_system(tmp_path / "big.json", 2, [0, 1], {"type": "cyclic", "order": 256, "metric": row}, [1, 0])
+    out = tmp_path / "big_out.json"
+    start = time.perf_counter()
+    rc = run_command(["metrics", "--target", big, "--source", big, "--n", "1", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    body = json.loads(out.read_text())
+    assert body["error"] == "GroupTooLarge"
+    assert body["detail"].startswith("metric entry 1 (")
 
 
 def test_group_over_the_limit_exits_two(tmp_path):
@@ -1053,3 +1086,67 @@ def test_any_argv_exits_with_a_json_object(argv_files, data):
     # a report that cannot be written is an error on stdout, whatever the run did
     if "--out" in argv:
         assert rc == 1 and payload["error"] == "ParseError", payload
+
+
+@st.composite
+def fuzz_systems(draw):
+    """Two systems of 8-48 points on one Z/1-Z/5, labelled by one marker or at
+    random, with random skews: ergodic or not."""
+    order = draw(st.integers(1, 5))
+
+    def system():
+        size = draw(st.integers(8, 48))
+        if draw(st.booleans()):
+            labels = [1 if x == size - 1 else 0 for x in range(size)]
+        else:
+            labels = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        skew = draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size))
+        return {"size": size, "labels": labels, "group": {"type": "cyclic", "order": order}, "skew": skew}
+
+    return system(), system()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+SKEWLAB_ERRORS = {
+    cls.__name__ for cls in vars(skewlab.errors).values()
+    if isinstance(cls, type) and issubclass(cls, skewlab.SkewlabError)
+}
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=3))
+@given(fuzz_systems(), st.data())
+def test_every_command_ends_on_random_small_systems(fuzz_dir, pair, data):
+    # each of the five commands with small flags: an exit code, one JSON object, and
+    # on failure a SkewlabError by name, never a traceback or a hang
+    paths = []
+    for role, system in zip("ts", pair):
+        path = fuzz_dir / ("%s.json" % role)
+        path.write_text(json.dumps(system))
+        paths.append(str(path))
+    n = data.draw(st.integers(1, 4))
+    tolerance = st.sampled_from(["1/5", "1/2", "9/10"])
+    step = [
+        "--n", str(n), "--delta", data.draw(tolerance), "--n1", str(n * data.draw(st.integers(1, 3))),
+        "--delta1", data.draw(tolerance), "--epsilon", data.draw(tolerance),
+    ]
+    loop = ["--budget", str(data.draw(st.integers(0, 2))), "--epsilons", "1/4,1/8"]
+    nlen = str(data.draw(st.integers(n, 48)))
+    commands = [
+        ["metrics", "--n", str(n)],
+        ["improve", *step],
+        ["factor", *step, *loop],
+        ["iso", *step, *loop, "--copy-zeta", "1/10"],
+        ["seed-orbit", "--nlen", nlen, "--zeta", data.draw(tolerance), "--n", str(n)],
+    ]
+    for argv in commands:
+        rc, text = _run_captured([argv[0], "--target", paths[0], "--source", paths[1], *argv[1:]])
+        payload = json.loads(text)
+        assert isinstance(payload, dict) and rc in (0, 1, 2)
+        if rc:
+            assert payload["error"] in SKEWLAB_ERRORS, payload
+        else:
+            assert payload["command"] == argv[0]

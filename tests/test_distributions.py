@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import (
@@ -19,6 +19,7 @@ from skewlab import (
     cyclic,
     kantorovich,
 )
+from skewlab.distributions import _solve_transport
 
 import oracles
 from conftest import brute_transport, half_l1
@@ -124,6 +125,34 @@ def test_integer_solver_matches_fraction_oracle(pair):
     d1, d2 = pair
     expected = oracles.fraction_kantorovich(d1, d2)
     assert kantorovich(d1, d2) == expected
+
+
+@settings(max_examples=15)
+@given(non_discrete_pair(), st.data())
+def test_transport_value_does_not_depend_on_key_order(pair, data):
+    # kantorovich hands the cancelled masses over in set order; every order gives one value
+    d1, d2 = pair
+    t1, t2 = d1.total, d2.total
+    a, b = dict(d1.counts), dict(d2.counts)
+    diff = {k: a.get(k, 0) * t2 - b.get(k, 0) * t1 for k in a.keys() | b.keys()}
+    supply = [(k, w) for k, w in diff.items() if w > 0]
+    demand = [(k, -w) for k, w in diff.items() if w < 0]
+    expected = oracles.fraction_kantorovich(d1, d2)
+    for _ in range(3):
+        supply = data.draw(st.permutations(supply))
+        demand = data.draw(st.permutations(demand))
+        assert _solve_transport(supply, demand, t1 * t2, d1.space) == expected
+
+
+@given(metric_space(), st.data())
+def test_equal_distributions_are_zero_apart(space_points, data):
+    # equal proportions cancel to no mass on the discrete and the non-discrete spaces alike
+    space, points, count = space_points
+    keys = data.draw(st.lists(points, min_size=1, max_size=min(count, 12), unique=True))
+    counts = {k: data.draw(st.integers(1, 9)) for k in keys}
+    d = EmpiricalDistribution.from_counts(space, counts)
+    twice = EmpiricalDistribution.from_counts(space, {k: 2 * c for k, c in counts.items()})
+    assert kantorovich(d, d) == kantorovich(d, twice) == 0
 
 
 @given(st.data())

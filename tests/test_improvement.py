@@ -14,6 +14,7 @@ from skewlab import (
     HypothesisDistance,
     IterationSchedule,
     ModelName,
+    NameWorkTooLarge,
     PartialSpeedup,
     RegularityCertificate,
     RegularityRefusal,
@@ -34,7 +35,7 @@ from skewlab import (
     trivial,
     twist,
 )
-from skewlab import improvement
+from skewlab import improvement, names
 from skewlab.driver import bootstrap_regular
 from skewlab.records import replace
 
@@ -273,6 +274,22 @@ def test_model_validation():
     )
     with pytest.raises(ValidationError):
         build_model_name(split, 2, 4, Fraction(1, 10), length=8)
+
+
+def test_model_name_work_is_refused_before_the_start_search(monkeypatch):
+    # the reference is the widest n1-distribution the model name counts, so its
+    # refusal comes before the O(N * n1) start search it bounds
+    target = marker_system(48, 47, group=cyclic(2), flips=(0,))
+    work = len(set(target.walk().classes(8))) * 2 * 8
+    monkeypatch.setattr(names, "NAME_WORK_LIMIT", work - 1)
+
+    def no_search(*args):
+        raise AssertionError("the start search ran")
+
+    monkeypatch.setattr(improvement, "_choose_start", no_search)
+    with pytest.raises(NameWorkTooLarge) as err:
+        build_model_name(target, 4, 8, Fraction(1, 2), length=32)
+    assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
 
 
 def test_model_strict_budget():

@@ -92,6 +92,18 @@ def test_cocycle_product_matches_loop(ext, data):
         assert cocycle_product(ext, x, k) == oracles.cocycle_loop(ext, x, k)
 
 
+def test_cocycle_product_reads_many_laps_at_once():
+    # 10**8 laps on a 7-point Z/4 system: the lap power is read, not built lap by lap
+    ext = ExtensionSystem(7, (0,) * 7, cyclic(4), (1, 0, 3, 2, 0, 1, 0))
+    lap = cocycle_product(ext, 0, 7)
+    for x in range(7):
+        for r in range(1, 8):
+            start = time.perf_counter()
+            far = cocycle_product(ext, x, 7 * 10**8 + r)
+            assert time.perf_counter() - start < 0.1
+            assert far == (cocycle_product(ext, x, r) + 10**8 * lap) % 4
+
+
 def test_cocycle_product_rejects_nonpositive_steps():
     ext = ExtensionSystem(3, (0, 0, 1), cyclic(2), (1, 0, 0))
     for k in (0, -1):
@@ -314,6 +326,15 @@ def test_majority_defect_search_stays_logarithmic_in_the_window():
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=16))
 def test_primitive_period_counts_rotation_names(labels):
     assert len(labels) - primitive_period(labels) == oracles.unseparated_points(labels)
+
+
+@given(st.sampled_from([12, 24, 36, 60, 72]), st.data())
+def test_primitive_period_on_lengths_with_many_divisors(n, data):
+    # a block of a divisor's length repeated: the period divides that length
+    block = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    word = data.draw(st.lists(st.integers(0, 1), min_size=block, max_size=block)) * (n // block)
+    assert n - primitive_period(word) == oracles.unseparated_points(word)
+    assert block % primitive_period(word) == 0
 
 
 @given(speedups(total=True), st.integers(1, 5), st.integers(1, 4), st.data())
