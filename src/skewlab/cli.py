@@ -72,9 +72,9 @@ def _fraction_in(value: Any) -> Fraction:
     raise ParseError("cannot read %s as an exact fraction" % _echo(repr(value)))
 
 
-# a group's tables (mul, metric, int_metric) hold order**2 entries each, and its
-# triangle check is quadratic: cyclic(256) with its tables takes 7 ms and 2 MiB,
-# cyclic(2048) 0.4-0.7 s and 100 MiB (2 cores, Python 3.11.7)
+# a group's two tables (mul, int_metric) hold order**2 entries each, and its triangle
+# check is quadratic: cyclic(256) with its tables takes 7-12 ms and 1 MiB, cyclic(2048)
+# 0.6-0.85 s and 69 MiB (2 cores, Python 3.11.7)
 GROUP_ORDER_LIMIT = 256
 
 # the triangle check and every transport cost run on ints of the row's common denominator

@@ -166,26 +166,25 @@ def total_extension_witness(speedup: PartialSpeedup) -> ErgodicityWitness:
     """Single-cycle test for the sped-up extension on the product space.
 
     Walks the base orbit of 0 once; a total speedup is injective, so the
-    walk returns to 0.  A base orbit that misses points splits off the
-    first missed point.
+    walk returns to 0, and the lap is the sum of the orbit's increments.
+    A base orbit that misses points splits off the first missed point.
     """
     size = speedup.parent.size
     group = speedup.parent.group
     nxt, inc = speedup.step_table
     x = 0
-    lap = group.identity
     orbit = set()
     while x not in orbit:
         if speedup.exponent[x] == 0:
             raise ValidationError("witness needs a total speedup")
         orbit.add(x)
-        lap = group.mul[inc[x]][lap]
         x = nxt[x]
+    lap = sum(map(inc.__getitem__, orbit)) % group.order
     witness = ErgodicityWitness.of_lap(group, lap, len(orbit))
     if len(orbit) == size:
         return witness
     off = min(set(range(size)) - orbit)
-    return ErgodicityWitness(False, witness.cycle_length, (off, group.identity))
+    return ErgodicityWitness(False, witness.cycle_length, (off, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def run_factor(
     n0, d0, _, _ = schedule.step_for(0)
     current, _ = bootstrap_regular(source, pbar0, n0, d0, schedule.epsilon)
     pbar = tuple(pbar0)
-    beta = Twist.identity(source.size, source.group)
+    beta = Twist.identity(source.size)
     steps: list[ImproveResult] = []
     fold = Fraction(sum(1 for k in current.exponent if k != 1), source.size)
     for k in range(schedule.budget):
@@ -523,9 +522,9 @@ def seed_from_orbit(
         raise NoGoodOrbit("no segment of length %d sits within %s" % (n_len, zeta))
     junk = max(target.alphabet()) + 1
     labels = [junk] * source.size
-    alpha = [group.identity] * source.size
+    alpha = [0] * source.size
     for i, (label, g) in enumerate(walk.name(x, n_len)):
         # level i of the source tower carries the offset source.prefix[i]
         labels[i] = label
-        alpha[i] = group.mul[g][group.inv[source.prefix[i]]]
+        alpha[i] = (g - source.prefix[i]) % group.order
     return tuple(labels), Twist(tuple(alpha))

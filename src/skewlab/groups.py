@@ -4,10 +4,11 @@ Over one base cycle an extension is ergodic only when its lap generates
 the group (README, "Why only cyclic groups"), so only a cyclic group can
 pass a construction.  A group is its order m and its metric row
 f = d(0, .), Fractions normalized so the diameter is at most 1; addition
-mod m, inverses and d(a, b) = f(b - a) make it a group with a
-bi-invariant metric by construction, and the tables the library reads
-(mul, inv, metric, and int_metric, scaled by the common denominator L)
-are built from those two fields on first use.  cyclic equips Z/m with
+mod m and d(a, b) = f(b - a) make it a group with a bi-invariant
+metric by construction.  The library computes on Z/m directly (0 is
+the identity, -a mod m the inverse); its inner loops read two tables
+built from the two fields on first use, mul and int_metric, the metric
+scaled by the common denominator L.  cyclic equips Z/m with
 the normalized circle distance min(k, m - k) / floor(m / 2) unless given
 another row; for m <= 2 (and for rows that are 0/1 valued) the metric is
 discrete, and several downstream routines take a cheaper path then.
@@ -20,13 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from .errors import ValidationError
 from .records import Record
-
-
-def _table(f: tuple) -> tuple[tuple, ...]:
-    """Row a is f moved right by a: f((b - a) mod m) at b, so d(a, b) = f(b - a)."""
-    m = len(f)
-    return tuple(f[m - a :] + f[: m - a] for a in range(m))
 
 
 class FiniteGroup(Record):
@@ -35,11 +31,7 @@ class FiniteGroup(Record):
     name: str = "group"
     _uncompared = ("name",)
 
-    identity = 0
-
     def __post_init__(self) -> None:
-        from .errors import ValidationError
-
         m, f = self.order, self.row
         if m < 1:
             raise ValidationError("group order must be positive")
@@ -66,19 +58,14 @@ class FiniteGroup(Record):
         return tuple(elements[a:] + elements[:a] for a in self.elements())
 
     @cached_property
-    def inv(self) -> tuple[int, ...]:
-        return tuple(-a % self.order for a in range(self.order))
-
-    @cached_property
-    def metric(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _table(self.row)
-
-    @cached_property
     def int_metric(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, table) with table[a][b] = L * d(a, b), L the common denominator."""
-        unit = math.lcm(*(v.denominator for v in self.row))
-        scaled = tuple(v.numerator * (unit // v.denominator) for v in self.row)
-        return unit, _table(scaled)
+        """(L, table) with table[a][b] = L * d(a, b), L the common denominator.
+
+        Row a is the scaled row f moved right by a: f((b - a) mod m) at b.
+        """
+        unit, m = math.lcm(*(v.denominator for v in self.row)), self.order
+        f = tuple(v.numerator * (unit // v.denominator) for v in self.row)
+        return unit, tuple(f[m - a :] + f[: m - a] for a in range(m))
 
     def elements(self) -> range:
         return range(self.order)
@@ -86,16 +73,19 @@ class FiniteGroup(Record):
 
 def cyclic(m: int, row: Sequence[Fraction] | None = None) -> FiniteGroup:
     """Z/m with the normalized circle metric, or with the metric row f = d(0, .)."""
-    from .errors import ValidationError
-
     if m < 1:
         raise ValidationError("cyclic group order must be positive")
     if row is None:
         half = max(m // 2, 1)
         return FiniteGroup(m, tuple(Fraction(min(k, m - k), half) for k in range(m)), "Z/%d" % m)
     row = tuple(map(Fraction, row))
-    text = ",".join("%d/%d" % (v.numerator, v.denominator) for v in row)
-    return FiniteGroup(m, row, "Z/%d, metric %s" % (m, text))
+    text = []
+    for i, v in enumerate(row):
+        try:
+            text.append("%d/%d" % (v.numerator, v.denominator))
+        except ValueError:  # past the interpreter's limit on int digits
+            raise ValidationError("metric entry %d has too many digits to name" % i) from None
+    return FiniteGroup(m, row, "Z/%d, metric %s" % (m, ",".join(text)))
 
 
 def trivial() -> FiniteGroup:

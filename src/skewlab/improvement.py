@@ -339,7 +339,9 @@ def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: 
     rungs = length // n1
     windows = length - n1 + 1
     wm = windows * m
-    track = [g for _, g in target.walk().name(0, size + length)]
+    # P[t + N] = P[t] + P[N], so the prefix table gives the group track at every t
+    p = target.prefix
+    track = [(p[t % size] + t // size * p[size]) % m for t in range(size + length)]
     ids = list(ids) * -(-(size + length) // size)
     shared = [0] * size  # sum of min(r*W*m, C*R) at every start
     in_windows: Counter = Counter()  # class -> window count
@@ -566,8 +568,8 @@ def _best_rotation(
     for s in range(0, total, stride):
         h = q[s]
         if h not in templates:
-            row = [group.mul[b][h] for b in groups]
-            templates[h] = packed([group_bits[g] + label_bits[a] for a, g in zip(labels, row)])
+            bits = [group_bits[(g + h) % m] + label_bits[a] for a, g in zip(labels, groups)]
+            templates[h] = packed(bits)
         hits = ((chain >> s * width) & templates[h]).bit_count()
         if hits > best[0]:
             best = (hits, s)
@@ -608,7 +610,7 @@ def improve(
     a2set = frozenset(a2)
     if not a2set:
         raise ValidationError("the group window must be nonempty")
-    if not a1set <= frozenset(range(ext.size)) or not a2set <= frozenset(group.elements()):
+    if not a1set <= frozenset(range(ext.size)) or not a2set <= frozenset(range(group.order)):
         raise ValidationError("the rectangle must sit in the base and the group")
 
     cert, current_names = _regularity(current, pbar, n, delta)
@@ -651,20 +653,19 @@ def improve(
     score, start = _best_rotation(
         group, [pbar[z] for z in points], q, model.labels, model.groups, n
     )
-    mul = group.mul
+    m = group.order
     chain = tuple((points * 2)[start : start + length])
     # the chain's last point is the open top of the one output column
     gaps = (gaps * 2)[start : start + length - 1] + [0]
-    back = group.inv[q[start]]
-    offsets = [mul[g][back] for g in q[start : start + length]]
+    offsets = [(g - q[start]) % m for g in q[start : start + length]]
 
-    # template names start at e, so the twist moves each offset onto the template's
-    # group; points off the chain keep e and get a junk label outside the alphabet
+    # template names start at 0, so the twist moves each offset onto the template's
+    # group; points off the chain keep 0 and get a junk label outside the alphabet
     exponent = [0] * ext.size
     labels1 = [max(target.alphabet()) + 1] * ext.size
-    alpha_values = [group.identity] * ext.size
+    alpha_values = [0] * ext.size
     for z, k, w, a, g in zip(chain, gaps, offsets, model.labels, model.groups):
-        exponent[z], labels1[z], alpha_values[z] = k, a, mul[g][group.inv[w]]
+        exponent[z], labels1[z], alpha_values[z] = k, a, (g - w) % m
     k_max = max(max(gaps), 1)
     speedup1 = PartialSpeedup(ext, tuple(exponent), k_max)
     labels1 = tuple(labels1)

@@ -29,7 +29,7 @@ def prefix_products(group: FiniteGroup, skew: Sequence[int]) -> tuple[int, ...]:
     """P[0] = e and P[t+1] = skew[t mod N] * P[t] for t < 2N."""
     mul = group.mul
     n = len(skew)
-    out = [group.identity]
+    out = [0]
     for t in range(2 * n):
         out.append(mul[skew[t % n]][out[t]])
     return tuple(out)
@@ -95,7 +95,7 @@ class Walk(Record):
     def name(self, x: int, length: int) -> tuple:
         """(label, group) name of the given length from (x, e)."""
         mul = self.group.mul
-        w = self.group.identity
+        w = 0
         out = []
         for _ in range(length):
             out.append((self.labels[x], w))

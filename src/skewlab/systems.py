@@ -46,7 +46,7 @@ class ExtensionSystem(Record):
                 raise ValidationError("labels must be integers")
 
     def step(self, x: int, g: int) -> tuple[int, int]:
-        return (x + 1) % self.size, self.group.mul[self.skew[x]][g]
+        return (x + 1) % self.size, (self.skew[x] + g) % self.group.order
 
     def alphabet(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.labels)))
@@ -79,19 +79,16 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
     Newest factor multiplies on the left, so the composition identity
     holds: the product over a+b steps equals (product over b steps from
     the a-th image) times (product over a steps).  With k = laps * N +
-    rest it is P[x+rest] * P[x]^-1, read off the prefix table, times the
-    lap's power, which on Z/m is laps * lap mod m.
+    rest it is P[x+rest] - P[x], read off the prefix table, plus laps
+    times the lap, which on the abelian Z/m is P[N] from every x.
     """
     if k < 1:
         raise ValidationError("k must be positive")
-    mul = ext.group.mul
-    inv = ext.group.inv
     n = ext.size
     p = ext.prefix
     x %= n
     laps, rest = divmod(k, n)
-    lap = mul[p[x + n]][inv[p[x]]]
-    return mul[mul[p[x + rest]][inv[p[x]]]][laps * lap % ext.group.order]
+    return (p[x + rest] - p[x] + laps * p[n]) % ext.group.order
 
 
 class Twist(Record):
@@ -104,40 +101,36 @@ class Twist(Record):
         return len(self.values)
 
     @staticmethod
-    def identity(n: int, group: FiniteGroup) -> "Twist":
-        return Twist((group.identity,) * n)
+    def identity(n: int) -> "Twist":
+        return Twist((0,) * n)
 
     @staticmethod
     def compose(outer: "Twist", inner: "Twist", group: FiniteGroup) -> "Twist":
         """Pointwise product: twisting by inner then outer equals this."""
         if outer.size != inner.size:
             raise ValidationError("twist sizes differ")
-        mul = group.mul
-        return Twist(tuple(mul[outer.values[x]][inner.values[x]] for x in range(outer.size)))
+        m = group.order
+        return Twist(tuple((a + b) % m for a, b in zip(outer.values, inner.values)))
 
 
 def twist(ext: ExtensionSystem, alpha: Twist) -> ExtensionSystem:
-    """Extension with the conjugated skewing alpha(x+1)*skew(x)*alpha(x)^-1.
+    """Extension with the conjugated skewing alpha(x+1) + skew(x) - alpha(x).
 
-    The map (x, g) -> (x, alpha(x)*g) carries orbits of the original skew
+    The map (x, g) -> (x, alpha(x) + g) carries orbits of the original skew
     product to orbits of the result.
     """
     if alpha.size != ext.size:
         raise ValidationError("twist does not match the base size")
-    mul = ext.group.mul
-    inv = ext.group.inv
-    n = ext.size
-    new_skew = tuple(
-        mul[alpha.values[(x + 1) % n]][mul[ext.skew[x]][inv[alpha.values[x]]]]
-        for x in range(n)
-    )
+    m = ext.group.order
+    a = alpha.values
+    new_skew = tuple((b + s - c) % m for c, s, b in zip(a, ext.skew, a[1:] + a[:1]))
     return ExtensionSystem(ext.size, ext.labels, ext.group, new_skew)
 
 
 def twist_size(alpha: Twist, group: FiniteGroup) -> Fraction:
     """Mean distance of the twist from the identity, on the integer metric."""
     unit, table = group.int_metric
-    return Fraction(sum(map(table[group.identity].__getitem__, alpha.values)), unit * alpha.size)
+    return Fraction(sum(map(table[0].__getitem__, alpha.values)), unit * alpha.size)
 
 
 class ErgodicityWitness(Record):
@@ -220,10 +213,9 @@ class PartialSpeedup(Record):
         """
         ext = self.parent
         n = ext.size
-        e = ext.group.identity
         return (
             tuple((x + k) % n for x, k in enumerate(self.exponent)),
-            tuple(cocycle_product(ext, x, k) if k else e for x, k in enumerate(self.exponent)),
+            tuple(cocycle_product(ext, x, k) if k else 0 for x, k in enumerate(self.exponent)),
         )
 
     @cached_property
@@ -244,7 +236,7 @@ def apply_speedup(speedup: PartialSpeedup, point: tuple[int, int]) -> tuple[int,
     if not speedup.exponent[x]:
         raise OutOfDomain("base point %d outside the speedup domain" % x)
     nxt, inc = speedup.step_table
-    return nxt[x], speedup.parent.group.mul[inc[x]][g]
+    return nxt[x], (inc[x] + g) % speedup.parent.group.order
 
 
 def power_domain(speedup: PartialSpeedup, m: int) -> tuple[int, ...]:

@@ -5,11 +5,13 @@ replaced: every name is built as a tuple from every (x, g), cocycles are
 multiplied out step by step, the model-name start is scored with a byte
 codec and Fraction half-L1 distances, condition 4 is measured on every
 fibre, and separation compares full-length names pairwise.  They walk
-the systems themselves and share no counting code with the library.
+the systems themselves and share no counting code with the library;
+group arithmetic is Z/m's own, sums mod m from 0, and d(a, b) is
+read off the metric row as f((b - a) mod m).
 
 Three replaced the integer kernels for non-discrete groups: the Fraction
 successive-shortest-path transport solver, the space distances read from
-the Fraction metric tables with every name coordinate compared, and the
+the Fraction metric row with every name coordinate compared, and the
 cubic group-table validator that checks invariance and the triangle
 inequality on every triple.
 
@@ -29,6 +31,10 @@ One is the generator window search that names.Walk replaced: every
 centred (2m+1)-word is built as a tuple by stepping the total map back
 and forward from each point.
 
+One is the ergodicity witness of a total speedup, which sums the
+increments of the base orbit of 0: the orbit of (0, 0) on [N] x Z/m is
+walked point by point instead.
+
 The last is the report encoder that dispatches on every element of
 every list, where the CLI's encoder hands a list of plain ints to json
 as it is.
@@ -44,10 +50,9 @@ from skewlab.towers import tower
 
 def cocycle_loop(ext, x, k):
     """Product of k skew values from x, newest factor on the left."""
-    mul = ext.group.mul
-    acc = ext.group.identity
+    acc = 0
     for i in range(k):
-        acc = mul[ext.skew[(x + i) % ext.size]][acc]
+        acc = (ext.skew[(x + i) % ext.size] + acc) % ext.group.order
     return acc
 
 
@@ -59,7 +64,7 @@ def _speedup_name(speedup, labels, x, g, length):
         if i < length - 1:
             k = speedup.exponent[x]
             assert k > 0, "walk left the speedup domain"
-            g = ext.group.mul[cocycle_loop(ext, x, k)][g]
+            g = (cocycle_loop(ext, x, k) + g) % ext.group.order
             x = (x + k) % ext.size
     return tuple(out)
 
@@ -75,17 +80,17 @@ def _distribution(space, names):
 
 
 def name_distribution_per_fibre(ext, n, labels=None):
-    """n-names from every (x, g), each walked with ext.step."""
+    """n-names from every (x, g), each walked one skew step at a time."""
     if labels is None:
         labels = ext.labels
     names = []
     for x in range(ext.size):
-        for g in ext.group.elements():
+        for g in range(ext.group.order):
             nm = []
             y, h = x, g
             for _ in range(n):
                 nm.append((labels[y], h))
-                y, h = ext.step(y, h)
+                y, h = (y + 1) % ext.size, (ext.skew[y] + h) % ext.group.order
             names.append(tuple(nm))
     return _distribution(NameSpace(ext.group, n), names)
 
@@ -95,7 +100,7 @@ def speedup_name_distribution_per_fibre(speedup, labels, n, starts):
     names = [
         _speedup_name(speedup, labels, x, g, n)
         for x in starts
-        for g in ext.group.elements()
+        for g in range(ext.group.order)
     ]
     return _distribution(NameSpace(ext.group, n), names)
 
@@ -107,18 +112,18 @@ def choose_start_bytes(target, length, n1):
     alphabet = {a: i for i, a in enumerate(target.alphabet())}
     assert len(alphabet) * order <= 256, "byte codec holds 256 coordinates"
     codes = bytearray(big)
-    g = target.group.identity
+    g = 0
     for t in range(big):
         x = t % target.size
         codes[t] = alphabet[target.labels[x]] * order + g
-        g = target.group.mul[target.skew[x]][g]
+        g = (target.skew[x] + g) % order
     codes = bytes(codes)
     tables = []
     for h in range(order):
         table = bytearray(256)
         for idx in range(len(alphabet)):
             for gi in range(order):
-                table[idx * order + gi] = idx * order + target.group.mul[gi][h]
+                table[idx * order + gi] = idx * order + (gi + h) % order
         tables.append(bytes(table))
 
     def half_l1(a, a_total, b, b_total):
@@ -150,15 +155,15 @@ def model_distances_per_fibre(target, model):
     """(window, block) distances of a model name, every translate built."""
     n1 = model.n1
     length = len(model.labels)
-    mul = target.group.mul
+    m = target.group.order
     reference = name_distribution_per_fibre(target, n1)
 
     def averaged(starts):
         names = []
         for t in starts:
             base = list(zip(model.labels[t : t + n1], model.groups[t : t + n1]))
-            for h in target.group.elements():
-                names.append(tuple((a, mul[g][h]) for a, g in base))
+            for h in range(m):
+                names.append(tuple((a, (g + h) % m) for a, g in base))
         return _distribution(NameSpace(target.group, n1), names)
 
     return (
@@ -180,23 +185,22 @@ def ladder_distances_per_fibre(speedup, pbar, n):
     if height % n:
         return None
     ext = speedup.parent
-    group = ext.group
-    mul = group.mul
+    m = ext.group.order
     full = speedup_name_distribution_per_fibre(speedup, pbar, n, power_domain_walked(speedup, n))
     out = []
     for b in bases:
         rung_starts = []
-        z, w = b, group.identity
+        z, w = b, 0
         for i in range(height):
             if i % n == 0:
                 rung_starts.append((z, w))
             if i < height - 1:
                 k = speedup.exponent[z]
-                w = mul[cocycle_loop(ext, z, k)][w]
+                w = (cocycle_loop(ext, z, k) + w) % m
                 z = (z + k) % ext.size
         per_h = []
-        for h in group.elements():
-            names = [_speedup_name(speedup, pbar, s, mul[w0][h], n) for s, w0 in rung_starts]
+        for h in range(m):
+            names = [_speedup_name(speedup, pbar, s, (w0 + h) % m, n) for s, w0 in rung_starts]
             per_h.append(kantorovich(_distribution(NameSpace(ext.group, n), names), full))
         out.append(per_h)
     return out
@@ -228,7 +232,7 @@ def good_rungs_per_fibre(speedup, starts, n1, a1, a2, bound):
     ext = speedup.parent
     good = 0
     for s in starts:
-        for h in ext.group.elements():
+        for h in range(ext.group.order):
             hits = 0
             z, g = s, h
             for i in range(n1):
@@ -236,7 +240,7 @@ def good_rungs_per_fibre(speedup, starts, n1, a1, a2, bound):
                     hits += 1
                 if i < n1 - 1:
                     k = speedup.exponent[z]
-                    g = ext.group.mul[cocycle_loop(ext, z, k)][g]
+                    g = (cocycle_loop(ext, z, k) + g) % ext.group.order
                     z = (z + k) % ext.size
             if Fraction(hits, n1) > bound:
                 good += 1
@@ -245,18 +249,18 @@ def good_rungs_per_fibre(speedup, starts, n1, a1, a2, bound):
 
 def seed_per_fibre(target, source, n_len, zeta, n):
     """Labels and twist values copied from the first good target segment, or None."""
-    group = target.group
+    m = target.group.order
     reference = name_distribution_per_fibre(target, n)
     for x in range(target.size):
         word = []
-        y, g = x, group.identity
+        y, g = x, 0
         for _ in range(n_len):
             word.append((target.labels[y], g))
-            y, g = target.step(y, g)
+            y, g = (y + 1) % target.size, (target.skew[y] + g) % m
         names = [
-            tuple((a, group.mul[g][h]) for a, g in word[t : t + n])
+            tuple((a, (g + h) % m) for a, g in word[t : t + n])
             for t in range(n_len - n + 1)
-            for h in group.elements()
+            for h in range(m)
         ]
         if kantorovich(_distribution(NameSpace(target.group, n), names), reference) < zeta:
             break
@@ -264,13 +268,36 @@ def seed_per_fibre(target, source, n_len, zeta, n):
         return None
     junk = max(target.alphabet()) + 1
     labels = [junk] * source.size
-    alpha = [group.identity] * source.size
-    acc = group.identity
+    alpha = [0] * source.size
+    acc = 0
     for i in range(n_len):
         labels[i] = word[i][0]
-        alpha[i] = group.mul[word[i][1]][group.inv[acc]]
-        acc = group.mul[source.skew[i]][acc]
+        alpha[i] = (word[i][1] - acc) % m
+        acc = (source.skew[i] + acc) % m
     return tuple(labels), tuple(alpha)
+
+
+def product_orbit_walk(speedup):
+    """(ergodic, cycle length, splitting point) of a total speedup on [N] x Z/m.
+
+    Walks the orbit of (0, 0) until it closes.  The splitting point is
+    (x, 0) for the least base point x the orbit misses, or, when it meets
+    every base point, the least point it misses.
+    """
+    ext = speedup.parent
+    n, m = ext.size, ext.group.order
+    seen = set()
+    x, g = 0, 0
+    while (x, g) not in seen:
+        seen.add((x, g))
+        k = speedup.exponent[x]
+        x, g = (x + k) % n, (cocycle_loop(ext, x, k) + g) % m
+    if len(seen) == n * m:
+        return True, len(seen), None
+    bases = {z for z, _ in seen}
+    missed = [(z, 0) for z in range(n) if z not in bases]
+    missed += sorted((z, h) for z in range(n) for h in range(m) if (z, h) not in seen)
+    return False, len(seen), missed[0]
 
 
 def subgroup_walk(m, lap, steps):
@@ -432,12 +459,12 @@ def fraction_transport(supply, demand, dist):
 
 
 def fraction_dist(space, a, b):
-    """Distance of a space read from the Fraction metric table, no early exit."""
+    """Distance of a space read from the Fraction metric row, no early exit."""
     if isinstance(space, DiscreteSpace):
         return Fraction(int(a != b))
     assert isinstance(space, NameSpace) and len(a) == len(b) == space.length
-    metric = space.group.metric
-    return max(Fraction(1) if x != y else metric[g][h] for (x, g), (y, h) in zip(a, b))
+    f, m = space.group.row, space.group.order
+    return max(Fraction(1) if x != y else f[(h - g) % m] for (x, g), (y, h) in zip(a, b))
 
 
 def fraction_kantorovich(d1, d2):
@@ -466,7 +493,6 @@ def rotation_walked(speedup, pbar, starts, n, model):
     seam jumps from a block's last point to the next block's first.
     """
     ext = speedup.parent
-    mul = ext.group.mul
     blocks = []
     for s in starts:
         block = [s]
@@ -477,12 +503,12 @@ def rotation_walked(speedup, pbar, starts, n, model):
     for r in range(len(blocks)):
         chain = [z for i in range(len(model.labels) // n) for z in blocks[(r + i) % len(blocks)]]
         score = 0
-        g = ext.group.identity
+        g = 0
         for t, z in enumerate(chain):
             if t:
                 y = chain[t - 1]
                 k = speedup.exponent[y] if t % n else (z - y) % ext.size or ext.size
-                g = mul[cocycle_loop(ext, y, k)][g]
+                g = (cocycle_loop(ext, y, k) + g) % ext.group.order
             score += (pbar[z] != model.labels[t]) + (g != model.groups[t])
         if best is None or score < best[0]:
             best = (score, r)
@@ -500,7 +526,7 @@ def tower_name_counts_per_fibre(speedup, pbar):
     bases, height = [c[0] for c in columns], len(columns[0])
     return [
         len({_speedup_name(speedup, pbar, b, h, height) for b in bases})
-        for h in speedup.parent.group.elements()
+        for h in range(speedup.parent.group.order)
     ]
 
 
@@ -522,14 +548,14 @@ def power_domain_walked(speedup, m):
 
 def rotation_direct(group, track, q, labels, groups, stride):
     """(mismatches, s) of the best rotation, every rotation compared slot by slot."""
-    mul, inv = group.mul, group.inv
+    m = group.order
     total = len(track)
     best = None
     for s in range(0, total, stride):
         score = 0
         for t in range(len(labels)):
             score += track[(s + t) % total] != labels[t]
-            score += mul[q[s + t]][inv[q[s]]] != groups[t]
+            score += (q[s + t] - q[s]) % m != groups[t]
         if best is None or score < best[0]:
             best = (score, s)
     return best

@@ -178,10 +178,11 @@ def test_parse_cyclic_group_with_fraction_metric():
     # Z/3's circle metric written out as "p/q" strings is Z/3
     g = parse_group_spec({"type": "cyclic", "order": 3, "metric": ["0/1", "1/1", "1/1"]})
     assert g == cyclic(3)
-    assert g.metric == cyclic(3).metric
+    assert g.int_metric == cyclic(3).int_metric
     assert g.name == "Z/3, metric 0/1,1/1,1/1"
     half = parse_group_spec({"type": "cyclic", "order": 2, "metric": ["0/1", "1/2"]})
-    assert half.metric == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
+    assert half.row == (0, Fraction(1, 2))
+    assert half.int_metric == (2, ((0, 1), (1, 0)))
 
 
 def test_parse_system_spec_reads_every_field():

@@ -418,9 +418,9 @@ def test_step_table_tower_and_ladders_match_walks(sp):
         # off the domain a point stays put with the identity, the empty product
         w = oracles.cocycle_loop(ext, x, k)
         assert (nxt[x], inc[x]) == ((x + k) % ext.size, w)
-        for g in ext.group.elements():
+        for g in range(ext.group.order):
             if k:
-                assert apply_speedup(sp, (x, g)) == (nxt[x], ext.group.mul[w][g])
+                assert apply_speedup(sp, (x, g)) == (nxt[x], (w + g) % ext.group.order)
             else:
                 with pytest.raises(OutOfDomain):
                     apply_speedup(sp, (x, g))

@@ -73,10 +73,10 @@ def test_cocycle_constant_one_in_z4():
 
 def test_cocycle_depth_two_identity():
     ext = tiny_extension(size=10, flip_at=(0, 3, 7))
-    g = ext.group
+    m = ext.group.order
     for x in range(10):
         two = cocycle_product(ext, x, 2)
-        chained = g.mul[cocycle_product(ext, (x + 1) % 10, 1)][cocycle_product(ext, x, 1)]
+        chained = (cocycle_product(ext, (x + 1) % 10, 1) + cocycle_product(ext, x, 1)) % m
         assert two == chained
 
 
@@ -88,10 +88,9 @@ def test_cocycle_composition(data):
     ext = random_extension(rng, size, order)
     a = data.draw(st.integers(1, 8))
     b = data.draw(st.integers(1, 8))
-    g = ext.group
     for x in range(size):
         whole = cocycle_product(ext, x, a + b)
-        split = g.mul[cocycle_product(ext, (x + b) % size, a)][cocycle_product(ext, x, b)]
+        split = (cocycle_product(ext, (x + b) % size, a) + cocycle_product(ext, x, b)) % order
         assert whole == split
 
 
@@ -101,7 +100,8 @@ def test_cocycle_composition(data):
 
 def test_twist_identity_is_noop():
     ext = tiny_extension()
-    alpha = Twist.identity(ext.size, ext.group)
+    alpha = Twist.identity(ext.size)
+    assert alpha.values == (0,) * ext.size
     assert twist(ext, alpha).skew == ext.skew
     assert twist_size(alpha, ext.group) == 0
 
@@ -125,17 +125,16 @@ def test_twist_composition_law():
 
 
 def test_twist_conjugates_the_cocycle():
-    # the twisted k-step product is alpha(x+k) sigma_k(x) alpha(x)^-1
+    # the twisted k-step product is alpha(x+k) + sigma_k(x) - alpha(x) on Z/3
     rng = random.Random(17)
     ext = random_extension(rng, 10, 3)
-    g = ext.group
     alpha = Twist(tuple(rng.randrange(3) for _ in range(10)))
     twisted = twist(ext, alpha)
     for x in range(10):
         for k in range(1, 5):
             lhs = cocycle_product(twisted, x, k)
             mid = cocycle_product(ext, x, k)
-            rhs = g.mul[alpha.values[(x + k) % 10]][g.mul[mid][g.inv[alpha.values[x]]]]
+            rhs = (alpha.values[(x + k) % 10] + mid - alpha.values[x]) % 3
             assert lhs == rhs
 
 
@@ -206,12 +205,12 @@ def test_speedup_right_action_commutes():
     for c in (1, 2, 3):
         sp = PartialSpeedup(ext, (c,) * 10, 3)
         for x in range(10):
-            for g in g4.elements():
-                for h in g4.elements():
+            for g in range(4):
+                for h in range(4):
                     x1, g1 = apply_speedup(sp, (x, g))
-                    x2, g2 = apply_speedup(sp, (x, g4.mul[g][h]))
+                    x2, g2 = apply_speedup(sp, (x, (g + h) % 4))
                     assert x1 == x2
-                    assert g2 == g4.mul[g1][h]
+                    assert g2 == (g1 + h) % 4
 
 
 def test_speedup_two_step_frozen():
@@ -287,12 +286,11 @@ def test_name_distribution_independent_recount():
 def test_name_distribution_right_translation_symmetric():
     rng = random.Random(43)
     ext = random_extension(rng, 8, 4)
-    g = ext.group
     d = name_distribution(ext, 3)
-    for h in g.elements():
+    for h in range(4):
         moved = {}
         for nm, w in d.as_dict().items():
-            key = tuple((a, g.mul[gg][h]) for a, gg in nm)
+            key = tuple((a, (gg + h) % 4) for a, gg in nm)
             moved[key] = moved.get(key, Fraction(0)) + w
         assert moved == d.as_dict()
 
