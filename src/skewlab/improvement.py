@@ -162,25 +162,14 @@ def check_regular(
     Condition order: tower structure, exponent bound, fiberwise name
     purity, ladder block distributions, domain mass.  The first failed
     condition is returned as a refusal with a measurement; success
-    returns a certificate with the measured margins.
+    returns a certificate with the measured margins and the Dom(S^n)
+    n-name distribution.  The outcome is kept on the speedup, so the
+    first improvement step reads the certificate the bootstrap issued
+    instead of measuring it again.
     """
-    return _regularity(speedup, pbar, n, delta, k_bound=k_bound)[0]
-
-
-def _regularity(
-    speedup: PartialSpeedup,
-    pbar: Sequence[int],
-    n: int,
-    delta: Fraction,
-    *,
-    k_bound: int | None = None,
-) -> tuple[RegularityCertificate | RegularityRefusal, EmpiricalDistribution | None]:
-    """check_regular and the n-name distribution over Dom(S^n).
-
-    The outcome is kept on the speedup, so the first improvement step reads
-    the certificate the bootstrap issued instead of measuring it again.
-    """
-    delta = Fraction(delta)
+    if n < 1:
+        raise ValidationError("block length must be positive")
+    delta = open_unit("delta", delta)
     if len(pbar) != speedup.size:
         raise ValidationError("partition must cover the base")
     key = (tuple(pbar), n, delta, k_bound)
@@ -196,7 +185,7 @@ def _measure_regularity(
     delta: Fraction,
     k_bound: int | None = None,
     full: EmpiricalDistribution | None = None,
-) -> tuple[RegularityCertificate | RegularityRefusal, EmpiricalDistribution | None]:
+) -> RegularityCertificate | RegularityRefusal:
     """The five conditions, on the n-name distribution full when it is given.
 
     The improvement step's output check hands its own in and keeps no
@@ -205,14 +194,14 @@ def _measure_regularity(
     ext = speedup.parent
     columns, why = tower(speedup)
     if why is not None:
-        return RegularityRefusal("condition 1", why), None
+        return RegularityRefusal("condition 1", why)
     height = len(columns[0])
     k_seen = speedup.max_exponent()
     if k_bound is not None and k_seen > k_bound:
         return RegularityRefusal(
             "condition 2", "exponent %d exceeds the bound %d" % (k_seen, k_bound),
             Fraction(k_seen),
-        ), None
+        )
     # the name of (base, e) up every column; the fibre of e stands for
     # all, since names from (x, h) are those from (x, e) right-translated
     # by h and the metric is bi-invariant
@@ -223,11 +212,11 @@ def _measure_regularity(
     if len(names) != 1:
         return RegularityRefusal(
             "condition 3", "base fibers at 0 carry %d distinct tower names" % len(names)
-        ), None
+        )
     if height % n != 0:
         return RegularityRefusal(
             "condition 4", "height %d is not a multiple of %d" % (height, n)
-        ), None
+        )
     if full is None:
         full = speedup_name_distribution(speedup, pbar, n)
     # every column carries the one name, so one column's rungs serve all;
@@ -241,12 +230,12 @@ def _measure_regularity(
             "condition 4",
             "ladder distribution at base %d is %s away" % (columns[0][0], gap),
             gap,
-        ), full
+        )
     mass = speedup.domain_mass()
     if not mass > 1 - delta:
         return RegularityRefusal(
             "condition 5", "domain mass %s not above %s" % (mass, 1 - delta), mass
-        ), full
+        )
     return RegularityCertificate(
         n=n,
         delta=delta,
@@ -254,7 +243,8 @@ def _measure_regularity(
         domain_mass=mass,
         max_exponent=k_seen,
         ladder_distance=gap,
-    ), full
+        names=full,
+    )
 
 
 def bootstrap_regular(
@@ -382,30 +372,20 @@ def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: 
     return max(range(size), key=shared.__getitem__)
 
 
-def build_model_name(
-    target: ExtensionSystem,
-    n: int,
-    n1: int,
-    delta1: Fraction,
-    *,
-    length: int,
-    strict: bool = False,
-) -> ModelName:
+def build_model_name(target: ExtensionSystem, n1: int, *, length: int) -> ModelName:
     """Template name of the given length with measured block statistics.
 
     The template is the target's own extension name from a start point
     chosen to balance rung names against window names.  Window and
     disjoint-block distances are measured against the target's
-    stationary n1-distribution and enforced at delta1/100 only under
-    the strict preset.  Each result is kept on the target under all its
-    arguments, so the steps of a loop build one model name.
+    stationary n1-distribution.  Each result is kept on the target
+    under (n1, length), so the steps of a loop build one model name.
     """
-    delta1 = Fraction(delta1)
-    key = (n, n1, delta1, length, strict)
+    key = (n1, length)
     if key in target.model_names:
         return target.model_names[key]
-    if n1 % n != 0:
-        raise ValidationError("n1 must be a multiple of n")
+    if n1 < 1:
+        raise ValidationError("block length must be positive")
     if length < n1 or length % n1 != 0:
         raise ValidationError("length must be a positive multiple of n1")
     if not check_extension_ergodic(target).ergodic:
@@ -423,16 +403,6 @@ def build_model_name(
 
     window_distance = kantorovich(averaged(range(length - n1 + 1)), reference)
     block_distance = kantorovich(averaged(range(0, length, n1)), reference)
-    if strict:
-        budget = delta1 / 100
-        if not window_distance < budget:
-            raise ScheduleInfeasible(
-                "window distance %s misses the strict budget %s" % (window_distance, budget)
-            )
-        if not block_distance < budget:
-            raise ScheduleInfeasible(
-                "block distance %s misses the strict budget %s" % (block_distance, budget)
-            )
     target.model_names[key] = ModelName(
         labels=labels,
         groups=groups,
@@ -576,6 +546,40 @@ def _best_rotation(
     return 2 * length - best[0], best[1]
 
 
+def _plan_chain(
+    current: PartialSpeedup,
+    pbar: Sequence[int],
+    blocks: Sequence[tuple[int, ...]],
+    model: ModelName,
+    length: int,
+) -> tuple[tuple[int, ...], list[int], list[int], int, int]:
+    """(chain, gaps, offsets, rotation, mismatches) of the chain the step copies onto.
+
+    The chain is the ladder blocks read cyclically from the rotation that
+    best matches the template; gaps are the exponents along it, the last
+    0, and offsets the group coordinates of its walk from (chain[0], e).
+    """
+    ext = current.parent
+    group = ext.group
+    n = len(blocks[0])
+    # the ladder blocks in start order form one cyclic chain; each
+    # block's last step is its seam to the next block
+    points = [z for block in blocks for z in block]
+    total = len(points)
+    gaps = [current.exponent[z] for z in points]
+    for j in range(n - 1, total, n):
+        gaps[j] = (points[(j + 1) % total] - points[j]) % ext.size or ext.size
+    # group increments per step are forced by the parent skewing; rotation
+    # r reads the chain from s = r*n with offsets q[s+t] * q[s]^-1
+    q = prefix_products(group, [cocycle_product(ext, z, k) for z, k in zip(points, gaps)])
+    score, start = _best_rotation(group, [pbar[z] for z in points], q, model.labels, model.groups, n)
+    chain = tuple((points * 2)[start : start + length])
+    # the chain's last point is the open top of the one output column
+    gaps = (gaps * 2)[start : start + length - 1] + [0]
+    offsets = [(g - q[start]) % group.order for g in q[start : start + length]]
+    return chain, gaps, offsets, start // n, score
+
+
 def improve(
     target: ExtensionSystem,
     current: PartialSpeedup,
@@ -592,11 +596,12 @@ def improve(
 ) -> ImproveResult:
     """One improvement step: copy a model name onto the tower's blocks.
 
-    The new orbit runs through consecutive ladder blocks of the current
-    tower, starting at the rotation that best matches the template's
-    label and group tracks; the twist is then defined so the adjusted
-    group coordinates replicate the template exactly, and leftover
-    points receive a junk label outside the target alphabet.
+    Three phases: check the input and the hypothesis distance, plan the
+    chain of ladder blocks (_plan_chain), and build the output on it.
+    The twist is defined so the adjusted group coordinates replicate the
+    template exactly, and leftover points receive a junk label outside
+    the target alphabet.  The replication check and the speedup's
+    injectivity check guard any plan.
     """
     if n < 1 or n1 < 1:
         raise ValidationError("block lengths must be positive")
@@ -613,13 +618,13 @@ def improve(
     if not a1set <= frozenset(range(ext.size)) or not a2set <= frozenset(range(group.order)):
         raise ValidationError("the rectangle must sit in the base and the group")
 
-    cert, current_names = _regularity(current, pbar, n, delta)
+    cert = check_regular(current, pbar, n, delta)
     if isinstance(cert, RegularityRefusal):
         raise RegularityRejected(
             "input speedup failed %s: %s" % (cert.condition, cert.detail)
         )
 
-    hyp = kantorovich(name_distribution(target, n), current_names)
+    hyp = kantorovich(name_distribution(target, n), cert.names)
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
@@ -638,26 +643,15 @@ def improve(
             % (capacity, n1, n1)
         )
 
-    model = build_model_name(target, n, n1, delta1, length=length, strict=strict)
-
-    # the ladder blocks in start order form one cyclic chain; each
-    # block's last step is its seam to the next block
-    points = [z for block in blocks for z in block]
-    total = len(points)
-    gaps = [current.exponent[z] for z in points]
-    for j in range(n - 1, total, n):
-        gaps[j] = (points[(j + 1) % total] - points[j]) % ext.size or ext.size
-    # group increments per step are forced by the parent skewing; rotation
-    # r reads the chain from s = r*n with offsets q[s+t] * q[s]^-1
-    q = prefix_products(group, [cocycle_product(ext, z, k) for z, k in zip(points, gaps)])
-    score, start = _best_rotation(
-        group, [pbar[z] for z in points], q, model.labels, model.groups, n
-    )
-    m = group.order
-    chain = tuple((points * 2)[start : start + length])
-    # the chain's last point is the open top of the one output column
-    gaps = (gaps * 2)[start : start + length - 1] + [0]
-    offsets = [(g - q[start]) % m for g in q[start : start + length]]
+    if n1 % n != 0:
+        raise ValidationError("n1 must be a multiple of n")
+    model = build_model_name(target, n1, length=length)
+    for what, distance in (("window", model.window_distance), ("block", model.block_distance)):
+        if strict and not distance < delta1 / 100:
+            raise ScheduleInfeasible(
+                "%s distance %s misses the strict budget %s" % (what, distance, delta1 / 100)
+            )
+    chain, gaps, offsets, rotation, mismatches = _plan_chain(current, pbar, blocks, model, length)
 
     # template names start at 0, so the twist moves each offset onto the template's
     # group; points off the chain keep 0 and get a junk label outside the alphabet
@@ -665,7 +659,7 @@ def improve(
     labels1 = [max(target.alphabet()) + 1] * ext.size
     alpha_values = [0] * ext.size
     for z, k, w, a, g in zip(chain, gaps, offsets, model.labels, model.groups):
-        exponent[z], labels1[z], alpha_values[z] = k, a, (g - w) % m
+        exponent[z], labels1[z], alpha_values[z] = k, a, (g - w) % group.order
     k_max = max(max(gaps), 1)
     speedup1 = PartialSpeedup(ext, tuple(exponent), k_max)
     labels1 = tuple(labels1)
@@ -684,7 +678,7 @@ def improve(
             raise Collision("orbit coordinate %d does not replicate the template" % t)
 
     output_names = speedup_name_distribution(speedup1t, labels1, n1)
-    cert1, _ = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
+    cert1 = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
@@ -714,8 +708,8 @@ def improve(
         model_block_distance=model.block_distance,
         model_length=length,
         model_start=model.start,
-        rotation=start // n,
-        rotation_mismatches=score,
+        rotation=rotation,
+        rotation_mismatches=mismatches,
     )
     return ImproveResult(
         speedup=speedup1,

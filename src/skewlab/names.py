@@ -13,7 +13,7 @@ built only once per class, where a distribution is handed out.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .distributions import EmpiricalDistribution, NameSpace
 from .errors import NameWorkTooLarge
@@ -121,20 +121,15 @@ class Walk(Record):
         work = len(seen) * self.group.order * length
         if work > NAME_WORK_LIMIT:
             raise NameWorkTooLarge("%d name entries exceed the limit %d" % (work, NAME_WORK_LIMIT))
-        fibre = {self.name(x, length): k for x, k in seen.values()}
-        space = NameSpace(self.group, length)
-        return EmpiricalDistribution.from_counts(space, _all_fibres(fibre, self.group))
-
-
-def _all_fibres(counts: Mapping[tuple, int], group: FiniteGroup) -> dict[tuple, int]:
-    """Name counts over every fibre from the counts over the identity fibre."""
-    mul = group.mul
-    out: dict[tuple, int] = {}
-    for name, k in counts.items():
-        for h in group.elements():
-            key = tuple((a, mul[g][h]) for a, g in name)
-            out[key] = out.get(key, 0) + k
-    return out
+        # a name from (x, h) is the canonical name from x right-translated by h, and
+        # canonical names start at e, so distinct (class, h) give distinct names
+        mul = self.group.mul
+        counts = {}
+        for x, k in seen.values():
+            name = self.name(x, length)
+            for h in self.group.elements():
+                counts[tuple((a, mul[g][h]) for a, g in name)] = k
+        return EmpiricalDistribution.from_counts(NameSpace(self.group, length), counts)
 
 
 def primitive_period(word: Sequence[int]) -> int:

@@ -59,7 +59,7 @@ class ExtensionSystem(Record):
     @cached_property
     def model_names(self) -> dict:
         """improvement.build_model_name's results with this system as target,
-        keyed by (n, n1, delta1, length, strict); a loop's steps share them."""
+        keyed by (n1, length); a loop's steps share them."""
         return {}
 
     def walk(self, labels: Sequence[int] | None = None) -> Walk:
@@ -220,9 +220,8 @@ class PartialSpeedup(Record):
 
     @cached_property
     def regularity(self) -> dict:
-        """improvement._regularity's outcomes on this speedup, keyed by
-        (pbar, n, delta, k_bound): the certificate or refusal with the
-        Dom(S^n) n-name distribution, so a certificate is measured once."""
+        """improvement.check_regular's outcomes on this speedup, keyed by
+        (pbar, n, delta, k_bound), so a certificate is measured once."""
         return {}
 
     def walk(self, labels: Sequence[int]) -> Walk:
@@ -282,6 +281,8 @@ def speedup_name_distribution(
     n: int,
 ) -> EmpiricalDistribution:
     """Distribution of n-names over Dom(S^n) x G."""
+    if n < 1:
+        raise ValidationError("name length must be positive")
     starts = power_domain(speedup, n)
     if not starts:
         raise ValidationError("no start points for the name distribution")
@@ -297,7 +298,8 @@ class RegularityCertificate(Record):
 
     Issued only when all conditions hold.  It carries the tower's
     columns, each listed from its base up to its top level, and the
-    measured values, so callers can report margins.
+    measured values, so callers can report margins, and names, the
+    Dom(S^n) n-name distribution it was measured on.
     """
 
     n: int
@@ -306,6 +308,8 @@ class RegularityCertificate(Record):
     domain_mass: Fraction
     max_exponent: int
     ladder_distance: Fraction
+    names: EmpiricalDistribution | None = None
+    _uncompared = ("names",)
 
     def __post_init__(self) -> None:
         if not self.columns:

@@ -103,45 +103,26 @@ def test_schedule_validation(kwargs):
 
 
 def test_schedule_strict_gates():
-    ok = IterationSchedule(
-        epsilon=Fraction(1, 2),
-        epsilons=(Fraction(1, 8), Fraction(1, 16)),
-        steps=((4, Fraction(1, 40), 8, Fraction(1, 40)),),
-        rectangles=(((0,), (0,)),),
-        budget=2,
-        strict=True,
-    )
-    assert ok.strict
-    # tolerances summing past epsilon/2
-    with pytest.raises(ValidationError):
-        IterationSchedule(
-            epsilon=Fraction(1, 4),
+    def schedule(epsilon, step_delta, rectangles=1):
+        return IterationSchedule(
+            epsilon=epsilon,
             epsilons=(Fraction(1, 8), Fraction(1, 16)),
-            steps=((4, Fraction(1, 40), 8, Fraction(1, 40)),),
-            rectangles=(((0,), (0,)),),
+            steps=((4, step_delta, 8, Fraction(1, 40)),),
+            rectangles=tuple(((x,), (0,)) for x in range(rectangles)),
             budget=2,
             strict=True,
         )
-    # delta at half the iteration tolerance
-    with pytest.raises(ValidationError):
-        IterationSchedule(
-            epsilon=Fraction(1, 2),
-            epsilons=(Fraction(1, 8), Fraction(1, 16)),
-            steps=((4, Fraction(1, 16), 8, Fraction(1, 20)),),
-            rectangles=(((0,), (0,)),),
-            budget=2,
-            strict=True,
-        )
-    # budget too small to revisit every rectangle
-    with pytest.raises(ValidationError):
-        IterationSchedule(
-            epsilon=Fraction(1, 2),
-            epsilons=(Fraction(1, 8), Fraction(1, 16)),
-            steps=((4, Fraction(1, 20), 8, Fraction(1, 20)),),
-            rectangles=(((0,), (0,)), ((1,), (0,)), ((2,), (0,))),
-            budget=2,
-            strict=True,
-        )
+
+    assert schedule(Fraction(1, 2), Fraction(1, 40)).strict
+    # each refusal is the only gate its schedule misses
+    with pytest.raises(ValidationError, match="^iteration tolerances must sum below epsilon/2$"):
+        schedule(Fraction(1, 4), Fraction(1, 40))
+    with pytest.raises(
+        ValidationError, match="^delta must stay below half the iteration tolerance$"
+    ):
+        schedule(Fraction(1, 2), Fraction(1, 16))
+    with pytest.raises(ValidationError, match="^budget too small for every rectangle to recur$"):
+        schedule(Fraction(1, 2), Fraction(1, 40), rectangles=3)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def test_cyclic_metric_bi_invariant(m):
 def test_cyclic_rejects_bad_order():
     with pytest.raises(ValidationError):
         cyclic(0)
+    with pytest.raises(ValidationError, match="^group order must be positive$"):
+        FiniteGroup(0, ())
 
 
 # ---------------------------------------------------------------------------

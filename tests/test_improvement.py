@@ -26,6 +26,7 @@ from skewlab import (
     build_cycles,
     build_model_name,
     check_regular,
+    cocycle_product,
     cyclic,
     improve,
     kantorovich,
@@ -72,6 +73,23 @@ def test_regular_single_column_certificate():
     assert cert.max_exponent == 1
     assert cert.domain_mass == Fraction(59, 60)
     assert cert.ladder_distance < Fraction(1, 4)
+    assert cert.names == speedup_name_distribution(sp, ext.labels, 4)
+
+
+@pytest.mark.parametrize(
+    "n, delta, message",
+    [
+        (0, Fraction(1, 4), "block length must be positive"),
+        (4, Fraction(2), "delta must sit in (0,1)"),
+        (4, Fraction(0), "delta must sit in (0,1)"),
+    ],
+    ids=["zero_block_length", "delta_above_one", "zero_delta"],
+)
+def test_regular_refuses_its_boundary(n, delta, message):
+    ext = marker_system(60, 59)
+    with pytest.raises(ValidationError) as exc:
+        check_regular(trimmed(ext), ext.labels, n, delta)
+    assert str(exc.value) == message
 
 
 def test_regular_exponent_bound_refusal():
@@ -248,7 +266,7 @@ def test_two_rounds_give_two_cycles():
 def test_model_constant_target_exact():
     tg = trivial()
     c = ExtensionSystem(size=32, labels=(0,) * 32, group=tg, skew=(0,) * 32)
-    m = build_model_name(c, 4, 8, Fraction(1, 10), length=32)
+    m = build_model_name(c, 8, length=32)
     assert set(m.labels) == {0}
     assert m.window_distance == 0
     assert m.block_distance == 0
@@ -258,22 +276,28 @@ def test_model_constant_target_exact():
 def test_model_periodic_target_repeats_fundamental():
     tg = trivial()
     per = ExtensionSystem(size=16, labels=(0, 1, 1, 0) * 4, group=tg, skew=(0,) * 16)
-    m = build_model_name(per, 4, 4, Fraction(1, 2), length=16)
+    m = build_model_name(per, 4, length=16)
     assert m.labels == m.labels[:4] * 4
 
 
 def test_model_validation():
     tg = trivial()
     c = ExtensionSystem(size=32, labels=(0,) * 32, group=tg, skew=(0,) * 32)
-    with pytest.raises(ValidationError):
-        build_model_name(c, 4, 6, Fraction(1, 10), length=24)
-    with pytest.raises(ValidationError):
-        build_model_name(c, 4, 8, Fraction(1, 10), length=28)
+    sp, _ = bootstrap_regular(c, c.labels, 4, Fraction(3, 10), Fraction(2, 5))
+    with pytest.raises(ValidationError, match="^n1 must be a multiple of n$"):
+        improve(
+            c, sp, c.labels, 4, Fraction(3, 10), 6, Fraction(1, 10),
+            tuple(range(32)), (0,), Fraction(2, 5),
+        )
+    with pytest.raises(ValidationError, match="^length must be a positive multiple of n1$"):
+        build_model_name(c, 8, length=28)
+    with pytest.raises(ValidationError, match="^block length must be positive$"):
+        build_model_name(c, 0, length=8)
     split = ExtensionSystem(
         size=8, labels=(0,) * 8, group=cyclic(2), skew=(0,) * 8
     )
-    with pytest.raises(ValidationError):
-        build_model_name(split, 2, 4, Fraction(1, 10), length=8)
+    with pytest.raises(ValidationError, match="^target extension is not ergodic$"):
+        build_model_name(split, 4, length=8)
 
 
 def test_model_name_work_is_refused_before_the_start_search(monkeypatch):
@@ -288,16 +312,37 @@ def test_model_name_work_is_refused_before_the_start_search(monkeypatch):
 
     monkeypatch.setattr(improvement, "_choose_start", no_search)
     with pytest.raises(NameWorkTooLarge) as err:
-        build_model_name(target, 4, 8, Fraction(1, 2), length=32)
+        build_model_name(target, 8, length=32)
     assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
 
 
 def test_model_strict_budget():
-    tg = trivial()
-    mk = marker_system(48, 47)
+    target = marker_system(48, 47)
+    source = marker_system(48, 20)
+    sp, _ = bootstrap_regular(source, source.labels, 4, Fraction(3, 10), Fraction(2, 5))
     with pytest.raises(ScheduleInfeasible) as exc:
-        build_model_name(mk, 4, 8, Fraction(1, 100), length=48, strict=True)
-    assert "strict" in str(exc.value) or "budget" in str(exc.value)
+        improve(
+            target, sp, source.labels, 4, Fraction(3, 10), 8, Fraction(1, 100),
+            tuple(range(48)), (0,), Fraction(2, 5), strict=True,
+        )
+    assert str(exc.value) == "window distance 7/48 misses the strict budget 1/10000"
+
+
+def test_model_strict_block_budget():
+    # the window distance 7/1032 passes the budget 1/125, the block distance does not
+    labels = tuple(map(int, "001110000010010110101000001100011111010100000011"))
+    target = ExtensionSystem(48, labels, trivial(), (0,) * 48)
+    source = ExtensionSystem(44, labels[:44], trivial(), (0,) * 44)
+    sp, _ = bootstrap_regular(source, source.labels, 2, Fraction(1, 2), Fraction(1, 2))
+    args = (
+        target, sp, source.labels, 2, Fraction(1, 2), 2, Fraction(4, 5),
+        tuple(range(44)), (0,), Fraction(1, 2),
+    )
+    model = improve(*args).model
+    assert (model.window_distance, model.block_distance) == (Fraction(7, 1032), Fraction(5, 528))
+    with pytest.raises(ScheduleInfeasible) as exc:
+        improve(*args, strict=True)
+    assert str(exc.value) == "block distance 5/528 misses the strict budget 1/125"
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +517,44 @@ def test_twisted_output_is_the_step_on_the_twisted_extension():
     )
 
 
+def test_improve_takes_any_plan_its_guards_accept(monkeypatch):
+    # a hand-built plan: the ladder chain in its own order (rotation 0), with
+    # gaps and offsets walked along it
+    g2 = cyclic(2)
+    target = marker_system(64, 63, group=g2, flips=(32,))
+    source = marker_system(64, 63, group=g2, flips=(20,))
+    sp, _ = bootstrap_regular(source, source.labels, 4, Fraction(3, 10), Fraction(2, 5))
+    corrupt = []
+
+    def identity_plan(current, pbar, blocks, model, length):
+        ext = current.parent
+        chain = [z for block in blocks for z in block][:length]
+        gaps = [(b - a) % ext.size or ext.size for a, b in zip(chain, chain[1:])] + [0]
+        offsets = [0]
+        for z, k in zip(chain, gaps[:-1]):
+            offsets.append((offsets[-1] + cocycle_product(ext, z, k)) % 2)
+        for t in corrupt:
+            offsets[t] ^= 1
+        return tuple(chain), gaps, offsets, 0, 0
+
+    monkeypatch.setattr(improvement, "_plan_chain", identity_plan)
+    args = (
+        target, sp, source.labels, 4, Fraction(3, 10), 8, Fraction(3, 10),
+        tuple(range(64)), (0, 1), Fraction(2, 5),
+    )
+    res = improve(*args)
+    assert res.chain == tuple(range(len(res.chain)))
+    assert (res.report.rotation, res.report.rotation_mismatches) == (0, 0)
+    z, g = res.chain[0], res.model.groups[0]
+    for t in range(len(res.chain) - 1):
+        assert (res.labels[z], g) == (res.model.labels[t], res.model.groups[t])
+        z, g = apply_speedup(res.twisted, (z, g))
+    corrupt.append(5)
+    with pytest.raises(Collision) as exc:
+        improve(*args)
+    assert str(exc.value) == "orbit coordinate 5 does not replicate the template"
+
+
 def test_report_conclusion_keys_frozen():
     _, _, res = run_small_improve()
     assert sorted(res.report.conclusions()) == [
@@ -563,10 +646,10 @@ def test_model_names_stay_with_their_target():
     first = marker_system(48, 47, group=g2, flips=(0,))
     second = marker_system(48, 47, group=g2, flips=(24,))
     for target in (first, second, first):
-        model = build_model_name(target, 4, 8, Fraction(1, 2), length=32)
+        model = build_model_name(target, 8, length=32)
         assert model.start == oracles.choose_start_bytes(target, 32, 8)
-    assert build_model_name(first, 4, 8, Fraction(1, 2), length=32).start == 25
-    assert build_model_name(second, 4, 8, Fraction(1, 2), length=32).start == 9
+    assert build_model_name(first, 8, length=32).start == 25
+    assert build_model_name(second, 8, length=32).start == 9
 
 
 def test_a_kept_refusal_comes_back_unchanged(monkeypatch):

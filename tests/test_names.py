@@ -212,7 +212,7 @@ def ergodic_cyclic_systems(draw):
 def test_model_name_matches_per_fibre(target, n, per, rungs):
     n1 = n * per
     length = n1 * rungs
-    model = build_model_name(target, n, n1, Fraction(1, 2), length=length)
+    model = build_model_name(target, n1, length=length)
     assert model.start == oracles.choose_start_bytes(target, length, n1)
     assert (model.window_distance, model.block_distance) == oracles.model_distances_per_fibre(
         target, model
@@ -237,7 +237,7 @@ def test_model_name_past_the_byte_codec():
     target = ExtensionSystem(
         size, tuple(range(size)), cyclic(2), tuple(1 if x == 0 else 0 for x in range(size))
     )
-    model = build_model_name(target, 1, 2, Fraction(1, 2), length=8)
+    model = build_model_name(target, 2, length=8)
     assert len(model.labels) == 8
     assert model.labels == tuple((model.start + t) % size for t in range(8))
 

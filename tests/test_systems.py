@@ -138,6 +138,14 @@ def test_twist_conjugates_the_cocycle():
             assert lhs == rhs
 
 
+def test_twist_sizes_must_match():
+    ext = tiny_extension()
+    with pytest.raises(ValidationError, match="^twist sizes differ$"):
+        Twist.compose(Twist.identity(ext.size), Twist.identity(ext.size + 1), ext.group)
+    with pytest.raises(ValidationError, match="^twist does not match the base size$"):
+        twist(ext, Twist.identity(ext.size + 1))
+
+
 def test_twist_size_counts_moved_points():
     g = cyclic(2)
     alpha = Twist((0, 1, 0, 1))
@@ -304,6 +312,15 @@ def test_speedup_name_distribution_explicit_starts():
     # an empty domain leaves no start point
     with pytest.raises(ValidationError):
         speedup_name_distribution(PartialSpeedup(ext, (0,) * 6, 1), ext.labels, 2)
+
+
+def test_name_length_must_be_positive():
+    ext = tiny_extension(size=6, flip_at=(0,))
+    sp = PartialSpeedup(ext, (1,) * 6, 1)
+    with pytest.raises(ValidationError, match="^name length must be positive$"):
+        speedup_name_distribution(sp, ext.labels, 0)
+    with pytest.raises(ValidationError, match="^name length must be positive$"):
+        name_distribution(ext, 0)
 
 
 def test_unit_speedup_names_match_extension_names():
