@@ -260,6 +260,9 @@ def _rect_for(args: argparse.Namespace, source: ExtensionSystem):
 def _cmd_improve(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
     from .improvement import bootstrap_regular, improve
 
+    # improve refuses this too, but the bootstrap would refuse other things first
+    if args.n > 0 and args.n1 > 0 and args.n1 % args.n:
+        raise ValidationError("n1 must be a multiple of n")
     pbar = source.labels
     a1, a2 = _rect_for(args, source)
     current, cert = bootstrap_regular(source, pbar, args.n, args.delta, args.epsilon)
@@ -347,20 +350,28 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError("%s: %s" % (self.prog, message))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="skewlab",
-        description="speedup constructions for finite skew products",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# every command in the order usage lists it, with its help
+COMMANDS = (
+    ("metrics", "ergodicity witnesses and the n-name distance"),
+    ("improve", "bootstrap and run one improvement step"),
+    ("factor", "build a speedup factoring onto the target"),
+    ("iso", "factor loop with generator tracking"),
+    ("seed-orbit", "copy one good target orbit onto the source"),
+)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--target", required=True, help="target system JSON file")
-        p.add_argument("--source", required=True, help="source system JSON file")
-        p.add_argument("--seed", type=int, default=None, help="recorded, never used")
-        p.add_argument("--out", default=None, help="write the JSON report here")
 
-    def tolerances(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--target", required=True, help="target system JSON file")
+    p.add_argument("--source", required=True, help="source system JSON file")
+    p.add_argument("--seed", type=int, default=None, help="recorded, never used")
+    p.add_argument("--out", default=None, help="write the JSON report here")
+    if name == "metrics":
+        p.add_argument("--n", type=int, required=True)
+    elif name == "seed-orbit":
+        p.add_argument("--nlen", type=int, required=True)
+        p.add_argument("--zeta", type=_fraction_arg, required=True)
+        p.add_argument("--n", type=int, required=True)
+    else:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--delta", type=_fraction_arg, required=True)
         p.add_argument("--n1", type=int, required=True)
@@ -369,37 +380,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rect-base", default=None, help="comma list of base points")
         p.add_argument("--rect-group", default=None, help="comma list of group elements")
         p.add_argument("--strict-schedule", action="store_true")
-
-    p = sub.add_parser("metrics", help="ergodicity witnesses and the n-name distance")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("improve", help="bootstrap and run one improvement step")
-    common(p)
-    tolerances(p)
-    p.set_defaults(func=_cmd_improve)
-
-    for name, text in (
-        ("factor", "build a speedup factoring onto the target"),
-        ("iso", "factor loop with generator tracking"),
-    ):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        tolerances(p)
+    if name in ("factor", "iso"):
         p.add_argument("--budget", type=int, required=True)
         p.add_argument("--epsilons", default=None, help="comma list of iteration tolerances")
-        if name == "iso":
-            p.add_argument("--copy-zeta", type=_fraction_arg, default=Fraction(1, 10))
-        p.set_defaults(func=_cmd_loop)
+    if name == "iso":
+        p.add_argument("--copy-zeta", type=_fraction_arg, default=Fraction(1, 10))
+    funcs = {"metrics": _cmd_metrics, "improve": _cmd_improve, "seed-orbit": _cmd_seed_orbit}
+    p.set_defaults(func=funcs.get(name, _cmd_loop))
 
-    p = sub.add_parser("seed-orbit", help="copy one good target orbit onto the source")
-    common(p)
-    p.add_argument("--nlen", type=int, required=True)
-    p.add_argument("--zeta", type=_fraction_arg, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_seed_orbit)
 
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given argv, only the command it names gets its flags.
+
+    Every command is registered with its name and help, so usage and
+    --help read the same either way.  argparse reads the command from
+    the first token that is no option: if that names no command, argv
+    is refused whatever flags the commands have.
+    """
+    parser = _Parser(
+        prog="skewlab",
+        description="speedup constructions for finite skew products",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = dict(COMMANDS)
+    named = None if argv is None else next((a for a in argv if a in names), None)
+    for name, text in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if argv is None or name == named:
+            _add_flags(p, name)
     return parser
 
 
@@ -408,7 +416,7 @@ def run_command(argv: Sequence[str]) -> int:
     return the exit code; errors give {"error", "detail"} with exit 1 or 2."""
     out = None
     try:
-        args = build_parser().parse_args(list(argv))
+        args = build_parser(argv).parse_args(list(argv))
         out = args.out
         target, source = _load_pair(args)
         payload = {**args.func(args, target, source), "command": args.command, "seed": args.seed}

@@ -75,6 +75,8 @@ class IterationSchedule(Record):
         for n, d, n1, d1 in self.steps:
             if n < 1 or n1 < n:
                 raise ValidationError("block lengths must satisfy 1 <= n <= n1")
+            if n1 % n != 0:
+                raise ValidationError("n1 must be a multiple of n")
             open_unit("step tolerances", d)
             open_unit("step tolerances", d1)
         if self.strict:

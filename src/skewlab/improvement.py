@@ -12,9 +12,10 @@ coordinate on the constructed orbit.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .distributions import EmpiricalDistribution, NameSpace, kantorovich
@@ -28,7 +29,7 @@ from .errors import (
     open_unit,
 )
 from .groups import FiniteGroup
-from .names import prefix_products
+from .names import prefix_products, total_variation
 from .records import Record
 from .systems import (
     ExtensionSystem,
@@ -37,9 +38,10 @@ from .systems import (
     RegularityRefusal,
     Twist,
     check_extension_ergodic,
-    cocycle_product,
     name_distribution,
+    speedup_name_counts,
     speedup_name_distribution,
+    step_increments,
     twist,
     twist_size,
 )
@@ -149,6 +151,15 @@ def build_cycles(
 # regularity
 
 
+def _discrete(group: FiniteGroup) -> bool:
+    """Whether every distance of the group, and so of its names, is 0 or 1.
+
+    Name distances then take class counts (names.total_variation) in
+    place of name distributions and the transport solver.
+    """
+    return group.int_metric[0] == 1
+
+
 def check_regular(
     speedup: PartialSpeedup,
     pbar: Sequence[int],
@@ -184,14 +195,18 @@ def _measure_regularity(
     n: int,
     delta: Fraction,
     k_bound: int | None = None,
-    full: EmpiricalDistribution | None = None,
+    full: EmpiricalDistribution | Counter | None = None,
+    ids: Sequence[int] | None = None,
 ) -> RegularityCertificate | RegularityRefusal:
-    """The five conditions, on the n-name distribution full when it is given.
+    """The five conditions, on the Dom(S^n) n-name statistics full when given.
 
-    The improvement step's output check hands its own in and keeps no
-    outcome: no later call repeats it, and a kept one lives with its step.
+    full is the name distribution, or under a discrete metric the class
+    counts under ids, the speedup walk's n-classes.  The improvement
+    step's output check hands its own in and keeps no outcome: no later
+    call repeats it, and a kept one lives with its step.
     """
     ext = speedup.parent
+    discrete = _discrete(ext.group)
     columns, why = tower(speedup)
     if why is not None:
         return RegularityRefusal("condition 1", why)
@@ -217,14 +232,26 @@ def _measure_regularity(
         return RegularityRefusal(
             "condition 4", "height %d is not a multiple of %d" % (height, n)
         )
-    if full is None:
+    if full is None and discrete:
+        ids = walk.classes(n)
+        full = speedup_name_counts(speedup, pbar, n, ids)
+    elif full is None:
         full = speedup_name_distribution(speedup, pbar, n)
     # every column carries the one name, so one column's rungs serve all;
     # rungs read the name itself, so they carry the offset accumulated
     # along the column
     (name,) = names
-    counts = Counter(name[i : i + n] for i in range(0, height, n))
-    gap = kantorovich(EmpiricalDistribution.from_counts(NameSpace(ext.group, n), counts), full)
+    if discrete:
+        # a rung is the class of its first point's canonical name, right-translated by
+        # that offset; full counts the fibre of e, which each of the m fibres repeats
+        column = columns[0]
+        counts = Counter((ids[column[i]], name[i][1]) for i in range(0, height, n))
+        gap = total_variation(
+            counts, {(c, h): k for c, k in full.items() for h in ext.group.elements()}
+        )
+    else:
+        counts = Counter(name[i : i + n] for i in range(0, height, n))
+        gap = kantorovich(EmpiricalDistribution.from_counts(NameSpace(ext.group, n), counts), full)
     if not gap < delta:
         return RegularityRefusal(
             "condition 4",
@@ -243,7 +270,7 @@ def _measure_regularity(
         domain_mass=mass,
         max_exponent=k_seen,
         ladder_distance=gap,
-        names=full,
+        names=None if discrete else full,
     )
 
 
@@ -294,7 +321,8 @@ class ModelName(Record):
     labels and groups give the (P, c)-coordinates of the template;
     window_distance and block_distance compare its n1-statistics to the
     target's stationary ones, reference (after averaging over right
-    translates).
+    translates).  Under a discrete metric the distances come from class
+    counts and reference is None.
     """
 
     labels: tuple[int, ...]
@@ -303,7 +331,7 @@ class ModelName(Record):
     start: int
     window_distance: Fraction
     block_distance: Fraction
-    reference: EmpiricalDistribution
+    reference: EmpiricalDistribution | None
     _uncompared = ("reference",)
 
 
@@ -322,52 +350,75 @@ def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: 
     2*m*R*W - 2 * sum over rung names of min(r*W*m, C*R), r being the
     name's rung count.  The start x0 + n1 shares all rungs of x0 but one
     and all windows but n1, so each residue class mod n1 is walked with
-    only the classes whose counts change touched: O(N * n1) in all.
+    only what changes touched: the outgoing and incoming rung names when
+    they differ, and the window counts of the rung classes when the
+    n1-block that leaves the windows differs from the one that enters,
+    which a prefix count of the positions t with ids[t] != ids[t + W]
+    tells.  A window count is read off its class's sorted positions, so
+    the work is O(N + n1 * R) plus O(log N) per rung class at each start
+    whose block changes.
     """
     size = target.size
     m = target.group.order
     rungs = length // n1
     windows = length - n1 + 1
     wm = windows * m
+    laps = -(-(size + length) // size)
+    positions: dict[int, list[int]] = {}  # class -> its points, in order
+    for x, c in enumerate(ids):
+        positions.setdefault(c, []).append(x)
+    ids = list(ids) * laps
     # P[t + N] = P[t] + P[N], so the prefix table gives the group track at every t
     p = target.prefix
-    track = [(p[t % size] + t // size * p[size]) % m for t in range(size + length)]
-    ids = list(ids) * -(-(size + length) // size)
+    track = [(g + k * p[size]) % m for k in range(laps) for g in p[:size]]
+    # the block [x, x + n1) leaves the windows as [x + W, x + W + n1) enters them,
+    # which changes a count only if moved[x + n1] > moved[x]
+    moved = list(accumulate((ids[t] != ids[t + windows] for t in range(size)), initial=0))
+
+    def count(c: int, x: int) -> int:
+        """Windows of class c among the W from the start x < N: its points
+        below x + W, laps included, less those below x."""
+        at_c = positions[c]
+        y = x + windows
+        return y // size * len(at_c) + bisect_left(at_c, y % size) - bisect_left(at_c, x)
+
     shared = [0] * size  # sum of min(r*W*m, C*R) at every start
-    in_windows: Counter = Counter()  # class -> window count
-    # class -> group coordinate -> rung count; a zero count adds nothing to part
-    at: defaultdict[int, Counter] = defaultdict(Counter)
-
-    def part(c: int) -> int:
-        cap = in_windows[c] * rungs
-        return sum(min(r * wm, cap) for r in at[c].values()) if c in at else 0
-
     for first in range(min(n1, size)):
-        in_windows.clear()
-        in_windows.update(ids[first : first + windows])
-        at.clear()
+        rows: dict[int, dict[int, int]] = {}  # rung class -> group coordinate -> rung count
         for y in range(first, first + length, n1):
-            at[ids[y]][track[y]] += 1
-        parts = {c: part(c) for c in at}
-        total = sum(parts.values())
+            row = rows.setdefault(ids[y], {})
+            row[track[y]] = row.get(track[y], 0) + 1
+        caps = {c: count(c, first) * rungs for c in rows}  # rung class -> C*R
+
+        def part(c: int) -> int:
+            return sum(min(r * wm, caps[c]) for r in rows[c].values())
+
+        total = sum(map(part, rows))
         for x0 in range(first, size, n1):
             shared[x0] = total
             nxt = x0 + n1
             if nxt >= size:
                 break
-            changed = {ids[x0], ids[x0 + length]}
-            out, into = ids[x0:nxt], ids[x0 + windows : nxt + windows]
-            if out != into:
-                delta = Counter(into)
-                delta.subtract(Counter(out))
-                in_windows.update(delta)
-                changed.update(delta)
-            at[ids[x0]][track[x0]] -= 1
-            at[ids[x0 + length]][track[x0 + length]] += 1
-            for c in changed:
-                now = part(c)
-                total += now - parts.get(c, 0)
-                parts[c] = now
+            if moved[nxt] != moved[x0]:
+                for c in rows:
+                    cap = count(c, nxt) * rungs
+                    if cap != caps[c]:
+                        total -= part(c)
+                        caps[c] = cap
+                        total += part(c)
+            c_out, w_out = ids[x0], track[x0]
+            c_in, w_in = ids[x0 + length], track[x0 + length]
+            if c_out != c_in or w_out != w_in:
+                row, cap = rows[c_out], caps[c_out]
+                r = row[w_out]
+                total += min((r - 1) * wm, cap) - min(r * wm, cap)
+                row[w_out] = r - 1
+                if c_in not in rows:
+                    rows[c_in], caps[c_in] = {}, count(c_in, nxt) * rungs
+                row, cap = rows[c_in], caps[c_in]
+                r = row.get(w_in, 0)
+                total += min((r + 1) * wm, cap) - min(r * wm, cap)
+                row[w_in] = r + 1
     # the least distance is the largest shared mass; ties go to the first start
     return max(range(size), key=shared.__getitem__)
 
@@ -392,17 +443,21 @@ def build_model_name(target: ExtensionSystem, n1: int, *, length: int) -> ModelN
         raise ValidationError("target extension is not ergodic")
     walk = target.walk()
     ids = walk.classes(n1)
-    # the widest n1-distribution of the model name: its NameWorkTooLarge precedes the start search
-    reference = walk.distribution(n1, range(target.size), ids)
+    discrete = _discrete(target.group)
+    statistics, distance = walk.distribution, kantorovich
+    if discrete:
+        statistics, distance = walk.counts, total_variation
+    # the widest n1-statistics of the model name: its NameWorkTooLarge precedes the start search
+    reference = statistics(n1, range(target.size), ids)
     x0 = _choose_start(target, ids, length, n1)
     labels, groups = zip(*walk.name(x0, length))
 
-    def averaged(starts) -> EmpiricalDistribution:
+    def averaged(starts):
         # template windows are target windows at x0 + t, right-translated
-        return walk.distribution(n1, [(x0 + t) % target.size for t in starts], ids)
+        return statistics(n1, [(x0 + t) % target.size for t in starts], ids)
 
-    window_distance = kantorovich(averaged(range(length - n1 + 1)), reference)
-    block_distance = kantorovich(averaged(range(0, length, n1)), reference)
+    window_distance = distance(averaged(range(length - n1 + 1)), reference)
+    block_distance = distance(averaged(range(0, length, n1)), reference)
     target.model_names[key] = ModelName(
         labels=labels,
         groups=groups,
@@ -410,7 +465,7 @@ def build_model_name(target: ExtensionSystem, n1: int, *, length: int) -> ModelN
         start=x0,
         window_distance=window_distance,
         block_distance=block_distance,
-        reference=reference,
+        reference=None if discrete else reference,
     )
     return target.model_names[key]
 
@@ -571,13 +626,29 @@ def _plan_chain(
         gaps[j] = (points[(j + 1) % total] - points[j]) % ext.size or ext.size
     # group increments per step are forced by the parent skewing; rotation
     # r reads the chain from s = r*n with offsets q[s+t] * q[s]^-1
-    q = prefix_products(group, [cocycle_product(ext, z, k) for z, k in zip(points, gaps)])
+    q = prefix_products(group, step_increments(ext, points, gaps))
     score, start = _best_rotation(group, [pbar[z] for z in points], q, model.labels, model.groups, n)
     chain = tuple((points * 2)[start : start + length])
     # the chain's last point is the open top of the one output column
     gaps = (gaps * 2)[start : start + length - 1] + [0]
     offsets = [(g - q[start]) % group.order for g in q[start : start + length]]
     return chain, gaps, offsets, start // n, score
+
+
+def _joint_counts(
+    target: ExtensionSystem, speedup: PartialSpeedup, labels: Sequence[int], n: int
+) -> tuple[Counter, Counter, list[int]]:
+    """Class counts of the target's n-names and of the speedup's over Dom(S^n).
+
+    One classes pass over the target walk and the speedup walk laid end
+    to end makes the two comparable; the speedup walk's part of the ids
+    comes back as well.  Each count keeps its NameWorkTooLarge refusal.
+    """
+    joint = target.walk().joint(speedup.walk(labels))
+    ids = joint.classes(n)
+    own = ids[target.size :]
+    reference = joint.counts(n, range(target.size), ids)
+    return reference, speedup_name_counts(speedup, labels, n, own), own
 
 
 def improve(
@@ -605,6 +676,8 @@ def improve(
     """
     if n < 1 or n1 < 1:
         raise ValidationError("block lengths must be positive")
+    if n1 % n != 0:
+        raise ValidationError("n1 must be a multiple of n")
     delta = open_unit("delta", delta)
     delta1 = open_unit("delta1", delta1)
     epsilon = open_unit("epsilon", epsilon)
@@ -624,14 +697,17 @@ def improve(
             "input speedup failed %s: %s" % (cert.condition, cert.detail)
         )
 
-    hyp = kantorovich(name_distribution(target, n), cert.names)
+    discrete = _discrete(group)
+    if discrete:
+        hyp = total_variation(*_joint_counts(target, current, pbar, n)[:2])
+    else:
+        hyp = kantorovich(name_distribution(target, n), cert.names)
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
     blocks = ladder(cert.columns, n)
-    unit = lcm(n, n1)
     capacity = len(blocks) * n
-    length = (capacity // unit) * unit
+    length = (capacity // n1) * n1
     if length < n1:
         raise ScheduleInfeasible(
             "tower holds %d ladder points, below one block of %d" % (capacity, n1)
@@ -643,8 +719,6 @@ def improve(
             % (capacity, n1, n1)
         )
 
-    if n1 % n != 0:
-        raise ValidationError("n1 must be a multiple of n")
     model = build_model_name(target, n1, length=length)
     for what, distance in (("window", model.window_distance), ("block", model.block_distance)):
         if strict and not distance < delta1 / 100:
@@ -677,8 +751,16 @@ def improve(
         if (labels1[z], w) != (a, g):
             raise Collision("orbit coordinate %d does not replicate the template" % t)
 
-    output_names = speedup_name_distribution(speedup1t, labels1, n1)
-    cert1 = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
+    if discrete:
+        reference, output_names, output_ids = _joint_counts(target, speedup1t, labels1, n1)
+        cert1 = _measure_regularity(
+            speedup1t, labels1, n1, delta1, full=output_names, ids=output_ids
+        )
+        name_distance = total_variation(reference, output_names)
+    else:
+        output_names = speedup_name_distribution(speedup1t, labels1, n1)
+        cert1 = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
+        name_distance = kantorovich(model.reference, output_names)
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
@@ -695,7 +777,7 @@ def improve(
         partition_drift=Fraction(sum(1 for x, a in enumerate(labels1) if pbar[x] != a), ext.size),
         twist_size=twist_size(alpha, group),
         broken_mass=broken_fraction(blocks, current.exponent, exponent),
-        name_distance=kantorovich(model.reference, output_names),
+        name_distance=name_distance,
         good_set_fraction=Fraction(good, length // n1 * group.order),
         good_set_density=density,
         regular=regular,

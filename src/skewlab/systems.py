@@ -11,6 +11,7 @@ the free right group action.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -89,6 +90,20 @@ def cocycle_product(ext: ExtensionSystem, x: int, k: int) -> int:
     x %= n
     laps, rest = divmod(k, n)
     return (p[x + rest] - p[x] + laps * p[n]) % ext.group.order
+
+
+def step_increments(ext: ExtensionSystem, points: Sequence[int], steps: Sequence[int]) -> list[int]:
+    """cocycle_product(ext, x, k) for every base point x and its step count k.
+
+    A step of at most one lap is P[x + k] - P[x], read off the prefix
+    table's 2N + 1 entries; k = 0 gives the identity, longer steps go
+    through cocycle_product.
+    """
+    n, p, m = ext.size, ext.prefix, ext.group.order
+    return [
+        (p[x + k] - p[x]) % m if k <= n else cocycle_product(ext, x, k)
+        for x, k in zip(points, steps)
+    ]
 
 
 class Twist(Record):
@@ -215,7 +230,7 @@ class PartialSpeedup(Record):
         n = ext.size
         return (
             tuple((x + k) % n for x, k in enumerate(self.exponent)),
-            tuple(cocycle_product(ext, x, k) if k else 0 for x, k in enumerate(self.exponent)),
+            tuple(step_increments(ext, range(n), self.exponent)),
         )
 
     @cached_property
@@ -275,18 +290,39 @@ def name_distribution(
     return ext.walk(labels).distribution(n, range(ext.size))
 
 
+def _name_starts(speedup: PartialSpeedup, n: int) -> tuple[int, ...]:
+    """Dom(S^n), refused when n is not positive or the domain is empty."""
+    if n < 1:
+        raise ValidationError("name length must be positive")
+    starts = power_domain(speedup, n)
+    if not starts:
+        raise ValidationError("no start points for the name distribution")
+    return starts
+
+
 def speedup_name_distribution(
     speedup: PartialSpeedup,
     labels: Sequence[int],
     n: int,
 ) -> EmpiricalDistribution:
     """Distribution of n-names over Dom(S^n) x G."""
-    if n < 1:
-        raise ValidationError("name length must be positive")
-    starts = power_domain(speedup, n)
-    if not starts:
-        raise ValidationError("no start points for the name distribution")
-    return speedup.walk(labels).distribution(n, starts)
+    return speedup.walk(labels).distribution(n, _name_starts(speedup, n))
+
+
+def speedup_name_counts(
+    speedup: PartialSpeedup,
+    labels: Sequence[int],
+    n: int,
+    ids: Sequence[int] | None = None,
+) -> Counter:
+    """Class counts of the n-names over Dom(S^n) on the fibre of e.
+
+    speedup_name_distribution spreads the names of these classes evenly
+    over the fibres, with the same refusals.  ids are the speedup
+    walk's n-classes (or ids comparable with another walk's, from a
+    joint walk) when the caller has them.
+    """
+    return speedup.walk(labels).counts(n, _name_starts(speedup, n), ids)
 
 
 # ---------------------------------------------------------------------------

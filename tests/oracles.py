@@ -19,9 +19,10 @@ Two are orbit walks that names.Walk and one prefix table replaced:
 rotation scoring walks every rotation's chain step by step, and
 regularity condition 3 compares tower names on every fibre.
 
-Two are the quadratic loops of the improvement step: the power domain
-walks m steps from every point, and rotation scoring compares every
-rotation slot by slot.
+Three are the quadratic loops of the improvement step: the power
+domain walks m steps from every point, rotation scoring compares every
+rotation slot by slot, and the model-name start search recounts the
+windows of every residue mod n1 and compares every block it moves.
 
 Two are the tower walks that the speedup's step table and
 towers.tower replaced: the tower is walked from every base point with
@@ -41,6 +42,7 @@ as it is.
 """
 
 import heapq
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace, kantorovich
@@ -149,6 +151,61 @@ def choose_start_bytes(target, length, n1):
         if best is None or d < best[0]:
             best = (d, x0)
     return best[1]
+
+
+def choose_start_by_residue(target, ids, length, n1):
+    """Model-name start by walking each residue mod n1 from counts recounted there.
+
+    Every residue's windows are counted afresh and every step compares
+    the n1-block that leaves the windows with the one that enters,
+    position by position: O(N * n1).
+    """
+    size = target.size
+    m = target.group.order
+    rungs = length // n1
+    windows = length - n1 + 1
+    wm = windows * m
+    # P[t + N] = P[t] + P[N], so the prefix table gives the group track at every t
+    p = target.prefix
+    track = [(p[t % size] + t // size * p[size]) % m for t in range(size + length)]
+    ids = list(ids) * -(-(size + length) // size)
+    shared = [0] * size  # sum of min(r*W*m, C*R) at every start
+    in_windows: Counter = Counter()  # class -> window count
+    # class -> group coordinate -> rung count; a zero count adds nothing to part
+    at: defaultdict[int, Counter] = defaultdict(Counter)
+
+    def part(c: int) -> int:
+        cap = in_windows[c] * rungs
+        return sum(min(r * wm, cap) for r in at[c].values()) if c in at else 0
+
+    for first in range(min(n1, size)):
+        in_windows.clear()
+        in_windows.update(ids[first : first + windows])
+        at.clear()
+        for y in range(first, first + length, n1):
+            at[ids[y]][track[y]] += 1
+        parts = {c: part(c) for c in at}
+        total = sum(parts.values())
+        for x0 in range(first, size, n1):
+            shared[x0] = total
+            nxt = x0 + n1
+            if nxt >= size:
+                break
+            changed = {ids[x0], ids[x0 + length]}
+            out, into = ids[x0:nxt], ids[x0 + windows : nxt + windows]
+            if out != into:
+                delta = Counter(into)
+                delta.subtract(Counter(out))
+                in_windows.update(delta)
+                changed.update(delta)
+            at[ids[x0]][track[x0]] -= 1
+            at[ids[x0 + length]][track[x0 + length]] += 1
+            for c in changed:
+                now = part(c)
+                total += now - parts.get(c, 0)
+                parts[c] = now
+    # the least distance is the largest shared mass; ties go to the first start
+    return max(range(size), key=shared.__getitem__)
 
 
 def model_distances_per_fibre(target, model):

@@ -26,6 +26,7 @@ from skewlab import (
     trivial,
 )
 from skewlab.cli import (
+    COMMANDS,
     DENOMINATOR_LIMIT,
     ECHO_LIMIT,
     GROUP_ORDER_LIMIT,
@@ -459,6 +460,25 @@ def test_a_tower_without_name_starts_exits_two(tmp_path, size, step, error, deta
     rc = run_command(["improve", "--target", t, "--source", s, *step, "--out", str(out)])
     assert rc == 2
     assert json.loads(out.read_text()) == {"error": error, "detail": detail}
+
+
+@pytest.mark.parametrize("command", ["improve", "factor", "iso"])
+def test_an_n1_off_the_multiples_of_n_exits_one_before_the_bootstrap(tmp_path, command):
+    # on the 8-point marker pair the bootstrap would refuse first, with its height 8 = n
+    labels = [1 if x == 7 else 0 for x in range(8)]
+    t, s = (
+        write_system(tmp_path / name, 8, labels, {"type": "cyclic", "order": 2},
+                     [1 if x == flip else 0 for x in range(8)])
+        for name, flip in (("t.json", 0), ("s.json", 4))
+    )
+    out = tmp_path / "ref.json"
+    step = ["--n", "8", "--delta", "1/10", "--n1", "12", "--delta1", "1/20", "--epsilon", "1/5"]
+    budget = [] if command == "improve" else ["--budget", "1"]
+    rc = run_command([command, "--target", t, "--source", s, *step, *budget, "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text()) == {
+        "error": "ValidationError", "detail": "n1 must be a multiple of n",
+    }
 
 
 def test_name_work_over_the_limit_exits_two(tmp_path):
@@ -978,6 +998,23 @@ def test_copy_zeta_is_an_iso_flag_only(marker_pair):
     rc, text = _run_captured(["iso", *argv])
     assert rc == 0
     assert json.loads(text)["command"] == "iso"
+
+
+@pytest.mark.parametrize("command", [name for name, _ in COMMANDS])
+def test_a_command_builds_its_own_flags_alone(command, capsys):
+    # usage and help read the same from the parser of one command; the others get no flags
+    full, one = build_parser(), build_parser([command, "--help"])
+    assert one.format_help() == full.format_help()
+    texts = []
+    for parser in (full, one):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "--target" in texts[0]
+    other = next(name for name, _ in COMMANDS if name != command)
+    assert one.parse_args([other]).command == other
+    with pytest.raises(ParseError):
+        full.parse_args([other])
 
 
 def test_help_still_exits_zero(capsys):

@@ -102,6 +102,17 @@ def test_schedule_validation(kwargs):
         IterationSchedule(**base)
 
 
+def test_schedule_refuses_an_n1_off_the_multiples_of_n():
+    with pytest.raises(ValidationError, match="^n1 must be a multiple of n$"):
+        IterationSchedule(
+            epsilon=Fraction(1, 2),
+            epsilons=(Fraction(1, 4),),
+            steps=((8, Fraction(1, 8), 12, Fraction(1, 16)),),
+            rectangles=(((0,), (0,)),),
+            budget=1,
+        )
+
+
 def test_schedule_strict_gates():
     def schedule(epsilon, step_delta, rectangles=1):
         return IterationSchedule(

@@ -20,6 +20,7 @@ from skewlab import (
     RegularityRefusal,
     RegularityRejected,
     ScheduleInfeasible,
+    SpaceMismatch,
     ValidationError,
     WindowSystem,
     apply_speedup,
@@ -73,7 +74,22 @@ def test_regular_single_column_certificate():
     assert cert.max_exponent == 1
     assert cert.domain_mass == Fraction(59, 60)
     assert cert.ladder_distance < Fraction(1, 4)
+    # the trivial group's metric is discrete: condition 4 compares class counts,
+    # so the certificate keeps no distribution, and the distance is transport's
+    assert cert.names is None
+    (per_h,) = oracles.ladder_distances_per_fibre(sp, ext.labels, 4)
+    assert cert.ladder_distance == per_h[0]
+
+
+def test_a_certificate_off_a_discrete_metric_carries_its_names():
+    # Z/4's circle metric has distance 1/2: condition 4 runs on the distribution
+    ext = marker_system(60, 59, group=cyclic(4), flips=(0,))
+    sp = trimmed(ext)
+    cert = check_regular(sp, ext.labels, 4, Fraction(9, 10))
+    assert isinstance(cert, RegularityCertificate)
     assert cert.names == speedup_name_distribution(sp, ext.labels, 4)
+    (per_h,) = oracles.ladder_distances_per_fibre(sp, ext.labels, 4)
+    assert cert.ladder_distance == per_h[0] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +330,19 @@ def test_model_name_work_is_refused_before_the_start_search(monkeypatch):
     with pytest.raises(NameWorkTooLarge) as err:
         build_model_name(target, 8, length=32)
     assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_target_on_another_group_is_refused(order):
+    # the source's Z/2 metric is discrete, Z/4's is not: either way the names do not compare
+    source = marker_system(48, 47, group=cyclic(order), flips=(24,))
+    target = marker_system(48, 47, group=cyclic(order + 1), flips=(0,))
+    sp, _ = bootstrap_regular(source, source.labels, 4, Fraction(9, 10), Fraction(2, 5))
+    with pytest.raises(SpaceMismatch):
+        improve(
+            target, sp, source.labels, 4, Fraction(9, 10), 8, Fraction(3, 10),
+            tuple(range(48)), (0,), Fraction(2, 5),
+        )
 
 
 def test_model_strict_budget():

@@ -2,7 +2,9 @@
 
 Every property compares the library with the reference implementation
 in oracles.py on small systems over Z/1 to Z/6, Z/6 once with a metric
-row that is not the circle's, and asserts exact equality.
+row that is not the circle's, and asserts exact equality.  Distances
+under a discrete metric, which the library takes from class counts,
+are compared with the transport distance of the name distributions.
 """
 
 import time
@@ -19,12 +21,16 @@ from skewlab import (
     OutOfDomain,
     PartialSpeedup,
     RegularityCertificate,
+    SkewlabError,
     ValidationError,
     apply_speedup,
+    bootstrap_regular,
     build_model_name,
     check_regular,
     cocycle_product,
     cyclic,
+    improve,
+    kantorovich,
     ladder,
     name_distribution,
     power_domain,
@@ -35,18 +41,20 @@ from skewlab import (
 from skewlab.driver import _majority_defect_schedule, _separation_failure
 from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
 from skewlab import names
-from skewlab.names import primitive_period
+from skewlab.names import Walk, primitive_period, total_variation
 
 import oracles
 
 
 HALF = Fraction(1, 2)
 GROUPS = [cyclic(m) for m in range(1, 7)] + [cyclic(6, [0, HALF, 1, 1, 1, HALF])]
+# every distance 0 or 1: name distances come from class counts
+DISCRETE = [cyclic(1), cyclic(2), cyclic(3, [0, 1, 1])]
 
 
 @st.composite
-def systems(draw, min_size=1, max_size=10):
-    group = draw(st.sampled_from(GROUPS))
+def systems(draw, min_size=1, max_size=10, groups=GROUPS):
+    group = draw(st.sampled_from(groups))
     size = draw(st.integers(min_size, max_size))
     alphabet = draw(st.integers(1, 3))
     labels = tuple(draw(st.lists(st.integers(0, alphabet - 1), min_size=size, max_size=size)))
@@ -57,9 +65,9 @@ def systems(draw, min_size=1, max_size=10):
 
 
 @st.composite
-def speedups(draw, total=False):
+def speedups(draw, total=False, groups=GROUPS):
     """A partial speedup: a random injective base map on a random domain."""
-    ext = draw(systems())
+    ext = draw(systems(groups=groups))
     n = ext.size
     image = draw(st.permutations(range(n)))
     if total:
@@ -198,6 +206,21 @@ def test_choose_start_matches_byte_codec(target, n1, rungs):
     assert _choose_start(target, ids, length, n1) == oracles.choose_start_bytes(target, length, n1)
 
 
+@given(systems(max_size=24), st.integers(1, 16), st.integers(1, 6), st.booleans(), st.data())
+def test_choose_start_matches_the_residue_walk(target, n1, rungs, drawn, data):
+    # templates up to 96 long on bases up to 24, so n1 may pass N and the
+    # template several laps; drawn class ids change window blocks at random
+    length = n1 * rungs
+    if drawn:
+        size = target.size
+        ids = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    else:
+        ids = target.walk().classes(n1)
+    assert _choose_start(target, ids, length, n1) == oracles.choose_start_by_residue(
+        target, ids, length, n1
+    )
+
+
 @st.composite
 def ergodic_cyclic_systems(draw):
     """Cyclic-group systems whose skew sums to the generator 1."""
@@ -231,6 +254,17 @@ def test_name_work_limit_is_the_last_size_built(monkeypatch):
     assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
 
 
+def test_a_walk_needs_a_label_per_point():
+    # 8 points: 3 labels left points without one, and a ninth was read by none
+    ext = ExtensionSystem(8, (0,) * 7 + (1,), cyclic(2), (1,) + (0,) * 7)
+    message = "^a walk needs one label, successor and increment per point$"
+    for labels in ((0, 1, 0), tuple(range(9))):
+        with pytest.raises(ValidationError, match=message):
+            name_distribution(ext, 2, labels=labels)
+    with pytest.raises(ValidationError, match=message):
+        Walk(ext.labels, tuple(range(1, 8)) + (0,), ext.skew[:7], ext.group)
+
+
 def test_model_name_past_the_byte_codec():
     # 129 labels times |Z/2| = 258 coordinates, more than a byte holds
     size = 129
@@ -240,6 +274,80 @@ def test_model_name_past_the_byte_codec():
     model = build_model_name(target, 2, length=8)
     assert len(model.labels) == 8
     assert model.labels == tuple((model.start + t) % size for t in range(8))
+
+
+# ---------------------------------------------------------------------------
+# distances from class counts under a discrete metric
+
+
+@given(systems(groups=DISCRETE), st.data())
+def test_joint_class_counts_give_the_transport_distance(target, data):
+    # the unit walk of one system against a speedup walk of another on the
+    # same group, with relabelled points, from random start sets
+    group = target.group
+    sp = data.draw(speedups(groups=[group]))
+    size = sp.parent.size
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    a, b = target.walk(), sp.walk(labels)
+    n = data.draw(st.integers(1, 6))
+    starts_a = sorted(data.draw(st.sets(st.integers(0, target.size - 1), min_size=1)))
+    starts_b = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1)))
+    joint = a.joint(b)
+    ids = joint.classes(n)
+    assert ids[: target.size] == a.classes(n)
+    expected = kantorovich(a.distribution(n, starts_a), b.distribution(n, starts_b))
+    assert total_variation(
+        joint.counts(n, starts_a, ids), joint.counts(n, [target.size + x for x in starts_b], ids)
+    ) == expected
+
+
+@st.composite
+def discrete_steps(draw):
+    """An ergodic target and source on one discrete group, sizes apart, and a step."""
+    group = draw(st.sampled_from(DISCRETE))
+    n = draw(st.integers(1, 3))
+    n1 = n * draw(st.integers(1, 3))
+    pair = []
+    for _ in range(2):
+        size = draw(st.integers(2 * n1 + n, 40))
+        labels = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        skew = draw(st.lists(st.integers(0, group.order - 1), min_size=size, max_size=size))
+        # a lap of 1 generates Z/m
+        skew[0] = (1 - sum(skew[1:])) % group.order
+        pair.append(ExtensionSystem(size, tuple(labels), group, tuple(skew)))
+    return (*pair, n, n1)
+
+
+@given(discrete_steps())
+def test_a_discrete_step_measures_what_transport_measures(step):
+    # the hypothesis and the output's name and ladder distances, the rungs with
+    # their offsets, against the transport distance of the name distributions
+    target, source, n, n1 = step
+    loose = Fraction(19, 20)
+    try:
+        current, _ = bootstrap_regular(source, source.labels, n, loose, loose)
+        res = improve(
+            target, current, source.labels, n, loose, n1, loose,
+            range(source.size), (0,), loose,
+        )
+    except SkewlabError:
+        # a refusal (the bootstrap's, the hypothesis', the schedule's) measures nothing
+        return
+    report = res.report
+    assert report.hypothesis_distance == kantorovich(
+        name_distribution(target, n), speedup_name_distribution(current, source.labels, n)
+    )
+    assert report.name_distance == kantorovich(
+        name_distribution(target, n1), speedup_name_distribution(res.twisted, res.labels, n1)
+    )
+    if report.regular or report.regularity_note.startswith("condition 4: ladder"):
+        (per_h,) = oracles.ladder_distances_per_fibre(res.twisted, res.labels, n1)
+        assert report.ladder_distance == per_h[0]
+    model = res.model
+    assert model.reference is None
+    assert (model.window_distance, model.block_distance) == oracles.model_distances_per_fibre(
+        target, model
+    )
 
 
 # ---------------------------------------------------------------------------
