@@ -32,8 +32,7 @@ _EXPORTS = {
     "systems": (
         "ErgodicityWitness", "ExtensionSystem", "PartialSpeedup", "RegularityCertificate",
         "RegularityRefusal", "Twist", "apply_speedup", "check_extension_ergodic",
-        "cocycle_product", "name_distribution", "power_domain",
-        "speedup_name_distribution", "twist", "twist_size",
+        "cocycle_product", "power_domain", "twist", "twist_size",
     ),
     "towers": ("broken_fraction", "ladder", "tower"),
 }

@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .distributions import kantorovich
 from .errors import (
     GroupTooLarge,
     OutOfDomain,
@@ -37,7 +36,6 @@ from .systems import (
     ExtensionSystem,
     check_extension_ergodic,
     cocycle_product,
-    name_distribution,
 )
 
 
@@ -218,14 +216,12 @@ def _emit(payload: Any, out: str | None) -> None:
 
 
 def _cmd_metrics(args: argparse.Namespace, target: ExtensionSystem, source: ExtensionSystem) -> dict:
-    dist = kantorovich(
-        name_distribution(target, args.n), name_distribution(source, args.n)
-    )
+    names = target.walk().joint_names(source.walk(), args.n, range(target.size), range(source.size))
     return {
         "n": args.n,
         "target": check_extension_ergodic(target),
         "source": check_extension_ergodic(source),
-        "name_distance": dist,
+        "name_distance": names[0].distance(names[1]),
     }
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .distributions import kantorovich
 from .errors import (
     GeneratorCheckFailed,
     NoGoodOrbit,
@@ -33,8 +32,7 @@ from .systems import (
     ExtensionSystem,
     PartialSpeedup,
     Twist,
-    name_distribution,
-    speedup_name_distribution,
+    name_starts,
 )
 
 
@@ -343,15 +341,10 @@ def copy_partition(
         if x not in seen:
             seen.add(x)
             small[x] = qbar[z]
-    joint_small = tuple(
-        (target.labels[x], small[x]) for x in range(target.size)
-    )
-    joint_big = tuple((pbar[z], qbar[z]) for z in range(big.parent.size))
-    dist = kantorovich(
-        name_distribution(target, n, joint_small),
-        speedup_name_distribution(big, joint_big, n),
-    )
-    return tuple(small), dist
+    joint_small = target.walk(tuple(zip(target.labels, small)))
+    joint_big = big.walk(tuple(zip(pbar, qbar)))
+    names = joint_small.joint_names(joint_big, n, range(target.size), name_starts(big, n))
+    return tuple(small), names[0].distance(names[1])
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +504,12 @@ def seed_from_orbit(
         raise ValidationError("seeding needs matching groups")
     walk = target.walk()
     ids = walk.classes(n)
-    reference = walk.distribution(n, range(target.size), ids)
+    reference = walk.names(n, range(target.size), ids)
     windows = n_len - n + 1
     for x in range(target.size):
         # segment windows are target windows at x + t, right-translated
-        emp = walk.distribution(n, [(x + t) % target.size for t in range(windows)], ids)
-        if kantorovich(emp, reference) < zeta:
+        segment = walk.names(n, [(x + t) % target.size for t in range(windows)], ids)
+        if segment.distance(reference) < zeta:
             break
     else:
         raise NoGoodOrbit("no segment of length %d sits within %s" % (n_len, zeta))

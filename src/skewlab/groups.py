@@ -11,7 +11,7 @@ built from the two fields on first use, mul and int_metric, the metric
 scaled by the common denominator L.  cyclic equips Z/m with
 the normalized circle distance min(k, m - k) / floor(m / 2) unless given
 another row; for m <= 2 (and for rows that are 0/1 valued) the metric is
-discrete, and several downstream routines take a cheaper path then.
+discrete, and name distances are then total variations (Names.distance).
 """
 
 from __future__ import annotations

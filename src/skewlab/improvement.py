@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .distributions import EmpiricalDistribution, NameSpace, kantorovich
 from .errors import (
     Collision,
     HypothesisDistance,
@@ -29,7 +28,7 @@ from .errors import (
     open_unit,
 )
 from .groups import FiniteGroup
-from .names import prefix_products, total_variation
+from .names import Names, prefix_products
 from .records import Record
 from .systems import (
     ExtensionSystem,
@@ -38,9 +37,7 @@ from .systems import (
     RegularityRefusal,
     Twist,
     check_extension_ergodic,
-    name_distribution,
-    speedup_name_counts,
-    speedup_name_distribution,
+    name_starts,
     step_increments,
     twist,
     twist_size,
@@ -151,15 +148,6 @@ def build_cycles(
 # regularity
 
 
-def _discrete(group: FiniteGroup) -> bool:
-    """Whether every distance of the group, and so of its names, is 0 or 1.
-
-    Name distances then take class counts (names.total_variation) in
-    place of name distributions and the transport solver.
-    """
-    return group.int_metric[0] == 1
-
-
 def check_regular(
     speedup: PartialSpeedup,
     pbar: Sequence[int],
@@ -173,10 +161,9 @@ def check_regular(
     Condition order: tower structure, exponent bound, fiberwise name
     purity, ladder block distributions, domain mass.  The first failed
     condition is returned as a refusal with a measurement; success
-    returns a certificate with the measured margins and the Dom(S^n)
-    n-name distribution.  The outcome is kept on the speedup, so the
-    first improvement step reads the certificate the bootstrap issued
-    instead of measuring it again.
+    returns a certificate with the measured margins.  The outcome is
+    kept on the speedup, so the first improvement step reads the
+    certificate the bootstrap issued instead of measuring it again.
     """
     if n < 1:
         raise ValidationError("block length must be positive")
@@ -195,18 +182,14 @@ def _measure_regularity(
     n: int,
     delta: Fraction,
     k_bound: int | None = None,
-    full: EmpiricalDistribution | Counter | None = None,
-    ids: Sequence[int] | None = None,
+    full: Names | None = None,
 ) -> RegularityCertificate | RegularityRefusal:
-    """The five conditions, on the Dom(S^n) n-name statistics full when given.
+    """The five conditions, on the Dom(S^n) n-names full when given.
 
-    full is the name distribution, or under a discrete metric the class
-    counts under ids, the speedup walk's n-classes.  The improvement
-    step's output check hands its own in and keeps no outcome: no later
-    call repeats it, and a kept one lives with its step.
+    full reads the speedup walk, or a joint walk that ends with it.  The
+    improvement step's output check hands its own in and keeps no
+    outcome: no later call repeats it, and a kept one lives with its step.
     """
-    ext = speedup.parent
-    discrete = _discrete(ext.group)
     columns, why = tower(speedup)
     if why is not None:
         return RegularityRefusal("condition 1", why)
@@ -232,26 +215,16 @@ def _measure_regularity(
         return RegularityRefusal(
             "condition 4", "height %d is not a multiple of %d" % (height, n)
         )
-    if full is None and discrete:
-        ids = walk.classes(n)
-        full = speedup_name_counts(speedup, pbar, n, ids)
-    elif full is None:
-        full = speedup_name_distribution(speedup, pbar, n)
-    # every column carries the one name, so one column's rungs serve all;
-    # rungs read the name itself, so they carry the offset accumulated
-    # along the column
+    if full is None:
+        full = walk.names(n, name_starts(speedup, n))
+    # every column carries the one name, so one column's rungs serve all; a rung
+    # is the class of its first point's canonical name, right-translated by the
+    # offset accumulated along the column up to that point
     (name,) = names
-    if discrete:
-        # a rung is the class of its first point's canonical name, right-translated by
-        # that offset; full counts the fibre of e, which each of the m fibres repeats
-        column = columns[0]
-        counts = Counter((ids[column[i]], name[i][1]) for i in range(0, height, n))
-        gap = total_variation(
-            counts, {(c, h): k for c, k in full.items() for h in ext.group.elements()}
-        )
-    else:
-        counts = Counter(name[i : i + n] for i in range(0, height, n))
-        gap = kantorovich(EmpiricalDistribution.from_counts(NameSpace(ext.group, n), counts), full)
+    shift = len(full.walk.nxt) - speedup.size
+    rungs = [shift + columns[0][i] for i in range(0, height, n)]
+    counts = Counter((full.ids[z], name[i * n][1]) for i, z in enumerate(rungs))
+    gap = Names(full.walk, n, full.ids, counts, {full.ids[z]: z for z in rungs}).distance(full)
     if not gap < delta:
         return RegularityRefusal(
             "condition 4",
@@ -270,7 +243,6 @@ def _measure_regularity(
         domain_mass=mass,
         max_exponent=k_seen,
         ladder_distance=gap,
-        names=None if discrete else full,
     )
 
 
@@ -320,9 +292,7 @@ class ModelName(Record):
 
     labels and groups give the (P, c)-coordinates of the template;
     window_distance and block_distance compare its n1-statistics to the
-    target's stationary ones, reference (after averaging over right
-    translates).  Under a discrete metric the distances come from class
-    counts and reference is None.
+    target's stationary ones (after averaging over right translates).
     """
 
     labels: tuple[int, ...]
@@ -331,8 +301,6 @@ class ModelName(Record):
     start: int
     window_distance: Fraction
     block_distance: Fraction
-    reference: EmpiricalDistribution | None
-    _uncompared = ("reference",)
 
 
 def _choose_start(target: ExtensionSystem, ids: Sequence[int], length: int, n1: int) -> int:
@@ -443,29 +411,22 @@ def build_model_name(target: ExtensionSystem, n1: int, *, length: int) -> ModelN
         raise ValidationError("target extension is not ergodic")
     walk = target.walk()
     ids = walk.classes(n1)
-    discrete = _discrete(target.group)
-    statistics, distance = walk.distribution, kantorovich
-    if discrete:
-        statistics, distance = walk.counts, total_variation
-    # the widest n1-statistics of the model name: its NameWorkTooLarge precedes the start search
-    reference = statistics(n1, range(target.size), ids)
+    # the widest n1-names of the model name: their NameWorkTooLarge precedes the start search
+    reference = walk.names(n1, range(target.size), ids)
     x0 = _choose_start(target, ids, length, n1)
     labels, groups = zip(*walk.name(x0, length))
 
     def averaged(starts):
         # template windows are target windows at x0 + t, right-translated
-        return statistics(n1, [(x0 + t) % target.size for t in starts], ids)
+        return walk.names(n1, [(x0 + t) % target.size for t in starts], ids).distance(reference)
 
-    window_distance = distance(averaged(range(length - n1 + 1)), reference)
-    block_distance = distance(averaged(range(0, length, n1)), reference)
     target.model_names[key] = ModelName(
         labels=labels,
         groups=groups,
         n1=n1,
         start=x0,
-        window_distance=window_distance,
-        block_distance=block_distance,
-        reference=None if discrete else reference,
+        window_distance=averaged(range(length - n1 + 1)),
+        block_distance=averaged(range(0, length, n1)),
     )
     return target.model_names[key]
 
@@ -635,20 +596,13 @@ def _plan_chain(
     return chain, gaps, offsets, start // n, score
 
 
-def _joint_counts(
+def _against_target(
     target: ExtensionSystem, speedup: PartialSpeedup, labels: Sequence[int], n: int
-) -> tuple[Counter, Counter, list[int]]:
-    """Class counts of the target's n-names and of the speedup's over Dom(S^n).
-
-    One classes pass over the target walk and the speedup walk laid end
-    to end makes the two comparable; the speedup walk's part of the ids
-    comes back as well.  Each count keeps its NameWorkTooLarge refusal.
-    """
-    joint = target.walk().joint(speedup.walk(labels))
-    ids = joint.classes(n)
-    own = ids[target.size :]
-    reference = joint.counts(n, range(target.size), ids)
-    return reference, speedup_name_counts(speedup, labels, n, own), own
+) -> tuple[Names, Names]:
+    """The target's n-names and the speedup's over Dom(S^n), from one joint
+    classes pass with the target first."""
+    walk = target.walk()
+    return walk.joint_names(speedup.walk(labels), n, range(target.size), name_starts(speedup, n))
 
 
 def improve(
@@ -697,11 +651,8 @@ def improve(
             "input speedup failed %s: %s" % (cert.condition, cert.detail)
         )
 
-    discrete = _discrete(group)
-    if discrete:
-        hyp = total_variation(*_joint_counts(target, current, pbar, n)[:2])
-    else:
-        hyp = kantorovich(name_distribution(target, n), cert.names)
+    reference, names = _against_target(target, current, pbar, n)
+    hyp = reference.distance(names)
     if not hyp < delta:
         raise HypothesisDistance("n-name distance %s is not below %s" % (hyp, delta))
 
@@ -751,16 +702,8 @@ def improve(
         if (labels1[z], w) != (a, g):
             raise Collision("orbit coordinate %d does not replicate the template" % t)
 
-    if discrete:
-        reference, output_names, output_ids = _joint_counts(target, speedup1t, labels1, n1)
-        cert1 = _measure_regularity(
-            speedup1t, labels1, n1, delta1, full=output_names, ids=output_ids
-        )
-        name_distance = total_variation(reference, output_names)
-    else:
-        output_names = speedup_name_distribution(speedup1t, labels1, n1)
-        cert1 = _measure_regularity(speedup1t, labels1, n1, delta1, full=output_names)
-        name_distance = kantorovich(model.reference, output_names)
+    reference, names = _against_target(target, speedup1t, labels1, n1)
+    cert1 = _measure_regularity(speedup1t, labels1, n1, delta1, full=names)
     regular = isinstance(cert1, RegularityCertificate)
 
     density = Fraction(len(a1set), ext.size) * Fraction(len(a2set), group.order)
@@ -777,7 +720,7 @@ def improve(
         partition_drift=Fraction(sum(1 for x, a in enumerate(labels1) if pbar[x] != a), ext.size),
         twist_size=twist_size(alpha, group),
         broken_mass=broken_fraction(blocks, current.exponent, exponent),
-        name_distance=name_distance,
+        name_distance=reference.distance(names),
         good_set_fraction=Fraction(good, length // n1 * group.order),
         good_set_density=density,
         regular=regular,

@@ -7,24 +7,24 @@ count over all fibres follows from the identity fibre alone; a name
 that starts at e is called canonical.  Canonical names are identified
 by integer class ids computed with Karp-Miller-Rosenberg doubling (a
 name of length a+b is the a-name, then the b-name from the a-th point
-right-translated by the accumulated group element), and tuples are
-built only once per class, where a distribution is handed out.
+right-translated by the accumulated group element).
 
-Under a discrete metric (every distance 0 or 1) the transport distance
-between two such distributions is their total variation, and the names
-from (x, g) and (y, h) are equal exactly when g = h and the canonical
-names from x and y are: so it is the total variation of the class counts
-on the fibre of e, and no tuple is built.  Two walks laid end to end
-(joint) give class ids that compare across them.
+Names holds the names of one length from a set of start points as
+counts keyed by (class, translate), and Names.distance is the one
+comparison of two such sets: under a discrete metric (every distance 0
+or 1) the total variation of the counts, and otherwise the transport
+distance of the names spelled out, one tuple per class.  Two walks laid
+end to end (joint_names) give class ids that compare across them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .distributions import EmpiricalDistribution, NameSpace
+from .distributions import EmpiricalDistribution, NameSpace, kantorovich
 from .errors import NameWorkTooLarge, SpaceMismatch, ValidationError
 from .groups import FiniteGroup
 from .records import Record
@@ -65,22 +65,6 @@ class Walk(Record):
     def __post_init__(self) -> None:
         if not len(self.labels) == len(self.nxt) == len(self.inc):
             raise ValidationError("a walk needs one label, successor and increment per point")
-
-    def joint(self, other: "Walk") -> "Walk":
-        """This walk and other laid end to end, other's points numbered from len(self.nxt).
-
-        The classes of the joint walk give equal ids to equal canonical
-        names in either part.  SpaceMismatch unless both act on one group.
-        """
-        if other.group != self.group:
-            raise SpaceMismatch("walks on different groups share no names")
-        shift = len(self.nxt)
-        return Walk(
-            (*self.labels, *other.labels),
-            (*self.nxt, *(y + shift for y in other.nxt)),
-            (*self.inc, *other.inc),
-            self.group,
-        )
 
     def classes(self, length: int) -> list[int]:
         """Class id of the canonical name of the given length from every point.
@@ -136,58 +120,93 @@ class Walk(Record):
             x = self.nxt[x]
         return tuple(out)
 
-    def counts(
+    def names(
         self, length: int, starts: Sequence[int], ids: Sequence[int] | None = None
-    ) -> Counter:
-        """Class id -> number of start points, for the canonical names of the given length.
+    ) -> "Names":
+        """The names of the given length from the start points, on every fibre.
 
         ids are the classes of this length when the caller already has
-        them.  NameWorkTooLarge when the names these stand for on every
-        fibre, one tuple per class and group element, would exceed
-        NAME_WORK_LIMIT entries: the refusal is the same whether or not
-        the tuples are then built.
+        them.  NameWorkTooLarge when the names, one tuple per class and
+        group element, would exceed NAME_WORK_LIMIT entries: the refusal
+        is the same whether or not the tuples are then spelled.
         """
+        if length < 1:
+            raise ValidationError("name length must be positive")
         if ids is None:
             ids = self.classes(length)
-        counts = Counter(map(ids.__getitem__, starts))
-        work = len(counts) * self.group.order * length
+        # equal ids are equal canonical names, so any start of a class spells it
+        points = dict(zip(map(ids.__getitem__, starts), starts))
+        work = len(points) * self.group.order * length
         if work > NAME_WORK_LIMIT:
             raise NameWorkTooLarge("%d name entries exceed the limit %d" % (work, NAME_WORK_LIMIT))
-        return counts
+        counts = Counter(map(ids.__getitem__, starts))
+        every = {(c, h): k for c, k in counts.items() for h in self.group.elements()}
+        return Names(self, length, ids, every, points)
 
-    def distribution(
-        self, length: int, starts: Sequence[int], ids: Sequence[int] | None = None
-    ) -> EmpiricalDistribution:
-        """Distribution over every fibre of the names from the given start points.
+    def joint_names(
+        self, other: "Walk", length: int, starts: Sequence[int], other_starts: Sequence[int]
+    ) -> tuple["Names", "Names"]:
+        """This walk's names from starts and other's from other_starts, comparable.
 
-        Names live on the NameSpace of the given length.  One name tuple
-        is built per class, after the refusal of counts.
+        They are read on the two walks laid end to end, other's points
+        numbered from len(self.nxt), whose classes give equal ids to equal
+        canonical names in either part.  SpaceMismatch unless both walks
+        act on one group.
         """
-        if ids is None:
-            ids = self.classes(length)
-        counts = self.counts(length, starts, ids)
-        # equal ids are equal canonical names, so any start of a class reads its name
-        some = dict(zip(map(ids.__getitem__, starts), starts))
-        # a name from (x, h) is the canonical name from x right-translated by h, and
-        # canonical names start at e, so distinct (class, h) give distinct names
-        mul = self.group.mul
-        out = {}
-        for c, k in counts.items():
-            name = self.name(some[c], length)
-            for h in self.group.elements():
-                out[tuple((a, mul[g][h]) for a, g in name)] = k
-        return EmpiricalDistribution.from_counts(NameSpace(self.group, length), out)
+        if other.group != self.group:
+            raise SpaceMismatch("walks on different groups share no names")
+        shift = len(self.nxt)
+        joint = Walk(
+            (*self.labels, *other.labels),
+            (*self.nxt, *(y + shift for y in other.nxt)),
+            (*self.inc, *other.inc),
+            self.group,
+        )
+        ids = joint.classes(length)
+        mine = joint.names(length, starts, ids)
+        return mine, joint.names(length, [shift + x for x in other_starts], ids)
 
 
-def total_variation(a: Mapping, b: Mapping) -> Fraction:
-    """Total variation between the distributions proportional to two count maps.
+class Names(Record):
+    """The names of one length read along a walk from some start points.
 
-    Under a discrete metric it is their transport distance; for class
-    counts of two name distributions spread evenly over the fibres it is
-    the distance of the distributions themselves.
+    counts maps (class id, h) to how many of the names are the canonical
+    name of that class right-translated by h; points holds one point of
+    each class, where its name is spelled.  A name from (x, h) is the
+    canonical name from x right-translated by h, and canonical names
+    start at e, so distinct keys stand for distinct names.
     """
-    ta, tb = sum(a.values()), sum(b.values())
-    return Fraction(sum(max(0, c * tb - b.get(k, 0) * ta) for k, c in a.items()), ta * tb)
+
+    walk: Walk
+    length: int
+    ids: Sequence[int]
+    counts: Mapping[tuple[int, int], int]
+    points: Mapping[int, int]
+
+    def distance(self, other: "Names") -> Fraction:
+        """Transport distance between the two distributions of names.
+
+        Class ids compare only on one walk, so SpaceMismatch unless both
+        read the same walk at the same length.  Under a discrete metric
+        (every distance 0 or 1) equal keys are the only names at distance
+        0, so it is the total variation of the counts; otherwise
+        kantorovich runs on the names spelled out.
+        """
+        if other.walk != self.walk or other.length != self.length:
+            raise SpaceMismatch("names of different walks or lengths do not compare")
+        if self.walk.group.int_metric[0] == 1:
+            a, b = self.counts, other.counts
+            ta, tb = sum(a.values()), sum(b.values())
+            return Fraction(sum(max(0, c * tb - b.get(k, 0) * ta) for k, c in a.items()), ta * tb)
+        return kantorovich(self.distribution, other.distribution)
+
+    @cached_property
+    def distribution(self) -> EmpiricalDistribution:
+        """The names as tuples on NameSpace(group, length), each class spelled once."""
+        mul = self.walk.group.mul
+        spelled = {c: self.walk.name(x, self.length) for c, x in self.points.items()}
+        out = {tuple((a, mul[g][h]) for a, g in spelled[c]): k for (c, h), k in self.counts.items()}
+        return EmpiricalDistribution.from_counts(NameSpace(self.walk.group, self.length), out)
 
 
 def primitive_period(word: Sequence[int]) -> int:

@@ -11,12 +11,10 @@ the free right group action.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .distributions import EmpiricalDistribution
 from .errors import OutOfDomain, ValidationError
 from .groups import FiniteGroup
 from .names import Walk, prefix_products
@@ -279,50 +277,12 @@ def power_domain(speedup: PartialSpeedup, m: int) -> tuple[int, ...]:
     return tuple(x for x, s in enumerate(left) if s is None or s >= m)
 
 
-def name_distribution(
-    ext: ExtensionSystem,
-    n: int,
-    labels: Sequence[int] | None = None,
-) -> EmpiricalDistribution:
-    """Distribution of n-names over the whole extension [N] x G."""
-    if n < 1:
-        raise ValidationError("name length must be positive")
-    return ext.walk(labels).distribution(n, range(ext.size))
-
-
-def _name_starts(speedup: PartialSpeedup, n: int) -> tuple[int, ...]:
-    """Dom(S^n), refused when n is not positive or the domain is empty."""
-    if n < 1:
-        raise ValidationError("name length must be positive")
+def name_starts(speedup: PartialSpeedup, n: int) -> tuple[int, ...]:
+    """Dom(S^n), where the speedup's n-names start; refused when it is empty."""
     starts = power_domain(speedup, n)
     if not starts:
         raise ValidationError("no start points for the name distribution")
     return starts
-
-
-def speedup_name_distribution(
-    speedup: PartialSpeedup,
-    labels: Sequence[int],
-    n: int,
-) -> EmpiricalDistribution:
-    """Distribution of n-names over Dom(S^n) x G."""
-    return speedup.walk(labels).distribution(n, _name_starts(speedup, n))
-
-
-def speedup_name_counts(
-    speedup: PartialSpeedup,
-    labels: Sequence[int],
-    n: int,
-    ids: Sequence[int] | None = None,
-) -> Counter:
-    """Class counts of the n-names over Dom(S^n) on the fibre of e.
-
-    speedup_name_distribution spreads the names of these classes evenly
-    over the fibres, with the same refusals.  ids are the speedup
-    walk's n-classes (or ids comparable with another walk's, from a
-    joint walk) when the caller has them.
-    """
-    return speedup.walk(labels).counts(n, _name_starts(speedup, n), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +294,7 @@ class RegularityCertificate(Record):
 
     Issued only when all conditions hold.  It carries the tower's
     columns, each listed from its base up to its top level, and the
-    measured values, so callers can report margins, and names, the
-    Dom(S^n) n-name distribution it was measured on.
+    measured values, so callers can report margins.
     """
 
     n: int
@@ -344,8 +303,6 @@ class RegularityCertificate(Record):
     domain_mass: Fraction
     max_exponent: int
     ladder_distance: Fraction
-    names: EmpiricalDistribution | None = None
-    _uncompared = ("names",)
 
     def __post_init__(self) -> None:
         if not self.columns:

@@ -7,7 +7,9 @@ codec and Fraction half-L1 distances, condition 4 is measured on every
 fibre, and separation compares full-length names pairwise.  They walk
 the systems themselves and share no counting code with the library;
 group arithmetic is Z/m's own, sums mod m from 0, and d(a, b) is
-read off the metric row as f((b - a) mod m).
+read off the metric row as f((b - a) mod m).  Every name distance they
+state comes from fraction_kantorovich, the Fraction transport solver
+below, never from the library's.
 
 Three replaced the integer kernels for non-discrete groups: the Fraction
 successive-shortest-path transport solver, the space distances read from
@@ -45,7 +47,7 @@ import heapq
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace, kantorovich
+from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace
 from skewlab.records import Record
 from skewlab.towers import tower
 
@@ -224,8 +226,8 @@ def model_distances_per_fibre(target, model):
         return _distribution(NameSpace(target.group, n1), names)
 
     return (
-        kantorovich(averaged(range(length - n1 + 1)), reference),
-        kantorovich(averaged(range(0, length, n1)), reference),
+        fraction_kantorovich(averaged(range(length - n1 + 1)), reference),
+        fraction_kantorovich(averaged(range(0, length, n1)), reference),
     )
 
 
@@ -258,7 +260,7 @@ def ladder_distances_per_fibre(speedup, pbar, n):
         per_h = []
         for h in range(m):
             names = [_speedup_name(speedup, pbar, s, (w0 + h) % m, n) for s, w0 in rung_starts]
-            per_h.append(kantorovich(_distribution(NameSpace(ext.group, n), names), full))
+            per_h.append(fraction_kantorovich(_distribution(NameSpace(ext.group, n), names), full))
         out.append(per_h)
     return out
 
@@ -319,7 +321,7 @@ def seed_per_fibre(target, source, n_len, zeta, n):
             for t in range(n_len - n + 1)
             for h in range(m)
         ]
-        if kantorovich(_distribution(NameSpace(target.group, n), names), reference) < zeta:
+        if fraction_kantorovich(_distribution(NameSpace(target.group, n), names), reference) < zeta:
             break
     else:
         return None

@@ -858,6 +858,14 @@ def test_metrics_rejects_nonpositive_name_length(marker_pair, tmp_path, n):
     assert "name length" in payload["detail"]
 
 
+@pytest.mark.parametrize("pair", ["marker_pair", "z4_pair"])
+def test_metrics_at_name_length_zero_names_the_length(request, tmp_path, pair):
+    # Walk.names is the one home of the check, on a discrete metric and off one
+    t, s = request.getfixturevalue(pair)
+    payload = _rejected(["metrics", "--target", t, "--source", s, "--n", "0"], tmp_path)
+    assert payload == {"error": "ValidationError", "detail": "name length must be positive"}
+
+
 @pytest.mark.parametrize("flag", ["--n", "--n1"])
 def test_improve_rejects_zero_block_length(marker_pair, tmp_path, flag):
     t, s = marker_pair

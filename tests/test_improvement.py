@@ -8,8 +8,6 @@ import pytest
 
 from skewlab import (
     Collision,
-    DiscreteSpace,
-    EmpiricalDistribution,
     ExtensionSystem,
     HypothesisDistance,
     IterationSchedule,
@@ -30,10 +28,7 @@ from skewlab import (
     cocycle_product,
     cyclic,
     improve,
-    kantorovich,
-    name_distribution,
     run_factor,
-    speedup_name_distribution,
     trivial,
     twist,
 )
@@ -74,20 +69,16 @@ def test_regular_single_column_certificate():
     assert cert.max_exponent == 1
     assert cert.domain_mass == Fraction(59, 60)
     assert cert.ladder_distance < Fraction(1, 4)
-    # the trivial group's metric is discrete: condition 4 compares class counts,
-    # so the certificate keeps no distribution, and the distance is transport's
-    assert cert.names is None
     (per_h,) = oracles.ladder_distances_per_fibre(sp, ext.labels, 4)
     assert cert.ladder_distance == per_h[0]
 
 
-def test_a_certificate_off_a_discrete_metric_carries_its_names():
-    # Z/4's circle metric has distance 1/2: condition 4 runs on the distribution
+def test_a_certificate_off_a_discrete_metric_measures_the_ladder_distance():
+    # Z/4's circle metric has distance 1/2: condition 4 runs on the spelled names
     ext = marker_system(60, 59, group=cyclic(4), flips=(0,))
     sp = trimmed(ext)
     cert = check_regular(sp, ext.labels, 4, Fraction(9, 10))
     assert isinstance(cert, RegularityCertificate)
-    assert cert.names == speedup_name_distribution(sp, ext.labels, 4)
     (per_h,) = oracles.ladder_distances_per_fibre(sp, ext.labels, 4)
     assert cert.ladder_distance == per_h[0] == Fraction(1, 2)
 
@@ -413,9 +404,10 @@ def test_improve_refuses_a_block_longer_than_the_tower():
 def test_improve_output_measured_on_twisted_system():
     # the reported distance is the one the next iteration will see
     target, source, res = run_small_improve()
-    reread = kantorovich(
-        name_distribution(target, 8),
-        speedup_name_distribution(res.twisted, res.labels, 8),
+    starts = oracles.power_domain_walked(res.twisted, 8)
+    reread = oracles.fraction_kantorovich(
+        oracles.name_distribution_per_fibre(target, 8),
+        oracles.speedup_name_distribution_per_fibre(res.twisted, res.labels, 8, starts),
     )
     assert reread == res.report.name_distance
 
@@ -698,12 +690,8 @@ def test_a_kept_refusal_comes_back_unchanged(monkeypatch):
     assert str(exc.value) == "input speedup failed condition 4: " + first.detail
 
 
-def test_model_names_compare_without_their_reference():
-    space = DiscreteSpace()
-    one = EmpiricalDistribution.from_counts(space, {0: 1})
-    two = EmpiricalDistribution.from_counts(space, {0: 1, 1: 2})
-    a = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), Fraction(1, 4), one)
-    b = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), Fraction(1, 4), reference=two)
-    assert a.reference != b.reference
+def test_model_names_compare_by_their_fields():
+    a = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), Fraction(1, 4))
+    b = ModelName((0, 1), (0, 0), 2, 0, Fraction(0), block_distance=Fraction(1, 4))
     assert a == b and hash(a) == hash(b)
     assert a != replace(a, start=1)

@@ -2,10 +2,13 @@
 
 Every property compares the library with the reference implementation
 in oracles.py on small systems over Z/1 to Z/6, Z/6 once with a metric
-row that is not the circle's, and asserts exact equality.  Distances
-under a discrete metric, which the library takes from class counts,
-are compared with the transport distance of the name distributions.
+row that is not the circle's, and asserts exact equality.  Every name
+distance, which the library takes from class counts under a discrete
+metric and from spelled names otherwise, is compared with the Fraction
+transport distance of the oracle's name distributions.
 """
+
+import argparse
 
 import time
 from fractions import Fraction
@@ -22,26 +25,27 @@ from skewlab import (
     PartialSpeedup,
     RegularityCertificate,
     SkewlabError,
+    SpaceMismatch,
     ValidationError,
     apply_speedup,
     bootstrap_regular,
     build_model_name,
     check_regular,
     cocycle_product,
+    copy_partition,
     cyclic,
     improve,
-    kantorovich,
     ladder,
-    name_distribution,
     power_domain,
     seed_from_orbit,
-    speedup_name_distribution,
     tower,
 )
+from skewlab.cli import _cmd_metrics
 from skewlab.driver import _majority_defect_schedule, _separation_failure
 from skewlab.improvement import _best_rotation, _choose_start, _good_rungs
 from skewlab import names
-from skewlab.names import Walk, primitive_period, total_variation
+from skewlab.names import Walk, primitive_period
+from skewlab.systems import name_starts
 
 import oracles
 
@@ -50,6 +54,9 @@ HALF = Fraction(1, 2)
 GROUPS = [cyclic(m) for m in range(1, 7)] + [cyclic(6, [0, HALF, 1, 1, 1, HALF])]
 # every distance 0 or 1: name distances come from class counts
 DISCRETE = [cyclic(1), cyclic(2), cyclic(3, [0, 1, 1])]
+# both kinds of name distance: the discrete groups, the circle metrics of Z/4
+# and Z/5 (the default cyclic(3) is discrete), and a Z/3 row at distance 1/2
+COMPARED = DISCRETE + [cyclic(4), cyclic(5), cyclic(3, [0, HALF, HALF])]
 
 
 @st.composite
@@ -167,10 +174,14 @@ def test_best_rotation_matches_direct_scoring(problem):
 
 @given(systems(), st.integers(1, 6), st.data())
 def test_name_distribution_matches_per_fibre(ext, n, data):
-    assert name_distribution(ext, n).weights == oracles.name_distribution_per_fibre(ext, n).weights
+    every = range(ext.size)
+    assert (
+        ext.walk().names(n, every).distribution.weights
+        == oracles.name_distribution_per_fibre(ext, n).weights
+    )
     other = tuple(data.draw(st.lists(st.integers(0, 3), min_size=ext.size, max_size=ext.size)))
     assert (
-        name_distribution(ext, n, other).weights
+        ext.walk(other).names(n, every).distribution.weights
         == oracles.name_distribution_per_fibre(ext, n, other).weights
     )
 
@@ -181,15 +192,16 @@ def test_speedup_name_distribution_matches_per_fibre(sp, n, data):
     starts = power_domain(sp, n)
     if not starts:
         with pytest.raises(ValidationError):
-            speedup_name_distribution(sp, labels, n)
+            name_starts(sp, n)
         return
+    walk = sp.walk(labels)
     assert (
-        speedup_name_distribution(sp, labels, n).weights
+        walk.names(n, name_starts(sp, n)).distribution.weights
         == oracles.speedup_name_distribution_per_fibre(sp, labels, n, starts).weights
     )
     some = sorted(data.draw(st.sets(st.sampled_from(starts), min_size=1)))
     assert (
-        sp.walk(labels).distribution(n, some).weights
+        walk.names(n, some).distribution.weights
         == oracles.speedup_name_distribution_per_fibre(sp, labels, n, some).weights
     )
 
@@ -247,10 +259,11 @@ def test_name_work_limit_is_the_last_size_built(monkeypatch):
     ext = ExtensionSystem(12, (0, 1, 1) * 4, cyclic(3), (1,) + (0,) * 11)
     work = len(set(ext.walk().classes(5))) * 3 * 5
     monkeypatch.setattr(names, "NAME_WORK_LIMIT", work)
-    assert name_distribution(ext, 5) == oracles.name_distribution_per_fibre(ext, 5)
+    expected = oracles.name_distribution_per_fibre(ext, 5)
+    assert ext.walk().names(5, range(12)).distribution == expected
     monkeypatch.setattr(names, "NAME_WORK_LIMIT", work - 1)
     with pytest.raises(NameWorkTooLarge) as err:
-        name_distribution(ext, 5)
+        ext.walk().names(5, range(12))
     assert str(err.value) == "%d name entries exceed the limit %d" % (work, work - 1)
 
 
@@ -260,7 +273,7 @@ def test_a_walk_needs_a_label_per_point():
     message = "^a walk needs one label, successor and increment per point$"
     for labels in ((0, 1, 0), tuple(range(9))):
         with pytest.raises(ValidationError, match=message):
-            name_distribution(ext, 2, labels=labels)
+            ext.walk(labels)
     with pytest.raises(ValidationError, match=message):
         Walk(ext.labels, tuple(range(1, 8)) + (0,), ext.skew[:7], ext.group)
 
@@ -277,39 +290,64 @@ def test_model_name_past_the_byte_codec():
 
 
 # ---------------------------------------------------------------------------
-# distances from class counts under a discrete metric
+# name distances, from class counts under a discrete metric and spelled otherwise
 
 
-@given(systems(groups=DISCRETE), st.data())
-def test_joint_class_counts_give_the_transport_distance(target, data):
-    # the unit walk of one system against a speedup walk of another on the
-    # same group, with relabelled points, from random start sets
+def unit_names(ext, labels, n, starts):
+    """The oracle's n-names of ext read with labels from starts, every fibre."""
+    unit = PartialSpeedup(ext, (1,) * ext.size, 1)
+    return oracles.speedup_name_distribution_per_fibre(unit, labels, n, starts)
+
+
+@given(systems(groups=COMPARED), st.data())
+def test_joint_names_give_the_transport_distance(target, data):
+    # the unit walk of one system against a total speedup walk of another on
+    # the same group, with relabelled points, from random start sets
     group = target.group
-    sp = data.draw(speedups(groups=[group]))
+    sp = data.draw(speedups(total=True, groups=[group]))
     size = sp.parent.size
     labels = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
-    a, b = target.walk(), sp.walk(labels)
     n = data.draw(st.integers(1, 6))
     starts_a = sorted(data.draw(st.sets(st.integers(0, target.size - 1), min_size=1)))
     starts_b = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1)))
-    joint = a.joint(b)
-    ids = joint.classes(n)
-    assert ids[: target.size] == a.classes(n)
-    expected = kantorovich(a.distribution(n, starts_a), b.distribution(n, starts_b))
-    assert total_variation(
-        joint.counts(n, starts_a, ids), joint.counts(n, [target.size + x for x in starts_b], ids)
-    ) == expected
+    a, b = target.walk().joint_names(sp.walk(labels), n, starts_a, starts_b)
+    assert a.ids[: target.size] == target.walk().classes(n)
+    expected_a = unit_names(target, target.labels, n, starts_a)
+    expected_b = oracles.speedup_name_distribution_per_fibre(sp, labels, n, starts_b)
+    assert (a.distribution, b.distribution) == (expected_a, expected_b)
+    expected = oracles.fraction_kantorovich(expected_a, expected_b)
+    assert a.distance(b) == b.distance(a) == expected
+
+
+def test_names_of_two_walks_or_two_lengths_do_not_compare():
+    ext = ExtensionSystem(6, (0, 1, 0, 0, 1, 1), cyclic(4), (1, 0, 2, 0, 0, 3))
+    walk = ext.walk()
+    other = ext.walk((1, 1, 0, 0, 1, 1))
+    names = walk.names(2, range(6))
+    # an equal walk compares
+    assert names.distance(ext.walk().names(2, range(3))) == oracles.fraction_kantorovich(
+        oracles.name_distribution_per_fibre(ext, 2), unit_names(ext, ext.labels, 2, range(3))
+    )
+    for far in (other.names(2, range(6)), walk.names(3, range(6))):
+        with pytest.raises(SpaceMismatch, match="^names of different walks or lengths"):
+            names.distance(far)
+        with pytest.raises(SpaceMismatch):
+            far.distance(names)
 
 
 @st.composite
-def discrete_steps(draw):
-    """An ergodic target and source on one discrete group, sizes apart, and a step."""
-    group = draw(st.sampled_from(DISCRETE))
-    n = draw(st.integers(1, 3))
-    n1 = n * draw(st.integers(1, 3))
+def steps(draw):
+    """An ergodic target and source on one group, sizes apart, and a step."""
+    group = draw(st.sampled_from(COMPARED))
+    # every distance is checked by the Fraction transport solver, which takes seconds
+    # on the hundred-odd names of a larger system off a discrete metric
+    discrete = group in DISCRETE
+    n = draw(st.integers(1, 3 if discrete else 2))
+    n1 = n * draw(st.integers(1, 2))
+    largest = 16 if discrete else 12
     pair = []
     for _ in range(2):
-        size = draw(st.integers(2 * n1 + n, 40))
+        size = draw(st.integers(2 * n1 + n, max(largest, 2 * n1 + n)))
         labels = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
         skew = draw(st.lists(st.integers(0, group.order - 1), min_size=size, max_size=size))
         # a lap of 1 generates Z/m
@@ -318,10 +356,10 @@ def discrete_steps(draw):
     return (*pair, n, n1)
 
 
-@given(discrete_steps())
-def test_a_discrete_step_measures_what_transport_measures(step):
+@given(steps())
+def test_a_step_measures_what_transport_measures(step):
     # the hypothesis and the output's name and ladder distances, the rungs with
-    # their offsets, against the transport distance of the name distributions
+    # their offsets, and the model name's, against the oracle's transport distances
     target, source, n, n1 = step
     loose = Fraction(19, 20)
     try:
@@ -334,19 +372,69 @@ def test_a_discrete_step_measures_what_transport_measures(step):
         # a refusal (the bootstrap's, the hypothesis', the schedule's) measures nothing
         return
     report = res.report
-    assert report.hypothesis_distance == kantorovich(
-        name_distribution(target, n), speedup_name_distribution(current, source.labels, n)
-    )
-    assert report.name_distance == kantorovich(
-        name_distribution(target, n1), speedup_name_distribution(res.twisted, res.labels, n1)
-    )
+    for length, speedup, labels, measured in (
+        (n, current, source.labels, report.hypothesis_distance),
+        (n1, res.twisted, res.labels, report.name_distance),
+    ):
+        starts = oracles.power_domain_walked(speedup, length)
+        assert measured == oracles.fraction_kantorovich(
+            oracles.name_distribution_per_fibre(target, length),
+            oracles.speedup_name_distribution_per_fibre(speedup, labels, length, starts),
+        )
     if report.regular or report.regularity_note.startswith("condition 4: ladder"):
         (per_h,) = oracles.ladder_distances_per_fibre(res.twisted, res.labels, n1)
         assert report.ladder_distance == per_h[0]
     model = res.model
-    assert model.reference is None
     assert (model.window_distance, model.block_distance) == oracles.model_distances_per_fibre(
         target, model
+    )
+
+
+@given(systems(groups=COMPARED), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_copy_partition_measures_what_transport_measures(target, extra, n, data):
+    # a big unit speedup whose skew copies the target's along a chain of at
+    # least one lap, so the chain reads the target from start
+    group, size = target.group, target.size
+    chain_length = data.draw(st.integers(size, size + 4))
+    big_size = chain_length + extra
+    elements = st.integers(0, group.order - 1)
+    skew = data.draw(st.lists(elements, min_size=big_size, max_size=big_size))
+    first = data.draw(st.integers(0, big_size - 1))
+    start = data.draw(st.integers(0, size - 1))
+    chain = [(first + t) % big_size for t in range(chain_length)]
+    for t, z in enumerate(chain):
+        skew[z] = target.skew[(start + t) % size]
+    pbar = data.draw(st.lists(st.integers(0, 1), min_size=big_size, max_size=big_size))
+    qbar = data.draw(st.lists(st.integers(0, 2), min_size=big_size, max_size=big_size))
+    big = PartialSpeedup(
+        ExtensionSystem(big_size, tuple(pbar), group, tuple(skew)), (1,) * big_size, 1
+    )
+    n = min(n, size)
+    small, dist = copy_partition(big, pbar, target, qbar, chain, start, n)
+    # the chain covers a lap, so every small point takes its first preimage's atom
+    first_atom = {}
+    for t, z in enumerate(chain):
+        first_atom.setdefault((start + t) % size, qbar[z])
+    assert small == tuple(first_atom[x] for x in range(size))
+    joint_big = tuple(zip(pbar, qbar))
+    assert dist == oracles.fraction_kantorovich(
+        oracles.name_distribution_per_fibre(target, n, tuple(zip(target.labels, small))),
+        oracles.speedup_name_distribution_per_fibre(
+            big, joint_big, n, oracles.power_domain_walked(big, n)
+        ),
+    )
+
+
+@given(systems(groups=COMPARED), st.integers(1, 10), st.integers(1, 5), st.data())
+def test_metrics_measure_what_transport_measures(target, size, n, data):
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    order = target.group.order
+    skew = data.draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size))
+    source = ExtensionSystem(size, tuple(labels), target.group, tuple(skew))
+    report = _cmd_metrics(argparse.Namespace(n=n), target, source)
+    assert report["name_distance"] == oracles.fraction_kantorovich(
+        oracles.name_distribution_per_fibre(target, n),
+        oracles.name_distribution_per_fibre(source, n),
     )
 
 
@@ -466,8 +554,7 @@ def test_good_rungs_matches_per_fibre(sp, n1, rungs, data):
 # orbit seeding
 
 
-@given(systems(min_size=2, max_size=6), st.data())
-def test_seed_from_orbit_matches_per_fibre(target, data):
+def check_seed(target, data):
     n = data.draw(st.integers(1, min(3, target.size)))
     n_len = data.draw(st.integers(n, target.size))
     zeta = data.draw(st.fractions(Fraction(1, 20), Fraction(19, 20)))
@@ -482,6 +569,17 @@ def test_seed_from_orbit_matches_per_fibre(target, data):
         return
     labels, alpha = seed_from_orbit(target, source, n_len, zeta, n=n)
     assert (labels, alpha.values) == expected
+
+
+@given(systems(min_size=2, max_size=6), st.data())
+def test_seed_from_orbit_matches_per_fibre(target, data):
+    check_seed(target, data)
+
+
+@given(systems(min_size=2, max_size=8, groups=DISCRETE), st.data())
+def test_seed_from_orbit_on_a_discrete_group_matches_per_fibre(target, data):
+    # the scan compares class counts here, the oracle transports spelled names
+    check_seed(target, data)
 
 
 # ---------------------------------------------------------------------------

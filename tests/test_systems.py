@@ -19,13 +19,13 @@ from skewlab import (
     check_extension_ergodic,
     cocycle_product,
     cyclic,
-    name_distribution,
     power_domain,
-    speedup_name_distribution,
     trivial,
     twist,
     twist_size,
 )
+
+from skewlab.systems import name_starts
 
 import oracles
 from conftest import tiny_extension
@@ -287,14 +287,14 @@ def test_name_distribution_independent_recount():
             key = tuple(nm)
             counts[key] = counts.get(key, 0) + 1
     expect = {k: Fraction(v, 27) for k, v in counts.items()}
-    got = name_distribution(ext, n).as_dict()
+    got = ext.walk().names(n, range(9)).distribution.as_dict()
     assert got == expect
 
 
 def test_name_distribution_right_translation_symmetric():
     rng = random.Random(43)
     ext = random_extension(rng, 8, 4)
-    d = name_distribution(ext, 3)
+    d = ext.walk().names(3, range(8)).distribution
     for h in range(4):
         moved = {}
         for nm, w in d.as_dict().items():
@@ -306,21 +306,23 @@ def test_name_distribution_right_translation_symmetric():
 def test_speedup_name_distribution_explicit_starts():
     ext = tiny_extension(size=6, flip_at=(0,))
     sp = PartialSpeedup(ext, (1,) * 6, 1)
-    d_all = speedup_name_distribution(sp, ext.labels, 2)
-    d_some = sp.walk(ext.labels).distribution(2, (0, 1))
+    d_all = sp.walk(ext.labels).names(2, name_starts(sp, 2)).distribution
+    d_some = sp.walk(ext.labels).names(2, (0, 1)).distribution
     assert set(d_some.support()) <= set(d_all.support())
     # an empty domain leaves no start point
-    with pytest.raises(ValidationError):
-        speedup_name_distribution(PartialSpeedup(ext, (0,) * 6, 1), ext.labels, 2)
+    with pytest.raises(ValidationError, match="^no start points for the name distribution$"):
+        name_starts(PartialSpeedup(ext, (0,) * 6, 1), 2)
 
 
 def test_name_length_must_be_positive():
     ext = tiny_extension(size=6, flip_at=(0,))
     sp = PartialSpeedup(ext, (1,) * 6, 1)
-    with pytest.raises(ValidationError, match="^name length must be positive$"):
-        speedup_name_distribution(sp, ext.labels, 0)
-    with pytest.raises(ValidationError, match="^name length must be positive$"):
-        name_distribution(ext, 0)
+    # Walk.names is the one home of the check: Dom(S^0) is the whole base
+    assert name_starts(sp, 0) == tuple(range(6))
+    for walk in (sp.walk(ext.labels), ext.walk()):
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="^name length must be positive$"):
+                walk.names(n, range(6))
 
 
 def test_unit_speedup_names_match_extension_names():
@@ -328,8 +330,8 @@ def test_unit_speedup_names_match_extension_names():
     ext = random_extension(rng, 10, 2)
     sp = PartialSpeedup(ext, (1,) * 10, 1)
     assert (
-        speedup_name_distribution(sp, ext.labels, 4).as_dict()
-        == name_distribution(ext, 4).as_dict()
+        sp.walk(ext.labels).names(4, name_starts(sp, 4)).distribution.as_dict()
+        == ext.walk().names(4, range(10)).distribution.as_dict()
     )
 
 
