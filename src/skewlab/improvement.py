@@ -13,7 +13,6 @@ coordinate on the constructed orbit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -186,7 +185,7 @@ def _measure_regularity(
 ) -> RegularityCertificate | RegularityRefusal:
     """The five conditions, on the Dom(S^n) n-names full when given.
 
-    full reads the speedup walk, or a joint walk that ends with it.  The
+    full is read on the speedup walk, or is joint_names' second record.  The
     improvement step's output check hands its own in and keeps no
     outcome: no later call repeats it, and a kept one lives with its step.
     """
@@ -218,13 +217,11 @@ def _measure_regularity(
     if full is None:
         full = walk.names(n, name_starts(speedup, n))
     # every column carries the one name, so one column's rungs serve all; a rung
-    # is the class of its first point's canonical name, right-translated by the
-    # offset accumulated along the column up to that point
+    # is its first point's canonical name, right-translated by the offset
+    # accumulated along the column up to that point
     (name,) = names
-    shift = len(full.walk.nxt) - speedup.size
-    rungs = [shift + columns[0][i] for i in range(0, height, n)]
-    counts = Counter((full.ids[z], name[i * n][1]) for i, z in enumerate(rungs))
-    gap = Names(full.walk, n, full.ids, counts, {full.ids[z]: z for z in rungs}).distance(full)
+    levels = range(0, height, n)
+    gap = full.at([columns[0][i] for i in levels], [name[i][1] for i in levels]).distance(full)
     if not gap < delta:
         return RegularityRefusal(
             "condition 4",

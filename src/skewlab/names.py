@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .distributions import EmpiricalDistribution, NameSpace, kantorovich
 from .errors import NameWorkTooLarge, SpaceMismatch, ValidationError
 from .groups import FiniteGroup
-from .records import Record
+from .records import Record, replace
 
 # a distribution builds classes * |G| * length name entries; metrics at
 # the limit (n = 8192 on a 32-point Z/8 pair) takes 2 s and 324 MiB
@@ -164,7 +164,7 @@ class Walk(Record):
         )
         ids = joint.classes(length)
         mine = joint.names(length, starts, ids)
-        return mine, joint.names(length, [shift + x for x in other_starts], ids)
+        return mine, replace(joint.names(length, [shift + x for x in other_starts], ids), first=shift)
 
 
 class Names(Record):
@@ -174,7 +174,9 @@ class Names(Record):
     name of that class right-translated by h; points holds one point of
     each class, where its name is spelled.  A name from (x, h) is the
     canonical name from x right-translated by h, and canonical names
-    start at e, so distinct keys stand for distinct names.
+    start at e, so distinct keys stand for distinct names.  first is the
+    walk's number for point 0 of the walk the names were read on: 0, or
+    the first walk's length for the second record of joint_names.
     """
 
     walk: Walk
@@ -182,6 +184,15 @@ class Names(Record):
     ids: Sequence[int]
     counts: Mapping[tuple[int, int], int]
     points: Mapping[int, int]
+    first: int = 0
+
+    def at(self, points: Sequence[int], offsets: Sequence[int]) -> "Names":
+        """The names from the given points of the walk they were read on, each
+        right-translated by its offset, on the same walk and ids."""
+        ids, first = self.ids, self.first
+        counts = Counter((ids[first + x], h) for x, h in zip(points, offsets))
+        spelled = {ids[first + x]: first + x for x in points}
+        return Names(self.walk, self.length, ids, counts, spelled, first)
 
     def distance(self, other: "Names") -> Fraction:
         """Transport distance between the two distributions of names.

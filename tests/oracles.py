@@ -8,8 +8,9 @@ fibre, and separation compares full-length names pairwise.  They walk
 the systems themselves and share no counting code with the library;
 group arithmetic is Z/m's own, sums mod m from 0, and d(a, b) is
 read off the metric row as f((b - a) mod m).  Every name distance they
-state comes from fraction_kantorovich, the Fraction transport solver
-below, never from the library's.
+state comes from fraction_distance below, never from the library's: half
+the L1 distance of the weights when the metric row holds only 0s and 1s,
+and the Fraction transport solver otherwise.
 
 Three replaced the integer kernels for non-discrete groups: the Fraction
 successive-shortest-path transport solver, the space distances read from
@@ -51,6 +52,8 @@ from skewlab import DiscreteSpace, EmpiricalDistribution, NameSpace
 from skewlab.records import Record
 from skewlab.towers import tower
 
+import conftest
+
 
 def cocycle_loop(ext, x, k):
     """Product of k skew values from x, newest factor on the left."""
@@ -60,13 +63,17 @@ def cocycle_loop(ext, x, k):
     return acc
 
 
-def _speedup_name(speedup, labels, x, g, length):
+def _speedup_name(speedup, labels, x, g, length, stay=False):
+    """The name from (x, g); with stay a point off the domain stays put at
+    (x, g), otherwise the walk must not leave the domain."""
     ext = speedup.parent
     out = []
     for i in range(length):
         out.append((labels[x], g))
         if i < length - 1:
             k = speedup.exponent[x]
+            if stay and not k:
+                continue
             assert k > 0, "walk left the speedup domain"
             g = (cocycle_loop(ext, x, k) + g) % ext.group.order
             x = (x + k) % ext.size
@@ -99,10 +106,10 @@ def name_distribution_per_fibre(ext, n, labels=None):
     return _distribution(NameSpace(ext.group, n), names)
 
 
-def speedup_name_distribution_per_fibre(speedup, labels, n, starts):
+def speedup_name_distribution_per_fibre(speedup, labels, n, starts, stay=False):
     ext = speedup.parent
     names = [
-        _speedup_name(speedup, labels, x, g, n)
+        _speedup_name(speedup, labels, x, g, n, stay)
         for x in starts
         for g in range(ext.group.order)
     ]
@@ -226,8 +233,8 @@ def model_distances_per_fibre(target, model):
         return _distribution(NameSpace(target.group, n1), names)
 
     return (
-        fraction_kantorovich(averaged(range(length - n1 + 1)), reference),
-        fraction_kantorovich(averaged(range(0, length, n1)), reference),
+        fraction_distance(averaged(range(length - n1 + 1)), reference),
+        fraction_distance(averaged(range(0, length, n1)), reference),
     )
 
 
@@ -260,7 +267,7 @@ def ladder_distances_per_fibre(speedup, pbar, n):
         per_h = []
         for h in range(m):
             names = [_speedup_name(speedup, pbar, s, (w0 + h) % m, n) for s, w0 in rung_starts]
-            per_h.append(fraction_kantorovich(_distribution(NameSpace(ext.group, n), names), full))
+            per_h.append(fraction_distance(_distribution(NameSpace(ext.group, n), names), full))
         out.append(per_h)
     return out
 
@@ -321,7 +328,7 @@ def seed_per_fibre(target, source, n_len, zeta, n):
             for t in range(n_len - n + 1)
             for h in range(m)
         ]
-        if fraction_kantorovich(_distribution(NameSpace(target.group, n), names), reference) < zeta:
+        if fraction_distance(_distribution(NameSpace(target.group, n), names), reference) < zeta:
             break
     else:
         return None
@@ -542,6 +549,15 @@ def fraction_kantorovich(d1, d2):
     if not supply:
         return Fraction(0)
     return fraction_transport(supply, demand, lambda a, b: fraction_dist(d1.space, a, b))
+
+
+def fraction_distance(d1, d2):
+    """Transport distance of two name distributions.  Under a metric row of
+    0s and 1s every two distinct names lie at distance 1, so it is half the
+    L1 distance of the weights; otherwise fraction_kantorovich."""
+    if set(d1.space.group.row) <= {0, 1}:
+        return conftest.half_l1(d1, d2)
+    return fraction_kantorovich(d1, d2)
 
 
 def rotation_walked(speedup, pbar, starts, n, model):

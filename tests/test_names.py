@@ -4,8 +4,9 @@ Every property compares the library with the reference implementation
 in oracles.py on small systems over Z/1 to Z/6, Z/6 once with a metric
 row that is not the circle's, and asserts exact equality.  Every name
 distance, which the library takes from class counts under a discrete
-metric and from spelled names otherwise, is compared with the Fraction
-transport distance of the oracle's name distributions.
+metric and from spelled names otherwise, is compared with the transport
+distance of the oracle's name distributions: half their L1 distance
+under a metric of 0s and 1s, the Fraction transport solver otherwise.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import (
@@ -54,9 +55,10 @@ HALF = Fraction(1, 2)
 GROUPS = [cyclic(m) for m in range(1, 7)] + [cyclic(6, [0, HALF, 1, 1, 1, HALF])]
 # every distance 0 or 1: name distances come from class counts
 DISCRETE = [cyclic(1), cyclic(2), cyclic(3, [0, 1, 1])]
-# both kinds of name distance: the discrete groups, the circle metrics of Z/4
-# and Z/5 (the default cyclic(3) is discrete), and a Z/3 row at distance 1/2
-COMPARED = DISCRETE + [cyclic(4), cyclic(5), cyclic(3, [0, HALF, HALF])]
+# spelled name distances: the circle metrics of Z/4 and Z/5 (the default
+# cyclic(3) is discrete) and a Z/3 row at distance 1/2
+SPELLED = [cyclic(4), cyclic(5), cyclic(3, [0, HALF, HALF])]
+COMPARED = DISCRETE + SPELLED
 
 
 @st.composite
@@ -301,10 +303,11 @@ def unit_names(ext, labels, n, starts):
 
 @given(systems(groups=COMPARED), st.data())
 def test_joint_names_give_the_transport_distance(target, data):
-    # the unit walk of one system against a total speedup walk of another on
-    # the same group, with relabelled points, from random start sets
+    # the unit walk of one system against a partial speedup walk of another on
+    # the same group, with relabelled points, from random start sets; points off
+    # the domain stay put
     group = target.group
-    sp = data.draw(speedups(total=True, groups=[group]))
+    sp = data.draw(speedups(groups=[group]))
     size = sp.parent.size
     labels = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
     n = data.draw(st.integers(1, 6))
@@ -313,10 +316,13 @@ def test_joint_names_give_the_transport_distance(target, data):
     a, b = target.walk().joint_names(sp.walk(labels), n, starts_a, starts_b)
     assert a.ids[: target.size] == target.walk().classes(n)
     expected_a = unit_names(target, target.labels, n, starts_a)
-    expected_b = oracles.speedup_name_distribution_per_fibre(sp, labels, n, starts_b)
+    expected_b = oracles.speedup_name_distribution_per_fibre(sp, labels, n, starts_b, stay=True)
     assert (a.distribution, b.distribution) == (expected_a, expected_b)
     expected = oracles.fraction_kantorovich(expected_a, expected_b)
     assert a.distance(b) == b.distance(a) == expected
+    if group in DISCRETE:
+        # the shortcut the other oracles take under a metric of 0s and 1s
+        assert oracles.fraction_distance(expected_a, expected_b) == expected
 
 
 def test_names_of_two_walks_or_two_lengths_do_not_compare():
@@ -336,15 +342,11 @@ def test_names_of_two_walks_or_two_lengths_do_not_compare():
 
 
 @st.composite
-def steps(draw):
+def steps(draw, groups, most_n, most_rungs, largest):
     """An ergodic target and source on one group, sizes apart, and a step."""
-    group = draw(st.sampled_from(COMPARED))
-    # every distance is checked by the Fraction transport solver, which takes seconds
-    # on the hundred-odd names of a larger system off a discrete metric
-    discrete = group in DISCRETE
-    n = draw(st.integers(1, 3 if discrete else 2))
-    n1 = n * draw(st.integers(1, 2))
-    largest = 16 if discrete else 12
+    group = draw(st.sampled_from(groups))
+    n = draw(st.integers(1, most_n))
+    n1 = n * draw(st.integers(1, most_rungs))
     pair = []
     for _ in range(2):
         size = draw(st.integers(2 * n1 + n, max(largest, 2 * n1 + n)))
@@ -356,10 +358,9 @@ def steps(draw):
     return (*pair, n, n1)
 
 
-@given(steps())
-def test_a_step_measures_what_transport_measures(step):
-    # the hypothesis and the output's name and ladder distances, the rungs with
-    # their offsets, and the model name's, against the oracle's transport distances
+def check_step(step):
+    """The hypothesis and the output's name and ladder distances, the rungs with
+    their offsets, and the model name's, against the oracle's."""
     target, source, n, n1 = step
     loose = Fraction(19, 20)
     try:
@@ -377,7 +378,7 @@ def test_a_step_measures_what_transport_measures(step):
         (n1, res.twisted, res.labels, report.name_distance),
     ):
         starts = oracles.power_domain_walked(speedup, length)
-        assert measured == oracles.fraction_kantorovich(
+        assert measured == oracles.fraction_distance(
             oracles.name_distribution_per_fibre(target, length),
             oracles.speedup_name_distribution_per_fibre(speedup, labels, length, starts),
         )
@@ -388,6 +389,19 @@ def test_a_step_measures_what_transport_measures(step):
     assert (model.window_distance, model.block_distance) == oracles.model_distances_per_fibre(
         target, model
     )
+
+
+@given(steps(DISCRETE, 3, 3, 40))
+def test_a_discrete_step_measures_what_transport_measures(step):
+    check_step(step)
+
+
+# every distance goes through the Fraction transport solver, which takes
+# seconds on the hundred-odd names of a larger system
+@settings(max_examples=30)
+@given(steps(SPELLED, 2, 2, 10))
+def test_a_step_off_a_discrete_metric_measures_what_transport_measures(step):
+    check_step(step)
 
 
 @given(systems(groups=COMPARED), st.integers(0, 3), st.integers(1, 3), st.data())
@@ -417,7 +431,7 @@ def test_copy_partition_measures_what_transport_measures(target, extra, n, data)
         first_atom.setdefault((start + t) % size, qbar[z])
     assert small == tuple(first_atom[x] for x in range(size))
     joint_big = tuple(zip(pbar, qbar))
-    assert dist == oracles.fraction_kantorovich(
+    assert dist == oracles.fraction_distance(
         oracles.name_distribution_per_fibre(target, n, tuple(zip(target.labels, small))),
         oracles.speedup_name_distribution_per_fibre(
             big, joint_big, n, oracles.power_domain_walked(big, n)
@@ -432,7 +446,7 @@ def test_metrics_measure_what_transport_measures(target, size, n, data):
     skew = data.draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size))
     source = ExtensionSystem(size, tuple(labels), target.group, tuple(skew))
     report = _cmd_metrics(argparse.Namespace(n=n), target, source)
-    assert report["name_distance"] == oracles.fraction_kantorovich(
+    assert report["name_distance"] == oracles.fraction_distance(
         oracles.name_distribution_per_fibre(target, n),
         oracles.name_distribution_per_fibre(source, n),
     )
