@@ -11,10 +11,9 @@ _EXPORTS = {
         "DiscreteSpace", "EmpiricalDistribution", "NameSpace", "kantorovich",
     ),
     "driver": (
-        "ConstructionLog", "FactorResult", "FullGroupWitness", "GeneratorRecord",
-        "IterationSchedule", "complete_speedup", "copy_partition",
-        "ergodicity_certificate", "run_factor", "run_isomorphism", "seed_from_orbit",
-        "total_extension_witness", "verify_factor_map",
+        "ConstructionLog", "FactorResult", "GeneratorRecord", "IterationSchedule",
+        "complete_speedup", "copy_partition", "run_factor", "run_isomorphism",
+        "seed_from_orbit", "total_extension_witness", "verify_factor_map",
     ),
     "errors": (
         "AtomTooSmall", "Collision", "DomainTooSmall", "GeneratorCheckFailed",
@@ -25,10 +24,13 @@ _EXPORTS = {
     ),
     "groups": ("FiniteGroup", "cyclic", "trivial"),
     "improvement": (
-        "Cycle", "ImproveResult", "ImprovementReport", "ModelName", "WindowSystem",
-        "bootstrap_regular", "build_cycles", "build_model_name", "check_regular", "improve",
+        "ImproveResult", "ImprovementReport", "ModelName", "bootstrap_regular",
+        "build_model_name", "check_regular", "improve",
     ),
-    "matching": ("SampleFamily", "exhaust_samples", "sample_onto"),
+    "matching": (
+        "Cycle", "FullGroupWitness", "SampleFamily", "WindowSystem", "build_cycles",
+        "ergodicity_certificate", "exhaust_samples", "sample_onto",
+    ),
     "systems": (
         "ErgodicityWitness", "ExtensionSystem", "PartialSpeedup", "RegularityCertificate",
         "RegularityRefusal", "Twist", "apply_speedup", "check_extension_ergodic",

@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import (
     GeneratorCheckFailed,
     NoGoodOrbit,
-    NotReachable,
     TowerInfeasible,
     ValidationError,
     open_unit,
@@ -238,62 +237,6 @@ def run_factor(
         witness=total_extension_witness(completed),
     )
     return FactorResult(completed, pbar, beta, log, tuple(steps))
-
-
-# ---------------------------------------------------------------------------
-# ergodicity certificates
-
-
-class FullGroupWitness(Record):
-    """Piecewise powers carrying most of one set into another."""
-
-    pieces: tuple[tuple[int, int, int], ...]
-    matched: Fraction
-
-
-def ergodicity_certificate(
-    speedup: PartialSpeedup,
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-    epsilon: Fraction,
-) -> tuple[FullGroupWitness, ...]:
-    """Full-group witnesses carrying (1-epsilon) of each first set into the second.
-
-    Walks the speedup's base orbit from each point of the first set to
-    the first unused point of the second; pieces are (point, power,
-    target) with pairwise distinct targets.
-    """
-    epsilon = Fraction(epsilon)
-    size = speedup.parent.size
-    if any(k == 0 for k in speedup.exponent):
-        raise ValidationError("certificate needs a total speedup")
-    nxt, _ = speedup.step_table
-    out = []
-    for ci, cj in pairs:
-        ci = sorted(set(ci))
-        cj_set = set(cj)
-        if not ci or not cj_set:
-            raise ValidationError("certificate sets must be nonempty")
-        used: set[int] = set()
-        pieces = []
-        for x in ci:
-            y = x
-            power = 0
-            while True:
-                if y in cj_set and y not in used:
-                    used.add(y)
-                    pieces.append((x, power, y))
-                    break
-                y = nxt[y]
-                power += 1
-                if power > size:
-                    break
-        matched = Fraction(len(pieces), len(ci))
-        if not matched >= 1 - epsilon:
-            raise NotReachable(
-                "only %s of the first set reaches the second within the orbit" % matched
-            )
-        out.append(FullGroupWitness(tuple(pieces), matched))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     Collision,
@@ -42,105 +42,6 @@ from .systems import (
     twist_size,
 )
 from .towers import broken_fraction, ladder, tower
-
-
-# ---------------------------------------------------------------------------
-# window systems and cycles
-
-
-class WindowSystem(Record):
-    """Ordered equal-length windows inside a long segment.
-
-    Window s occupies positions starts[s] .. starts[s]+length-1; the
-    gap condition keeps distinct windows from overlapping.
-    """
-
-    length: int
-    span: int
-    starts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValidationError("window length must be positive")
-        prev = None
-        for u in self.starts:
-            if u < 0 or u + self.length > self.span:
-                raise ValidationError("window does not fit in the span")
-            if prev is not None and u - prev < self.length:
-                raise ValidationError("window starts must increase by at least the length")
-            prev = u
-
-    @property
-    def count(self) -> int:
-        return len(self.starts)
-
-    def window(self, s: int, j: int) -> int:
-        if not (0 <= j < self.length):
-            raise ValidationError("offset outside the window")
-        return self.starts[s] + j
-
-
-class Cycle(Record):
-    """One weave through the windows: p-term stages at every pass offset.
-
-    stages maps (l, j) to the chosen in-window positions for phases
-    i in [p]; the absolute position of phase i is window jp+l+i at that
-    offset.  Stage maps are increasing because windows are ordered.
-    """
-
-    p: int
-    index: int
-    stages: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-
-    def absolute(self, windows: WindowSystem) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
-        out = []
-        for (l, j), pos in self.stages:
-            out.append(((l, j), tuple(windows.window(j * self.p + l + i, pos[i]) for i in range(self.p))))
-        return tuple(out)
-
-
-def build_cycles(
-    windows: WindowSystem,
-    samples: Mapping[int, Sequence[Sequence[int]]],
-    p: int,
-) -> tuple[Cycle, ...]:
-    """Weave every stage sample into cycles, one cycle per sample index.
-
-    samples[s][t][i] is the in-window position used by cycle t at phase
-    i whenever some stage visits window s at that phase.  Positions must
-    be disjoint inside each window across (t, i); a repeat raises
-    Collision.  Interior windows are visited exactly p times per cycle.
-    """
-    w = windows.count
-    if p < 1 or p > w:
-        raise ValidationError("need 1 <= p <= window count")
-    depths = {len(samples[s]) for s in range(w)}
-    if len(depths) != 1:
-        raise ValidationError("every window needs the same number of sample stages")
-    rounds = depths.pop()
-    for s in range(w):
-        used: set[int] = set()
-        for t in range(rounds):
-            if len(samples[s][t]) != p:
-                raise ValidationError("stage sample must list one position per phase")
-            for i in range(p):
-                pos = samples[s][t][i]
-                if not (0 <= pos < windows.length):
-                    raise ValidationError("sample position outside the window")
-                if pos in used:
-                    raise Collision("window %d position %d used twice" % (s, pos))
-                used.add(pos)
-    # windows are disjoint and ordered and each (window, position) pair is
-    # used once, so absolute positions are distinct and increase along a stage
-    cycles = []
-    for t in range(rounds):
-        stages = []
-        for l in range(p):
-            for j in range((w - l) // p):
-                pos = tuple(samples[j * p + l + i][t][i] for i in range(p))
-                stages.append(((l, j), pos))
-        cycles.append(Cycle(p, t, tuple(stages)))
-    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------

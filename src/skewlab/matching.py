@@ -1,10 +1,12 @@
-"""Finite sampling lemmas of the tower construction.
+"""Finite versions of the tower construction's lemmas.
 
-Two tools: spreading a finite domain onto a target distribution with
-bounded error, and exhausting a set by disjoint samples that share one
-atom template.  The improvement step does not call them; they stand as
-checked finite versions of the lemmas.  Everything is deterministic;
-ties break at the lowest index.
+Four tools: spreading a finite domain onto a target distribution with
+bounded error, exhausting a set by disjoint samples that share one atom
+template, weaving stage samples through ordered windows into cycles, and
+full-group witnesses that carry most of one set into another along a
+total speedup's orbit.  No command calls them; they stand as checked
+finite versions of the lemmas.  Everything is deterministic; ties break
+at the lowest index.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from typing import Hashable, Mapping, Sequence
 from .distributions import EmpiricalDistribution
 from .errors import (
     AtomTooSmall,
+    Collision,
     DomainTooSmall,
     InfeasibleTemplate,
+    NotReachable,
     PreconditionViolated,
     ValidationError,
 )
 from .records import Record
+from .systems import PartialSpeedup
 
 
 def sample_onto(
@@ -181,3 +186,158 @@ def exhaust_samples(
             "greedy family left %s uncovered despite the bounds" % family.leftover_mass()
         )
     return family
+
+
+# ---------------------------------------------------------------------------
+# window systems and cycles
+
+
+class WindowSystem(Record):
+    """Ordered equal-length windows inside a long segment.
+
+    Window s occupies positions starts[s] .. starts[s]+length-1; the
+    gap condition keeps distinct windows from overlapping.
+    """
+
+    length: int
+    span: int
+    starts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValidationError("window length must be positive")
+        prev = None
+        for u in self.starts:
+            if u < 0 or u + self.length > self.span:
+                raise ValidationError("window does not fit in the span")
+            if prev is not None and u - prev < self.length:
+                raise ValidationError("window starts must increase by at least the length")
+            prev = u
+
+    @property
+    def count(self) -> int:
+        return len(self.starts)
+
+    def window(self, s: int, j: int) -> int:
+        if not (0 <= j < self.length):
+            raise ValidationError("offset outside the window")
+        return self.starts[s] + j
+
+
+class Cycle(Record):
+    """One weave through the windows: p-term stages at every pass offset.
+
+    stages maps (l, j) to the chosen in-window positions for phases
+    i in [p]; the absolute position of phase i is window jp+l+i at that
+    offset.  Stage maps are increasing because windows are ordered.
+    """
+
+    p: int
+    index: int
+    stages: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+
+    def absolute(self, windows: WindowSystem) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+        out = []
+        for (l, j), pos in self.stages:
+            out.append(((l, j), tuple(windows.window(j * self.p + l + i, pos[i]) for i in range(self.p))))
+        return tuple(out)
+
+
+def build_cycles(
+    windows: WindowSystem,
+    samples: Mapping[int, Sequence[Sequence[int]]],
+    p: int,
+) -> tuple[Cycle, ...]:
+    """Weave every stage sample into cycles, one cycle per sample index.
+
+    samples[s][t][i] is the in-window position used by cycle t at phase
+    i whenever some stage visits window s at that phase.  Positions must
+    be disjoint inside each window across (t, i); a repeat raises
+    Collision.  Interior windows are visited exactly p times per cycle.
+    """
+    w = windows.count
+    if p < 1 or p > w:
+        raise ValidationError("need 1 <= p <= window count")
+    depths = {len(samples[s]) for s in range(w)}
+    if len(depths) != 1:
+        raise ValidationError("every window needs the same number of sample stages")
+    rounds = depths.pop()
+    for s in range(w):
+        used: set[int] = set()
+        for t in range(rounds):
+            if len(samples[s][t]) != p:
+                raise ValidationError("stage sample must list one position per phase")
+            for i in range(p):
+                pos = samples[s][t][i]
+                if not (0 <= pos < windows.length):
+                    raise ValidationError("sample position outside the window")
+                if pos in used:
+                    raise Collision("window %d position %d used twice" % (s, pos))
+                used.add(pos)
+    # windows are disjoint and ordered and each (window, position) pair is
+    # used once, so absolute positions are distinct and increase along a stage
+    cycles = []
+    for t in range(rounds):
+        stages = []
+        for l in range(p):
+            for j in range((w - l) // p):
+                pos = tuple(samples[j * p + l + i][t][i] for i in range(p))
+                stages.append(((l, j), pos))
+        cycles.append(Cycle(p, t, tuple(stages)))
+    return tuple(cycles)
+
+
+# ---------------------------------------------------------------------------
+# ergodicity certificates
+
+
+class FullGroupWitness(Record):
+    """Piecewise powers carrying most of one set into another."""
+
+    pieces: tuple[tuple[int, int, int], ...]
+    matched: Fraction
+
+
+def ergodicity_certificate(
+    speedup: PartialSpeedup,
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+    epsilon: Fraction,
+) -> tuple[FullGroupWitness, ...]:
+    """Full-group witnesses carrying (1-epsilon) of each first set into the second.
+
+    Walks the speedup's base orbit from each point of the first set to
+    the first unused point of the second; pieces are (point, power,
+    target) with pairwise distinct targets.
+    """
+    epsilon = Fraction(epsilon)
+    size = speedup.parent.size
+    if any(k == 0 for k in speedup.exponent):
+        raise ValidationError("certificate needs a total speedup")
+    nxt, _ = speedup.step_table
+    out = []
+    for ci, cj in pairs:
+        ci = sorted(set(ci))
+        cj_set = set(cj)
+        if not ci or not cj_set:
+            raise ValidationError("certificate sets must be nonempty")
+        used: set[int] = set()
+        pieces = []
+        for x in ci:
+            y = x
+            power = 0
+            while True:
+                if y in cj_set and y not in used:
+                    used.add(y)
+                    pieces.append((x, power, y))
+                    break
+                y = nxt[y]
+                power += 1
+                if power > size:
+                    break
+        matched = Fraction(len(pieces), len(ci))
+        if not matched >= 1 - epsilon:
+            raise NotReachable(
+                "only %s of the first set reaches the second within the orbit" % matched
+            )
+        out.append(FullGroupWitness(tuple(pieces), matched))
+    return tuple(out)

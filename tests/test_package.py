@@ -61,3 +61,20 @@ def test_no_module_loads_dataclasses_or_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == []
+
+
+def test_lemma_exhibits_live_in_matching_and_no_command_module_loads_it():
+    # the paper's lemma exhibits are checked by the acceptance runs but called by no command
+    for name in ("Cycle", "FullGroupWitness", "WindowSystem", "build_cycles", "ergodicity_certificate"):
+        assert getattr(skewlab, name).__module__ == "skewlab.matching"
+    probe = (
+        "import sys\n"
+        "import skewlab.cli, skewlab.improvement, skewlab.driver\n"
+        "print('skewlab.matching' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(skewlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False"]
