@@ -77,10 +77,14 @@ class IterationSchedule(Record):
             open_unit("step tolerances", d)
             open_unit("step tolerances", d1)
         if self.strict:
-            used = [Fraction(e) for e in self.epsilons[: self.budget]]
-            if sum(used, Fraction(0)) >= Fraction(self.epsilon) / 2:
+            # eps_for repeats the last tolerance once the budget passes the list
+            used = sum(map(Fraction, self.epsilons[: self.budget]), Fraction(0))
+            used += max(self.budget - len(self.epsilons), 0) * Fraction(self.epsilons[-1])
+            if used >= Fraction(self.epsilon) / 2:
                 raise ValidationError("iteration tolerances must sum below epsilon/2")
-            for k in range(self.budget):
+            # from the last listed step or tolerance on, every iteration reads the same pair
+            distinct = max(len(self.steps), len(self.epsilons))
+            for k in range(min(self.budget, distinct)):
                 _, d, _, _ = self.step_for(k)
                 if not Fraction(d) < self.eps_for(k) / 2:
                     raise ValidationError("delta must stay below half the iteration tolerance")

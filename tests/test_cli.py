@@ -30,6 +30,7 @@ from skewlab.cli import (
     DENOMINATOR_LIMIT,
     ECHO_LIMIT,
     GROUP_ORDER_LIMIT,
+    LOOP_WORK_LIMIT,
     _encode,
     _fraction_in,
     _load_pair,
@@ -42,6 +43,7 @@ from skewlab.groups import cyclic
 from skewlab.names import NAME_WORK_LIMIT
 
 import oracles
+import pairs
 
 
 def write_system(path, size, labels, group, skew):
@@ -497,6 +499,51 @@ def test_name_work_over_the_limit_exits_two(tmp_path):
         "error": "NameWorkTooLarge",
         "detail": "%d name entries exceed the limit %d" % (32 * 8 * 100000, NAME_WORK_LIMIT),
     }
+
+
+def _marker_pair_files(tmp_path, size):
+    paths = []
+    for role, system in zip(("t", "s"), pairs.two_flip(size)):
+        path = tmp_path / ("%s%d.json" % (role, size))
+        path.write_text(json.dumps(system))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("epsilons", [[], ["--epsilons", "1/4"]], ids=["default", "listed"])
+@pytest.mark.parametrize("command", ["factor", "iso"])
+def test_a_budget_over_the_loop_work_limit_exits_two_at_once(tmp_path, command, epsilons):
+    # on the 2048 marker pair a step takes about 20 ms, so 10**9 steps would not end,
+    # and the default tolerances would hold about 10**18 bits
+    t, s = _marker_pair_files(tmp_path, 2048)
+    out = tmp_path / "ref.json"
+    step = ["--n", "8", "--delta", "1/10", "--n1", "64", "--delta1", "1/20", "--epsilon", "3/10"]
+    start = time.perf_counter()
+    rc = run_command([
+        command, "--target", t, "--source", s, *step, "--budget", "1000000000", *epsilons,
+        "--out", str(out),
+    ])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert json.loads(out.read_text()) == {
+        "error": "ScheduleInfeasible",
+        "detail": "budget 1000000000 on systems of size 2048 asks for loop work %d, "
+        "over the limit %d" % (10**18, LOOP_WORK_LIMIT),
+    }
+
+
+def test_the_loop_work_limit_counts_the_budget_on_small_systems(tmp_path):
+    # on the 8-point pair the limit 2**18 admits budget 512, whose 512 default tolerances
+    # are built before the bootstrap refuses its height 8 = n
+    t, s = _marker_pair_files(tmp_path, 8)
+    step = ["--n", "8", "--delta", "1/10", "--n1", "8", "--delta1", "1/20", "--epsilon", "3/10"]
+    assert LOOP_WORK_LIMIT == 512 * 512
+    errors = []
+    for budget in ("512", "513"):
+        out = tmp_path / ("ref%s.json" % budget)
+        rc = run_command(["factor", "--target", t, "--source", s, *step, "--budget", budget, "--out", str(out)])
+        errors.append((rc, json.loads(out.read_text())["error"]))
+    assert errors == [(2, "Infeasible"), (2, "ScheduleInfeasible")]
 
 
 # ---------------------------------------------------------------------------

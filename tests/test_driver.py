@@ -1,6 +1,7 @@
 """Iteration schedules, the factor and isomorphism loops, witnesses,
 factor map checks, partition copies, and orbit seeding."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,32 @@ def test_schedule_strict_gates():
         schedule(Fraction(1, 2), Fraction(1, 16))
     with pytest.raises(ValidationError, match="^budget too small for every rectangle to recur$"):
         schedule(Fraction(1, 2), Fraction(1, 40), rectangles=3)
+
+
+def test_strict_sum_counts_the_repeated_last_tolerance():
+    def schedule(epsilons, budget, delta=Fraction(1, 100)):
+        return IterationSchedule(
+            epsilon=Fraction(1, 5),
+            epsilons=epsilons,
+            steps=((8, delta, 64, Fraction(1, 20)),),
+            rectangles=(((0,), (0,)),),
+            budget=budget,
+            strict=True,
+        )
+
+    # the loop reads 1/40 at each of five steps: 1/8, not below epsilon/2 = 1/10
+    with pytest.raises(ValidationError, match="^iteration tolerances must sum below epsilon/2$"):
+        schedule((Fraction(1, 40),), 5)
+    assert schedule((Fraction(1, 40),), 3).budget == 3
+    # a budget of 10**9 is decided from the distinct (step, tolerance) pairs alone
+    start = time.perf_counter()
+    tiny = Fraction(1, 10**12)
+    assert schedule((tiny,), 10**9, delta=tiny / 3).budget == 10**9
+    with pytest.raises(ValidationError, match="^delta must stay below half"):
+        schedule((Fraction(1, 20), tiny), 10**9, delta=tiny)
+    with pytest.raises(ValidationError, match="^iteration tolerances must sum below epsilon/2$"):
+        schedule((Fraction(1, 40),), 10**9)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
