@@ -11,13 +11,11 @@ SHA-256 of that file's bytes.  A hash that changes is a report change.
 import hashlib
 import json
 import os
-import sys
 import tempfile
 
 from skewlab.cli import run_command
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import pairs  # noqa: E402
+import pairs
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
