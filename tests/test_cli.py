@@ -541,7 +541,8 @@ def test_the_loop_work_limit_counts_the_budget_on_small_systems(tmp_path):
     errors = []
     for budget in ("512", "513"):
         out = tmp_path / ("ref%s.json" % budget)
-        rc = run_command(["factor", "--target", t, "--source", s, *step, "--budget", budget, "--out", str(out)])
+        argv = ["factor", "--target", t, "--source", s, *step, "--budget", budget]
+        rc = run_command([*argv, "--out", str(out)])
         errors.append((rc, json.loads(out.read_text())["error"]))
     assert errors == [(2, "Infeasible"), (2, "ScheduleInfeasible")]
 
